@@ -36,6 +36,7 @@ from .errors import (
     InvalidAdjacency,
     MalformedClopen,
     MalformedPair,
+    MalformedPath,
     MultipleRoots,
     NodeNotBelowFront,
     NotAFront,

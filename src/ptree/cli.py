@@ -28,7 +28,7 @@ from .intervals import (
 )
 from .measures import EdgeFamily, front_mass, induced_measure, node_mass
 from .paths import format_path, parse_path
-from .specio import parse_spec
+from .specio import _parse_fraction, parse_spec
 from .trees import DEFAULT_DEPTH_BUDGET, classify, enumerate_front
 
 ENV_BUDGET = "PTREE_DEPTH_BUDGET"
@@ -147,8 +147,13 @@ def _cmd_expect(args) -> int:
         raise PTreeError(f"cannot read {args.values}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise PTreeError(f"{args.values}: line {exc.lineno}: {exc.msg}") from None
-    values = {parse_path(k): Fraction(v) for k, v in raw.items()}
-    variable = FrontVariable(front, values)
+    if not isinstance(raw, dict):
+        raise PTreeError(f"{args.values}: expected a JSON object mapping front paths to values")
+    values = {parse_path(k): _parse_fraction(v, k) for k, v in raw.items()}
+    try:
+        variable = FrontVariable(front, values)
+    except ValueError as exc:
+        raise PTreeError(f"{args.values}: {exc}") from None
     if args.node is None:
         measure = induced_measure(family, args.depth)
         print(expect(measure, variable))

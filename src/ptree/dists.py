@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InfiniteLevel
 from .paths import OMEGA
 
 ONE = Fraction(1)
@@ -88,14 +87,6 @@ class FiniteDist:
     def positive_support(self) -> tuple[int, ...]:
         return tuple(j for j, m in self._items if m > 0)
 
-    @property
-    def everywhere_positive(self) -> bool:
-        return all(m > 0 for _, m in self._items)
-
-    @property
-    def max_mass(self) -> Fraction:
-        return max((m for _, m in self._items), default=ZERO)
-
     def restrict(self, indices: Iterable[int]) -> "FiniteDist":
         keep = set(indices)
         return FiniteDist({j: m for j, m in self._items if j in keep})
@@ -142,14 +133,6 @@ class Geometric:
     def positive_support(self):
         return OMEGA
 
-    @property
-    def everywhere_positive(self) -> bool:
-        return True
-
-    @property
-    def max_mass(self) -> Fraction:
-        return 1 - self.ratio
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Geometric) and self.ratio == other.ratio
 
@@ -187,14 +170,6 @@ class PointMass:
     def positive_support(self) -> tuple[int, ...]:
         return (self.index,)
 
-    @property
-    def everywhere_positive(self) -> bool:
-        return False
-
-    @property
-    def max_mass(self) -> Fraction:
-        return ONE
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PointMass) and self.index == other.index
 
@@ -206,11 +181,3 @@ class PointMass:
 
 
 Dist = Union[FiniteDist, Geometric, PointMass]
-
-
-def positive_support_or_fail(dist: Dist) -> tuple[int, ...]:
-    """Positive child indices, failing loudly when they are infinite."""
-    support = dist.positive_support()
-    if support is OMEGA:
-        raise InfiniteLevel("distribution has infinitely many positive children")
-    return support

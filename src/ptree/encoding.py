@@ -21,12 +21,12 @@ from .measures import (
     EdgeFamily,
     GeneralPair,
     InductiveMeasure,
+    _walk,
     family_from_pair,
-    node_mass,
     split_measure,
 )
 from .paths import OMEGA, Path, compatible, is_prefix
-from .trees import ExplicitTree, TreeShape, walk_to_depth
+from .trees import ExplicitTree, TreeShape, _check_budget, walk_to_depth
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ class BinaryEncoding:
 
 def binary_encode(tree: TreeShape, depth: int) -> BinaryEncoding:
     """Compute the embedding on all nodes up to `depth`."""
-    if tree.depth_budget is not None and depth > tree.depth_budget:
-        raise DepthBudgetExceeded(f"depth {depth} exceeds budget {tree.depth_budget}")
+    _check_budget(tree, depth)
     h: dict[Path, Path] = {(): ()}
     for t in walk_to_depth(tree, depth):
         if len(t) >= depth or tree.is_maximal(t):
@@ -91,10 +90,11 @@ def encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> InductiveMeasure
     """
     if enc.source is not family.tree and enc.source != family.tree:
         raise EncodingMismatch("the encoding was built from a different tree")
+    source_mass = _walk(family, enc.h)
     masses: dict[Path, Fraction] = {}
     for s in enc.image.nodes():
         if s in enc.preimages:
-            masses[s] = node_mass(family, enc.preimages[s][0])
+            masses[s] = source_mass[enc.preimages[s][0]]
             continue
         anchor = None
         for plen in range(len(s) - 1, -1, -1):
@@ -106,7 +106,7 @@ def encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> InductiveMeasure
         total = ZERO
         for child in family.tree.children(t):
             if child in enc.h and is_prefix(s, enc.h[child]):
-                total += node_mass(family, child)
+                total += source_mass[child]
         masses[s] = total
     return InductiveMeasure(enc.image, masses)
 

@@ -27,6 +27,10 @@ class InfiniteLevel(PTreeError):
     """An operation would have to enumerate an infinite set of nodes."""
 
 
+class MalformedPath(PTreeError, ValueError):
+    """Text that is not a dot-separated path of nonnegative child indices."""
+
+
 class UnknownNode(PTreeError):
     """A path does not denote a node of the tree at hand."""
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .dists import FractionLike, ONE, ZERO, as_fraction
+from .dists import FractionLike, ZERO, as_fraction
 from .errors import NodeNotBelowFront, NotAFront, PreconditionFrontMismatch
-from .measures import EdgeFamily, InductiveMeasure
+from .measures import EdgeFamily, InductiveMeasure, _walk
 from .paths import Path, is_prefix
 from .trees import Front, is_front, level
 
@@ -52,46 +52,45 @@ def expect(measure: InductiveMeasure, variable: FrontVariable) -> Fraction:
     return sum((variable(s) * measure.mass(s) for s in variable.front.nodes), ZERO)
 
 
-def _weight(family: EdgeFamily, start: Path, end: Path) -> Fraction:
-    """Product of the edge probabilities from `start` down to `end`."""
-    w = ONE
-    for i in range(len(start), len(end)):
-        w *= family.dist(end[:i]).mass(end[i])
-        if w == 0:
-            return ZERO
-    return w
+def _expect_below(family: EdgeFamily, variable: FrontVariable, t: Path, members) -> Fraction:
+    """Sum of X(s) times the weight from t down to s, over members extending t."""
+    weights = _walk(family, members, start=t)
+    return sum((variable(s) * w for s, w in weights.items()), ZERO)
 
 
-def relative_expect(family: EdgeFamily, variable: FrontVariable, t: Path) -> Fraction:
+def _members_below(variable: FrontVariable, t: Path) -> list[Path]:
+    members = [s for s in variable.front.nodes if is_prefix(t, s)]
+    if not members:
+        raise NodeNotBelowFront(f"node {t} has no extension in the variable's front")
+    return members
+
+
+def relative_expect(
+    family: EdgeFamily, variable: FrontVariable, t: Path, *, any_front: bool = False
+) -> Fraction:
     """Expectation of the variable among the front members extending t.
 
     Requires that no maximal node shorter than the front level sits above
     t: every member extending t must lie at the full level, so the
-    conditional weights form a probability distribution.
+    conditional weights form a probability distribution. With `any_front`
+    the front may be arbitrary and that precondition is dropped.
     """
     if not is_front(family.tree, variable.front.nodes):
         raise NotAFront("variable's front is not a front of the family's tree")
     t = family.tree.require(tuple(t))
-    members = [s for s in variable.front.nodes if is_prefix(t, s)]
-    if not members:
-        raise NodeNotBelowFront(f"node {t} has no extension in the variable's front")
-    n = max(len(s) for s in variable.front.nodes)
-    if any(len(s) != n for s in members):
-        raise PreconditionFrontMismatch(
-            f"a maximal node shorter than level {n} lies above {t}"
-        )
-    return sum((variable(s) * _weight(family, t, s) for s in members), ZERO)
+    members = _members_below(variable, t)
+    if not any_front:
+        n = max(len(s) for s in variable.front.nodes)
+        if any(len(s) != n for s in members):
+            raise PreconditionFrontMismatch(
+                f"a maximal node shorter than level {n} lies above {t}"
+            )
+    return _expect_below(family, variable, t, members)
 
 
 def relative_expect_front(family: EdgeFamily, variable: FrontVariable, t: Path) -> Fraction:
     """Front-general variant: condition on t over an arbitrary front."""
-    if not is_front(family.tree, variable.front.nodes):
-        raise NotAFront("variable's front is not a front of the family's tree")
-    t = family.tree.require(tuple(t))
-    members = [s for s in variable.front.nodes if is_prefix(t, s)]
-    if not members:
-        raise NodeNotBelowFront(f"node {t} has no extension in the variable's front")
-    return sum((variable(s) * _weight(family, t, s) for s in members), ZERO)
+    return relative_expect(family, variable, t, any_front=True)
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,29 @@ class TowerReport:
         return self.cases[0].rhs
 
 
+def _tower_case(
+    family: EdgeFamily, variable: FrontVariable, t: Path, members: list[Path], inner: set[Path]
+) -> TowerCase:
+    """Both sides of E[E[X | inner] | t] = E[X | t] at the node t.
+
+    `members` are the front members extending t and `inner` the
+    intermediate nodes extending t. The right side groups the members by
+    the inner node above them in one pass, then sums weight(t, s) × E[X | s].
+    """
+    lengths = {len(s) for s in inner}
+    groups: dict[Path, list[Path]] = {}
+    for r in members:
+        for n in lengths:
+            if r[:n] in inner:
+                groups.setdefault(r[:n], []).append(r)
+                break
+    outer = _walk(family, groups, start=t)
+    rhs = sum(
+        (outer[s] * _expect_below(family, variable, s, rs) for s, rs in groups.items()), ZERO
+    )
+    return TowerCase(t, _expect_below(family, variable, t, members), rhs)
+
+
 def tower_check(
     family: EdgeFamily, variable: FrontVariable, m: int, n: int, k: int
 ) -> TowerReport:
@@ -139,24 +161,18 @@ def tower_check(
         raise ValueError("levels must satisfy m <= n <= k")
     if not is_front(family.tree, variable.front.nodes):
         raise NotAFront("variable's front is not a front of the family's tree")
+    below: dict[Path, list[Path]] = {}
+    for r in variable.front.nodes:
+        if len(r) >= m:
+            below.setdefault(r[:m], []).append(r)
     cases = []
     for t in sorted(level(family.tree, m)):
-        members = [r for r in variable.front.nodes if is_prefix(t, r)]
+        members = below.get(t, [])
         if any(len(r) != k for r in members):
             raise PreconditionFrontMismatch(
                 f"a maximal node shorter than level {k} lies above {t}"
             )
-        lhs = sum((variable(r) * _weight(family, t, r) for r in members), ZERO)
-        rhs = ZERO
-        for s in sorted(level(family.tree, n)):
-            if not is_prefix(t, s):
-                continue
-            inner = sum(
-                (variable(r) * _weight(family, s, r) for r in members if is_prefix(s, r)),
-                ZERO,
-            )
-            rhs += _weight(family, t, s) * inner
-        cases.append(TowerCase(t, lhs, rhs))
+        cases.append(_tower_case(family, variable, t, members, {r[:n] for r in members}))
     return TowerReport(tuple(cases))
 
 
@@ -172,24 +188,11 @@ def tower_check_fronts(
         raise NotAFront("variable's front is not a front of the family's tree")
     if not is_front(family.tree, inner.nodes):
         raise NotAFront("the intermediate node set is not a front")
-    outer = variable.front.nodes
-    for s in inner.nodes:
-        if not any(is_prefix(s, r) for r in outer):
-            raise NotAFront("the intermediate front is not below the variable's front")
+    if not inner.nodes <= {r[:i] for r in variable.front.nodes for i in range(len(r) + 1)}:
+        raise NotAFront("the intermediate front is not below the variable's front")
     t = family.tree.require(tuple(t))
-    if not any(is_prefix(t, s) for s in inner.nodes):
+    between = {s for s in inner.nodes if is_prefix(t, s)}
+    if not between:
         raise NodeNotBelowFront(f"node {t} has no extension in the intermediate front")
-    members = [r for r in outer if is_prefix(t, r)]
-    if not members:
-        raise NodeNotBelowFront(f"node {t} has no extension in the variable's front")
-    lhs = sum((variable(r) * _weight(family, t, r) for r in members), ZERO)
-    rhs = ZERO
-    for s in inner.nodes:
-        if not is_prefix(t, s):
-            continue
-        inner_val = sum(
-            (variable(r) * _weight(family, s, r) for r in members if is_prefix(s, r)),
-            ZERO,
-        )
-        rhs += _weight(family, t, s) * inner_val
-    return TowerReport((TowerCase(t, lhs, rhs),))
+    members = _members_below(variable, t)
+    return TowerReport((_tower_case(family, variable, t, members, between),))

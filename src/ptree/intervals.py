@@ -17,16 +17,15 @@ from typing import Iterable, NamedTuple
 
 from .dists import ONE, ZERO
 from .errors import (
-    DepthBudgetExceeded,
     MalformedClopen,
     NotASubtree,
     QPointError,
     RequiresExplicitFiniteTree,
     SamplerStuck,
 )
-from .measures import EdgeFamily, induced_measure, node_mass
+from .measures import EdgeFamily, _walk, induced_measure
 from .paths import OMEGA, Path
-from .trees import ClopenSelection, ExplicitTree
+from .trees import ClopenSelection, ExplicitTree, _check_budget
 
 
 class Interval(NamedTuple):
@@ -41,15 +40,16 @@ class Interval(NamedTuple):
         return f"[{self.lower}, {self.upper}]"
 
 
+def _child_cell(cell: tuple[Fraction, Fraction], d, k: int) -> tuple[Fraction, Fraction]:
+    """(lower end, width) of child k's cell inside the parent's cell."""
+    lower, width = cell
+    return lower + width * d.prefix_mass(k), width * d.mass(k)
+
+
 def node_interval(family: EdgeFamily, t: Path) -> Interval:
     """Endpoints of the cell assigned to t; its width is the mass of t."""
-    t = family.tree.require(tuple(t))
-    lower = ZERO
-    width = ONE
-    for i, k in enumerate(t):
-        d = family.dist(t[:i])
-        lower += width * d.prefix_mass(k)
-        width *= d.mass(k)
+    t = tuple(t)
+    lower, width = _walk(family, (t,), step=_child_cell, init=(ZERO, ONE))[t]
     return Interval(lower, lower + width)
 
 
@@ -73,9 +73,7 @@ def branch_window(family: EdgeFamily, x: Path, n: int) -> BranchWindow:
     case the window stops shrinking.
     """
     x = family.tree.require(tuple(x))
-    budget = family.tree.depth_budget
-    if budget is not None and n > budget:
-        raise DepthBudgetExceeded(f"depth {n} exceeds budget {budget}")
+    _check_budget(family.tree, n)
     if n < len(x):
         prefix = x[:n]
     elif family.tree.is_maximal(x) or n == len(x):
@@ -119,9 +117,7 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
         y = Fraction(y)
     if not 0 <= y <= 1:
         raise ValueError("the point must lie in [0, 1]")
-    budget = family.tree.depth_budget
-    if budget is not None and depth > budget:
-        raise DepthBudgetExceeded(f"depth {depth} exceeds budget {budget}")
+    _check_budget(family.tree, depth)
     t: Path = ()
     lower, width = ZERO, ONE
     for _ in range(depth):
@@ -154,9 +150,7 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
 def clopen_mass(family: EdgeFamily, selection: ClopenSelection) -> Fraction:
     """Measure of a clopen set given by front members, or of its complement."""
     n = selection.front_level
-    budget = family.tree.depth_budget
-    if budget is not None and n > budget:
-        raise DepthBudgetExceeded(f"front level {n} exceeds budget {budget}")
+    _check_budget(family.tree, n)
     for s in selection.selected:
         s = tuple(s)
         if not family.tree.contains(s):
@@ -165,7 +159,7 @@ def clopen_mass(family: EdgeFamily, selection: ClopenSelection) -> Fraction:
             raise MalformedClopen(f"selected node {s} lies beyond front level {n}")
         if len(s) < n and not family.tree.is_maximal(s):
             raise MalformedClopen(f"selected node {s} is neither at level {n} nor maximal")
-    total = sum((node_mass(family, s) for s in selection.selected), ZERO)
+    total = sum(_walk(family, selection.selected).values(), ZERO)
     return 1 - total if selection.complemented else total
 
 
@@ -191,9 +185,7 @@ def subtree_mass_bound(
     host; otherwise the set does not describe a subtree with compatible
     leaves.
     """
-    budget = family.tree.depth_budget
-    if budget is not None and depth > budget:
-        raise DepthBudgetExceeded(f"depth {depth} exceeds budget {budget}")
+    _check_budget(family.tree, depth)
     members = frozenset(tuple(t) for t in nodes)
     if () not in members:
         raise NotASubtree("the subtree must contain the root")
@@ -217,7 +209,7 @@ def subtree_mass_bound(
     for m in range(depth + 1):
         front = {t for t in members if len(t) == m}
         front |= {t for t in leaves if len(t) < m}
-        values.append(sum((node_mass(family, s) for s in front), ZERO))
+        values.append(sum(_walk(family, front).values(), ZERO))
     nonincreasing = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
     return SubtreeMassReport(tuple(values), nonincreasing)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .dists import Dist, FiniteDist, FractionLike, Geometric, PointMass, ONE, ZERO, as_fraction
 from .errors import (
@@ -30,6 +30,7 @@ from .trees import (
     GeneratedTree,
     TreeProfile,
     TreeShape,
+    _check_budget,
     is_front,
 )
 
@@ -72,25 +73,25 @@ class EdgeFamily:
                         raise ValueError(f"distribution at {t} does not match the child set")
                 else:
                     raise ValueError("closed-form distributions require a generated tree")
-            self._dists = table
+            self._dists = table  # always a dict: `isinstance(_, dict)` is the cheap test
         else:
             self._dists = dists
 
     @property
     def is_explicit(self) -> bool:
-        return isinstance(self._dists, Mapping)
+        return isinstance(self._dists, dict)
 
     def dist(self, t: Path) -> Dist:
         t = self.tree.require(tuple(t))
         if self.tree.is_maximal(t):
             raise UnknownNode(f"node {t} is maximal and has no successor distribution")
-        if isinstance(self._dists, Mapping):
+        if isinstance(self._dists, dict):
             return self._dists[t]
         return self._dists(t)
 
     def _dist_unchecked(self, t: Path) -> Dist | None:
         """Distribution at a node known to be valid; None when it is maximal."""
-        if isinstance(self._dists, Mapping):
+        if isinstance(self._dists, dict):
             return self._dists.get(t)
         if self.tree._arity_unchecked(t) == 0:
             return None
@@ -100,7 +101,7 @@ class EdgeFamily:
         return self.dist(t).mass(k)
 
     def dist_table(self) -> Mapping[Path, Dist]:
-        if not isinstance(self._dists, Mapping):
+        if not isinstance(self._dists, dict):
             raise ValueError("generated families have no finite distribution table")
         return dict(self._dists)
 
@@ -250,15 +251,42 @@ def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> Valida
     return ValidationReport(not violations, tuple(violations), check_depth)
 
 
+def _times_mass(w: Fraction, d: Dist, k: int) -> Fraction:
+    return w * d.mass(k)
+
+
+def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), step=_times_mass, init=ONE) -> dict:
+    """Fold `step(acc, dist, k)` over the edges from `start` down to each end.
+
+    The path-walk kernel: each end is validated once with `require` and
+    must extend `start`; the distributions on the way are then read
+    unchecked. Ends are visited in lexicographic order, so a prefix shared
+    by several ends is folded once: one step per distinct node. With the
+    default step the result maps each end to its weight below `start`.
+    """
+    tree = family.tree
+    base = len(start)
+    out: dict[Path, Any] = {}
+    prev = start
+    accs = [init]  # accs[j]: the fold down to prev[: base + j]
+    for s in sorted({tree.require(tuple(e)) for e in ends}):
+        j, common = base, min(len(prev), len(s))
+        while j < common and prev[j] == s[j]:
+            j += 1
+        del accs[j - base + 1 :]
+        acc = accs[-1]
+        for i in range(j, len(s)):
+            acc = step(acc, family._dist_unchecked(s[:i]), s[i])
+            accs.append(acc)
+        out[s] = acc
+        prev = s
+    return out
+
+
 def node_mass(family: EdgeFamily, t: Path) -> Fraction:
     """Product of the edge probabilities along the path to t."""
-    t = family.tree.require(tuple(t))
-    mass = ONE
-    for i, k in enumerate(t):
-        mass *= family.dist(t[:i]).mass(k)
-        if mass == 0:
-            return ZERO
-    return mass
+    t = tuple(t)
+    return _walk(family, (t,))[t]
 
 
 class InductiveMeasure:
@@ -339,8 +367,7 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
         depth_limit = tree.height
         record_depth = None
     else:
-        if tree.depth_budget is not None and depth > tree.depth_budget:
-            raise DepthBudgetExceeded(f"depth {depth} exceeds budget {tree.depth_budget}")
+        _check_budget(tree, depth)
         depth_limit = depth
         record_depth = None if isinstance(tree, ExplicitTree) and depth >= tree.height else depth
 
@@ -428,26 +455,16 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     """
     tree = family.tree
     if family.is_explicit:
-        measure = induced_measure(family)
-        keep = {t for t, m in measure.items() if m > 0}
-        null = frozenset(t for t in tree.nodes() if t not in keep)
-        children = {
-            t: tuple(k for k in tree.child_indices(t) if t + (k,) in keep) for t in keep
-        }
-        sub_tree = ExplicitTree(children, tree.depth_budget)
-        dists = {
-            t: family.dist(t).restrict(idx)
-            for t, idx in children.items()
-            if idx
-        }
-        return EdgeFamily(sub_tree, dists), NullNodeSet(family, null)
+        positive, null = split_measure(induced_measure(family))
+        sub = positive.tree
+        dists = {t: family.dist(t).restrict(sub.child_indices(t)) for t in sub.nodes() if not sub.is_maximal(t)}
+        return EdgeFamily(sub, dists), NullNodeSet(family, null)
 
     if family.everywhere_positive_rule:
         return family, NullNodeSet(family, None)
 
     limit = tree.depth_budget if depth is None else depth
-    if tree.depth_budget is not None and limit > tree.depth_budget:
-        raise DepthBudgetExceeded(f"depth {limit} exceeds budget {tree.depth_budget}")
+    _check_budget(tree, limit)
     children: dict[Path, tuple[int, ...]] = {}
     dists: dict[Path, FiniteDist] = {}
     stack: list[Path] = [()]

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from enum import Enum
 
-Path = tuple[int, ...]
+from .errors import MalformedPath
 
-ROOT: Path = ()
+Path = tuple[int, ...]
 
 
 class _Omega:
@@ -38,9 +38,9 @@ def parse_path(text: str) -> Path:
     try:
         indices = tuple(int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"not a dot-separated index path: {text!r}") from None
+        raise MalformedPath(f"not a dot-separated index path: {text!r}") from None
     if any(i < 0 for i in indices):
-        raise ValueError(f"negative child index in path: {text!r}")
+        raise MalformedPath(f"negative child index in path: {text!r}")
     return indices
 
 

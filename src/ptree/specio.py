@@ -28,8 +28,9 @@ _DIRAC_RE = re.compile(r"^dirac\((\d+)\)$")
 
 
 def _parse_fraction(text: Any, path: str) -> Fraction:
+    """An exact value written as a fraction string; JSON numbers would be floats."""
     if not isinstance(text, str):
-        raise SpecValidationError(path, f"probabilities must be fraction strings, got {text!r}")
+        raise SpecValidationError(path, f"expected a fraction string, got {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -268,11 +268,16 @@ def canonicalize(
     return ExplicitTree(children), label_map
 
 
+def _check_budget(tree: TreeShape, n: int) -> None:
+    """Fail when depth n lies beyond the tree's depth budget, if it has one."""
+    if tree.depth_budget is not None and n > tree.depth_budget:
+        raise DepthBudgetExceeded(f"depth {n} exceeds budget {tree.depth_budget}")
+
+
 def _check_depth(tree: TreeShape, n: int) -> None:
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if tree.depth_budget is not None and n > tree.depth_budget:
-        raise DepthBudgetExceeded(f"depth {n} exceeds budget {tree.depth_budget}")
+    _check_budget(tree, n)
 
 
 def level(tree: TreeShape, n: int) -> frozenset[Path]:
@@ -329,12 +334,12 @@ def is_front(tree: TreeShape, nodes: Iterable[Path]) -> bool:
     members = frozenset(tuple(t) for t in nodes)
     for t in members:
         tree.require(t)
-    ordered = sorted(members, key=len)
-    for i, s in enumerate(ordered):
-        for t in ordered[i + 1 :]:
-            if is_prefix(s, t):
-                return False
     if not members:
+        return False
+    # in lexicographic order a member with an extension in the set is
+    # immediately followed by one, so adjacent pairs decide incompatibility
+    ordered = sorted(members)
+    if any(is_prefix(s, t) for s, t in zip(ordered, ordered[1:])):
         return False
     max_len = max(len(t) for t in members)
 

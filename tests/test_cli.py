@@ -177,3 +177,52 @@ def test_env_budget_override(generator_spec, tmp_path, capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
     monkeypatch.setenv("PTREE_DEPTH_BUDGET", "8")
     assert main(["sample", "--tree", str(path), "--seed", "1", "--count", "1", "--depth", "4"]) == 0
+
+
+def _values_file(tmp_path, values):
+    vfile = tmp_path / "vals.json"
+    vfile.write_text(json.dumps(values))
+    return str(vfile)
+
+
+def test_expect_rejects_json_numbers(binary_spec, tmp_path, capsys):
+    # 0.1 as a JSON number is a float; it must not reach the exact arithmetic
+    vfile = _values_file(tmp_path, {"0.0": 0.1, "0.1": "1", "1.0": "1", "1.1": "2"})
+    assert main(["expect", "--tree", binary_spec, "--depth", "2", "--values", vfile]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "fraction string" in captured.err
+    vfile = _values_file(tmp_path, {"0.0": 1, "0.1": "1", "1.0": "1", "1.1": "2"})
+    assert main(["expect", "--tree", binary_spec, "--depth", "2", "--values", vfile]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_expect_accepts_decimal_strings_exactly(binary_spec, tmp_path, capsys):
+    vfile = _values_file(tmp_path, {"0.0": "0.1", "0.1": "0.1", "1.0": "0.1", "1.1": "0.1"})
+    assert main(["expect", "--tree", binary_spec, "--depth", "2", "--values", vfile]) == 0
+    assert capsys.readouterr().out.strip() == "1/10"
+
+
+@pytest.mark.parametrize("command", ["measure", "embed"])
+def test_malformed_node_exits_1(binary_spec, capsys, command):
+    assert main([command, "--tree", binary_spec, "--node", "x.1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_expect_malformed_node_exits_1(binary_spec, tmp_path, capsys):
+    vfile = _values_file(tmp_path, {"0.0": "0", "0.1": "1", "1.0": "1", "1.1": "2"})
+    argv = ["expect", "--tree", binary_spec, "--depth", "2", "--values", vfile, "--node", "x.1"]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_expect_malformed_values_file_exits_1(binary_spec, tmp_path, capsys):
+    argv = ["expect", "--tree", binary_spec, "--depth", "2", "--values"]
+    for values in (
+        {"zz": "0", "0.1": "1", "1.0": "1", "1.1": "2"},  # key is not a path
+        {"0.1": "1", "1.0": "1", "1.1": "2"},  # a front member is missing
+        {"0.0": "1/0", "0.1": "1", "1.0": "1", "1.1": "2"},  # not a fraction
+        ["0", "1", "1", "2"],  # not an object
+    ):
+        assert main(argv + [_values_file(tmp_path, values)]) == 1
+        assert "error:" in capsys.readouterr().err
