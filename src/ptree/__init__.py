@@ -38,10 +38,12 @@ from .errors import (
     MalformedPair,
     MalformedPath,
     MultipleRoots,
+    NegativeDepth,
     NodeNotBelowFront,
     NotAFront,
     NotALeaf,
     NotASubtree,
+    NotATrialTree,
     PreconditionFrontMismatch,
     PTreeError,
     QPointError,

@@ -5,6 +5,14 @@ binary tree of height n, child 0 meaning success. When every conditional
 success probability is at least p, the number of successes dominates a
 Binomial(n, p) count: its CDF is bounded by the binomial CDF at every
 threshold. The check here is exact rational arithmetic throughout.
+
+A trial tree stores its success probabilities as one flat tuple in heap
+order: the node t at depth d sits at index 2^d - 1 + (t read as binary),
+so each level is a contiguous run in lexicographic order and the children
+of index i sit at 2i + 1 and 2i + 2. The pmf and the dominance bound are
+computed over integers: every probability becomes a numerator over the
+lcm D of the denominators, leaf masses are integers over D^n, and a
+Fraction is built once per pmf entry.
 """
 
 from __future__ import annotations
@@ -13,31 +21,85 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .dists import FiniteDist, FractionLike, ONE, ZERO, as_fraction
-from .errors import HypothesisViolated, NotALeaf, TooDeep
+from .errors import HypothesisViolated, NotALeaf, NotATrialTree, TooDeep, UnknownNode
 from .measures import EdgeFamily, node_mass
 from .paths import Path
 from .trees import complete_binary_tree
 
-MAX_TRIALS = 24
+# Cost doubles per trial: `ptree bound --random 1 --n 21 --p 1/3 --min-p 1/3`
+# takes 12-15 s and 321 MiB on a 2-vCPU x86-64 host, n = 22 about 29 s and 620 MiB.
+MAX_TRIALS = 21
 
 
-@dataclass(frozen=True)
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise NotATrialTree(f"the number of trials must be nonnegative, got {trials}")
+    if trials > MAX_TRIALS:
+        raise TooDeep(f"{trials} trials would enumerate 2^{trials} leaves; the cap is {MAX_TRIALS}")
+
+
+def _preorder(trials: int) -> Iterator[tuple[Path, int]]:
+    """(node, heap index) of every interior node, in preorder with child 1 first.
+
+    This is the node order of `complete_binary_tree(trials)`, so probability
+    getters are called in the same order as when trial trees were built on it.
+    """
+    stack: list[tuple[Path, int]] = [((), 0)] if trials else []
+    while stack:
+        t, i = stack.pop()
+        yield t, i
+        if len(t) + 1 < trials:
+            stack.append((t + (0,), 2 * i + 1))
+            stack.append((t + (1,), 2 * i + 2))
+
+
+def _heap_index(t: Path) -> int:
+    i = 0
+    for bit in t:
+        i = 2 * i + 1 + bit
+    return i
+
+
+def _checked_prob(t: Path, p: Fraction) -> Fraction:
+    if not 0 <= p.numerator <= p.denominator:
+        raise NotATrialTree(f"success probability at {t} is {p}, outside [0, 1]")
+    return p
+
+
 class DependentTrialTree:
     """n dependent Bernoulli trials; child 0 of each node is a success."""
 
-    trials: int
-    family: EdgeFamily
+    __slots__ = ("trials", "_probs", "_family")
 
-    def __post_init__(self) -> None:
-        if self.trials > MAX_TRIALS:
-            raise TooDeep(f"{self.trials} trials would enumerate 2^{self.trials} leaves; the cap is {MAX_TRIALS}")
-        tree = self.family.tree
-        expected = complete_binary_tree(self.trials)
-        if tree != expected:
-            raise ValueError(f"the family must live on the complete binary tree of height {self.trials}")
+    def __init__(self, trials: int, family: EdgeFamily):
+        """Adopt an explicit family on the complete binary tree of height `trials`."""
+        _check_trials(trials)
+        table = family.dist_table() if family.is_explicit else None
+        if (
+            table is None
+            or len(table) != (1 << trials) - 1
+            or any(len(t) >= trials or d.indices != (0, 1) for t, d in table.items())
+        ):
+            raise NotATrialTree(f"the family must live on the complete binary tree of height {trials}")
+        probs: list = [None] * len(table)
+        for t, d in table.items():
+            if d.total != 1:
+                raise NotATrialTree(f"the row at {t} sums to {d.total}, not 1")
+            probs[_heap_index(t)] = _checked_prob(t, d.mass(0))
+        self.trials = trials
+        self._probs: tuple[Fraction, ...] = tuple(probs)
+        self._family: EdgeFamily | None = family
+
+    @classmethod
+    def _from_probs(cls, trials: int, probs: tuple[Fraction, ...]) -> "DependentTrialTree":
+        tree = cls.__new__(cls)
+        tree.trials = trials
+        tree._probs = probs
+        tree._family = None
+        return tree
 
     @classmethod
     def from_success_probs(
@@ -46,66 +108,94 @@ class DependentTrialTree:
         probs: Union[Mapping[Path, FractionLike], Callable[[Path], FractionLike]],
     ) -> "DependentTrialTree":
         """Build from per-node success probabilities (for the 0-child)."""
-        if trials > MAX_TRIALS:
-            raise TooDeep(f"{trials} trials would enumerate 2^{trials} leaves; the cap is {MAX_TRIALS}")
+        _check_trials(trials)
         getter = probs.__getitem__ if isinstance(probs, Mapping) else probs
-        tree = complete_binary_tree(trials)
-        dists = {}
-        for t in tree.nodes():
-            if not tree.is_maximal(t):
-                p = as_fraction(getter(t))
-                if not 0 <= p <= 1:
-                    raise ValueError(f"success probability at {t} is {p}, outside [0, 1]")
-                dists[t] = FiniteDist([p, 1 - p])
-        return cls(trials, EdgeFamily(tree, dists))
+        heap: list = [None] * ((1 << trials) - 1)
+        for t, i in _preorder(trials):
+            heap[i] = _checked_prob(t, as_fraction(getter(t)))
+        return cls._from_probs(trials, tuple(heap))
+
+    @property
+    def family(self) -> EdgeFamily:
+        """The trial tree as an explicit edge family, built on first use."""
+        if self._family is None:
+            probs = self._probs
+            self._family = EdgeFamily(
+                complete_binary_tree(self.trials),
+                {t: FiniteDist([probs[i], 1 - probs[i]]) for t, i in _preorder(self.trials)},
+            )
+        return self._family
 
     def success_prob(self, t: Path) -> Fraction:
-        return self.family.dist(t).mass(0)
+        t = tuple(t)
+        if len(t) >= self.trials or any(bit not in (0, 1) for bit in t):
+            raise UnknownNode(f"{t} is not an interior node of the {self.trials}-trial tree")
+        return self._probs[_heap_index(t)]
 
-    def interior_nodes(self):
-        for t in self.family.tree.nodes():
-            if not self.family.tree.is_maximal(t):
-                yield t
+    def interior_nodes(self) -> Iterator[Path]:
+        return (t for t, _i in _preorder(self.trials))
+
+
+def _over_common_denominator(probs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """The lcm D of the denominators, and each probability's numerator over D."""
+    dens = {p.denominator for p in probs}
+    common = math.lcm(*dens)
+    factor = {d: common // d for d in dens}
+    return common, [p.numerator * factor[p.denominator] for p in probs]
+
+
+def _pmf_numerators(n: int, common: int, scaled: list[int]) -> list[int]:
+    """Success-count masses over common^n, from integer leaf masses.
+
+    Level d holds the masses of its 2^d nodes over common^d in lexicographic
+    order, so a node's failures are the 1-bits of its position in the level.
+    The leaves are never stored: each node of level n - 1 adds its two
+    children's masses straight to their success counts.
+    """
+    if n == 0:
+        return [1]
+    masses = [1]
+    for d in range(n - 1):
+        row = scaled[(1 << d) - 1 : (1 << (d + 1)) - 1]
+        masses = [x for m, a in zip(masses, row) for x in (m * a, m * (common - a))]
+    sums = [0] * (n + 1)
+    for j, (m, a) in enumerate(zip(masses, scaled[(1 << (n - 1)) - 1 :])):
+        successes = n - j.bit_count()  # of the success child
+        x = m * a
+        sums[successes] += x
+        sums[successes - 1] += m * common - x
+    return sums
 
 
 def success_pmf(trial_tree: DependentTrialTree) -> tuple[Fraction, ...]:
     """Exact distribution of the success count over all 2^n leaf histories."""
     n = trial_tree.trials
-    if n > MAX_TRIALS:
-        raise TooDeep(f"{n} trials would enumerate 2^{n} leaves; the cap is {MAX_TRIALS}")
-    pmf = [ZERO] * (n + 1)
-    family = trial_tree.family
-    stack: list[tuple[Path, Fraction, int]] = [((), ONE, 0)]
-    while stack:
-        t, mass, successes = stack.pop()
-        if len(t) == n:
-            pmf[successes] += mass
-            continue
-        d = family.dist(t)
-        stack.append((t + (0,), mass * d.mass(0), successes + 1))
-        stack.append((t + (1,), mass * d.mass(1), successes))
-    return tuple(pmf)
+    common, scaled = _over_common_denominator(trial_tree._probs)
+    den = common**n
+    return tuple(Fraction(s, den) for s in _pmf_numerators(n, common, scaled))
+
+
+def _binomial_numerators(n: int, p: Fraction) -> tuple[list[int], int]:
+    """The Binomial(n, p) pmf as integer numerators over one denominator."""
+    if not 0 <= p <= 1:
+        raise ValueError("the success probability must lie in [0, 1]")
+    a, d = p.numerator, p.denominator
+    return [math.comb(n, k) * a**k * (d - a) ** (n - k) for k in range(n + 1)], d**n
 
 
 def binomial_pmf(n: int, p: FractionLike) -> tuple[Fraction, ...]:
-    p = as_fraction(p)
-    q = 1 - p
-    return tuple(math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1))
+    terms, den = _binomial_numerators(n, as_fraction(p))
+    return tuple(Fraction(t, den) for t in terms)
 
 
 def binomial_cdf(n: int, p: FractionLike, z: int) -> Fraction:
     """Pr[B(n, p) <= z], exact; zero below the range and one above it."""
-    p = as_fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("the success probability must lie in [0, 1]")
+    terms, den = _binomial_numerators(n, as_fraction(p))
     if z < 0:
         return ZERO
     if z >= n:
         return ONE
-    q = 1 - p
-    return sum(
-        (math.comb(n, k) * p**k * q ** (n - k) for k in range(z + 1)), ZERO
-    )
+    return Fraction(sum(terms[: z + 1]), den)
 
 
 @dataclass(frozen=True)
@@ -135,22 +225,28 @@ def dominance_check(trial_tree: DependentTrialTree, p: FractionLike) -> Dominanc
 
     The bound presupposes that p is a lower bound for every conditional
     success probability; that hypothesis is verified first and its failure
-    is an error, not a report row.
+    is an error, not a report row. The error names the lexicographically
+    first node below p.
     """
     p = as_fraction(p)
-    for t in sorted(trial_tree.interior_nodes()):
-        if trial_tree.success_prob(t) < p:
-            raise HypothesisViolated(
-                t, f"success probability {trial_tree.success_prob(t)} at {t} is below {p}"
-            )
     n = trial_tree.trials
-    pmf = success_pmf(trial_tree)
+    common, scaled = _over_common_denominator(trial_tree._probs)
+    # success probability a/common < p  <=>  a * p.denominator < p.numerator * common
+    limit = p.numerator * common
+    if scaled and min(scaled) * p.denominator < limit:
+        t = next(t for t in sorted(trial_tree.interior_nodes()) if trial_tree.success_prob(t) < p)
+        raise HypothesisViolated(
+            t, f"success probability {trial_tree.success_prob(t)} at {t} is below {p}"
+        )
+    binomial, binomial_den = _binomial_numerators(n, p)
+    den = common**n
     rows = []
-    cumulative = ZERO
+    cdf_successes = cdf_binomial = 0
     violated = None
-    for z in range(n + 1):
-        cumulative += pmf[z]
-        row = DominanceRow(z, cumulative, binomial_cdf(n, p, z))
+    for z, (s, b) in enumerate(zip(_pmf_numerators(n, common, scaled), binomial)):
+        cdf_successes += s
+        cdf_binomial += b
+        row = DominanceRow(z, Fraction(cdf_successes, den), Fraction(cdf_binomial, binomial_den))
         rows.append(row)
         if violated is None and not row.holds:
             violated = z
@@ -180,24 +276,31 @@ def random_trial_tree(
     min_p: FractionLike = 0,
     denominator_bound: int = 32,
 ) -> DependentTrialTree:
-    """A random trial tree with exact rational success probabilities >= min_p."""
+    """A random trial tree with exact rational success probabilities >= min_p.
+
+    Each node draws a denominator den in [1, bound] and then k in [0, den];
+    its probability is min_p + (1 - min_p) * k / den.
+    """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     lo = as_fraction(min_p)
-    span = 1 - lo
+    lo_num, lo_den = lo.numerator, lo.denominator
 
     def prob(_t: Path) -> Fraction:
         den = rng.randint(1, denominator_bound)
-        return lo + span * Fraction(rng.randint(0, den), den)
+        return Fraction(lo_num * den + (lo_den - lo_num) * rng.randint(0, den), lo_den * den)
 
     return DependentTrialTree.from_success_probs(trials, prob)
 
 
 def flip_success_convention(trial_tree: DependentTrialTree) -> DependentTrialTree:
-    """Reinterpret child 1 as success by mirroring every node of the tree."""
-    n = trial_tree.trials
+    """Reinterpret child 1 as success by mirroring every node of the tree.
 
-    def flipped(t: Path) -> Fraction:
-        mirrored = tuple(1 - b for b in t)
-        return trial_tree.family.dist(mirrored).mass(1)
-
-    return DependentTrialTree.from_success_probs(n, flipped)
+    Mirroring reverses each level, and the new success probability is the
+    old failure probability.
+    """
+    probs = trial_tree._probs
+    flipped: list[Fraction] = []
+    for d in range(trial_tree.trials):
+        start = (1 << d) - 1
+        flipped.extend(1 - p for p in reversed(probs[start : 2 * start + 1]))
+    return DependentTrialTree._from_probs(trial_tree.trials, tuple(flipped))

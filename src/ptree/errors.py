@@ -23,6 +23,10 @@ class DepthBudgetExceeded(PTreeError):
     """An operation asked about nodes beyond the tree's depth budget."""
 
 
+class NegativeDepth(PTreeError, ValueError):
+    """A depth or level argument is negative."""
+
+
 class InfiniteLevel(PTreeError):
     """An operation would have to enumerate an infinite set of nodes."""
 
@@ -77,6 +81,10 @@ class EncodingMismatch(PTreeError):
 
 class TooDeep(PTreeError):
     """Trial count exceeds the leaf-enumeration cap."""
+
+
+class NotATrialTree(PTreeError, ValueError):
+    """A family is not a trial tree: wrong shape, or a row that is not a distribution."""
 
 
 class NotALeaf(PTreeError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dists import ONE, ZERO
+from .dists import ONE, ZERO, PointMass
 from .errors import (
     MalformedClopen,
     NotASubtree,
@@ -106,6 +106,29 @@ def _descend_finite(d, y: Fraction, lower: Fraction, width: Fraction):
     return k, a, b - a
 
 
+def _geometric_index(r: Fraction, v: Fraction) -> int:
+    """The largest k with r^k >= v, for 0 < r < 1 and 0 < v <= 1.
+
+    This is the geometric child whose cell holds the relative point 1 - v,
+    since child k covers [1 - r^k, 1 - r^(k+1)). Squaring r until it drops
+    below v bounds k by a power of two; a greedy pass down the squares
+    then fixes its bits. That is O(log k) exact integer products, where a
+    scan over k would compute k powers.
+    """
+    rn, rd, vn, vd = r.numerator, r.denominator, v.numerator, v.denominator
+    squares = [(rn, rd)]  # squares[i] = r^(2^i) as (numerator, denominator)
+    while squares[-1][0] * vd >= vn * squares[-1][1]:
+        sn, sd = squares[-1]
+        squares.append((sn * sn, sd * sd))
+    k, pn, pd = 0, 1, 1  # invariant: r^k = pn / pd >= v
+    for i in range(len(squares) - 2, -1, -1):
+        sn, sd = squares[i]
+        qn, qd = pn * sn, pd * sd
+        if qn * vd >= vn * qd:
+            k, pn, pd = k + (1 << i), qn, qd
+    return k
+
+
 def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
     """Descend through child cells to the branch whose window contains y.
 
@@ -125,14 +148,11 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
         if d is None:
             break
         if d.support is OMEGA:
-            if y == lower + width:
+            upper = lower + width
+            if y == upper:
                 raise QPointError(f"{y} is the limit endpoint of an infinite subdivision")
-            k = 0
-            while True:
-                b = lower + width * d.prefix_mass(k + 1)
-                if y < b:
-                    break
-                k += 1
+            # the cell of child k holds y iff prefix_mass(k) <= (y - lower) / width < prefix_mass(k + 1)
+            k = d.index if isinstance(d, PointMass) else _geometric_index(d.ratio, (upper - y) / width)
             a = lower + width * d.prefix_mass(k)
             if y == a and d.prefix_mass(k) > 0:
                 raise QPointError(f"{y} is a shared cell endpoint")
@@ -306,6 +326,7 @@ def sample_branches(family: EdgeFamily, seed: int, count: int, depth: int) -> li
     |Q|·2^-128 per draw, so the redraw cap is unreachable for honest
     inputs.
     """
+    _check_budget(family.tree, depth)
     rng = random.Random(seed)
     denominator = 1 << _SAMPLE_BITS
     out: list[Path] = []

@@ -18,6 +18,7 @@ from .errors import (
     InfiniteLevel,
     InvalidAdjacency,
     MultipleRoots,
+    NegativeDepth,
     UnknownNode,
 )
 from .paths import OMEGA, Path, is_prefix
@@ -269,20 +270,16 @@ def canonicalize(
 
 
 def _check_budget(tree: TreeShape, n: int) -> None:
-    """Fail when depth n lies beyond the tree's depth budget, if it has one."""
+    """Fail when depth n is negative or lies beyond the tree's depth budget."""
+    if n < 0:
+        raise NegativeDepth(f"depth {n} is negative")
     if tree.depth_budget is not None and n > tree.depth_budget:
         raise DepthBudgetExceeded(f"depth {n} exceeds budget {tree.depth_budget}")
 
 
-def _check_depth(tree: TreeShape, n: int) -> None:
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    _check_budget(tree, n)
-
-
 def level(tree: TreeShape, n: int) -> frozenset[Path]:
     """All nodes at depth n; empty beyond the height of the tree."""
-    _check_depth(tree, n)
+    _check_budget(tree, n)
     if isinstance(tree, ExplicitTree):
         return tree.level_nodes(n)
     current: list[Path] = [()]
@@ -296,7 +293,7 @@ def level(tree: TreeShape, n: int) -> frozenset[Path]:
 
 def walk_to_depth(tree: TreeShape, depth: int) -> Iterator[Path]:
     """Depth-first iteration over all nodes with length at most depth."""
-    _check_depth(tree, depth)
+    _check_budget(tree, depth)
     stack: list[Path] = [()]
     while stack:
         t = stack.pop()

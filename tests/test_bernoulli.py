@@ -233,3 +233,92 @@ def test_trial_tree_requires_binary_shape():
     fam = EdgeFamily.from_table({(): ["1/3", "1/3", "1/3"]})
     with pytest.raises(ValueError):
         DependentTrialTree(1, fam)
+
+
+def test_random_trial_tree_is_pinned_to_its_seed():
+    tt = random_trial_tree(3, 42, F(1, 3))
+    assert {t: tt.success_prob(t) for t in tt.interior_nodes()} == {
+        (): F(1, 3),
+        (0,): F(5, 14),
+        (0, 0): F(10, 21),
+        (0, 1): F(1, 3),
+        (1,): F(16, 27),
+        (1, 0): F(3, 7),
+        (1, 1): F(23, 45),
+    }
+    # interior nodes come in preorder with child 1 first, the order in
+    # which the probability getter is called
+    assert list(tt.interior_nodes()) == [(), (1,), (1, 1), (1, 0), (0,), (0, 1), (0, 0)]
+
+
+def test_trial_tree_rows_must_sum_to_one():
+    from ptree import EdgeFamily, NotATrialTree, PTreeError
+
+    with pytest.raises(NotATrialTree) as info:
+        DependentTrialTree(1, EdgeFamily.from_table({(): ["1/3", "1/3"]}))
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+    with pytest.raises(NotATrialTree):
+        DependentTrialTree(1, EdgeFamily.from_table({(): ["3/2", "-1/2"]}))
+    with pytest.raises(NotATrialTree):
+        DependentTrialTree(
+            2, EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/2", "1/2"], (1,): ["1/2", "1/4"]})
+        )
+
+
+def test_trial_tree_from_family_matches_from_success_probs():
+    from ptree import EdgeFamily
+
+    table = {(): ["1/2", "1/2"], (0,): ["7/10", "3/10"], (1,): ["1/2", "1/2"]}
+    family = EdgeFamily.from_table(table)
+    tt = DependentTrialTree(2, family)
+    assert tt.family is family
+    assert [tt.success_prob(t) for t in tt.interior_nodes()] == [F(1, 2), F(1, 2), F(7, 10)]
+    assert success_pmf(tt)[2] == F(7, 20)
+    # the lazily built family of a tree made from probabilities is the same family
+    assert DependentTrialTree.from_success_probs(2, {t: row[0] for t, row in table.items()}).family == family
+
+
+def test_trial_tree_shape_errors_are_ptree_errors():
+    from ptree import EdgeFamily, NotATrialTree, uniform_binary
+
+    half = ["1/2", "1/2"]
+    with pytest.raises(NotATrialTree):
+        DependentTrialTree(2, EdgeFamily.from_table({(): half, (0,): half}))  # (1,) is a leaf
+    with pytest.raises(NotATrialTree):
+        DependentTrialTree(1, EdgeFamily.from_table({(): half, (0,): half}))  # too deep
+    with pytest.raises(NotATrialTree):
+        DependentTrialTree(3, uniform_binary(3))  # not explicit
+    with pytest.raises(NotATrialTree):
+        DependentTrialTree.from_success_probs(-1, lambda t: F(1, 2))
+
+
+def test_trial_cap_is_checked_before_any_probability():
+    from ptree.bernoulli import MAX_TRIALS
+
+    def getter(t):
+        raise AssertionError(f"probability requested at {t}")
+
+    with pytest.raises(TooDeep):
+        DependentTrialTree.from_success_probs(MAX_TRIALS + 1, getter)
+    with pytest.raises(TooDeep):
+        random_trial_tree(MAX_TRIALS + 1, 1)
+
+
+def test_success_prob_rejects_leaves_and_foreign_nodes():
+    from ptree import UnknownNode
+
+    tt = DependentTrialTree.from_success_probs(2, lambda t: F(1, 3))
+    for t in [(0, 1), (2,), (0, 0, 0)]:
+        with pytest.raises(UnknownNode):
+            tt.success_prob(t)
+
+
+def test_hypothesis_violation_names_the_lexicographically_first_node():
+    probs = {t: F(1, 2) for t in DependentTrialTree.from_success_probs(3, lambda t: 0).interior_nodes()}
+    # of the three violators, (1,) comes first in heap order and in preorder
+    # with child 1 first; (0, 1) comes first in lexicographic order
+    probs[(1,)] = probs[(0, 1)] = probs[(1, 0)] = F(1, 5)
+    tt = DependentTrialTree.from_success_probs(3, probs)
+    with pytest.raises(HypothesisViolated) as info:
+        dominance_check(tt, F(1, 3))
+    assert info.value.node == (0, 1)

@@ -226,3 +226,27 @@ def test_expect_malformed_values_file_exits_1(binary_spec, tmp_path, capsys):
     ):
         assert main(argv + [_values_file(tmp_path, values)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["front", "--depth", "-1"],
+        ["encode", "--depth", "-1"],
+        ["sample", "--seed", "1", "--count", "3", "--depth", "-1"],
+    ],
+    ids=["front", "encode", "sample"],
+)
+def test_negative_depth_exits_1(generator_spec, capsys, argv):
+    assert main([argv[0], "--tree", generator_spec, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_bound_tree_of_wrong_shape_exits_1(tmp_path, capsys):
+    fam = EdgeFamily.from_table({(): ["1/3", "1/3", "1/3"]})
+    path = tmp_path / "ternary.json"
+    path.write_text(serialize_spec(fam))
+    assert main(["bound", "--tree", str(path), "--p", "1/4"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from ptree import (
     EdgeFamily,
     FiniteDist,
     MalformedClopen,
+    NegativeDepth,
     NotASubtree,
     QPointError,
     RequiresExplicitFiniteTree,
@@ -469,3 +471,26 @@ def test_round_trip_locate_after_interval():
                 j += 2
                 y = iv.lower + iv.width / j
             assert locate_branch(fam, y, len(t)) == t
+
+
+def test_locate_branch_geometric_is_bounded_near_one():
+    # 1 - 2^-40 lies in child k ~ 27,700 of ratio 999/1000; a scan over k
+    # computing r^k afresh each step did not finish in 20 s
+    r = F(999, 1000)
+    y = 1 - F(1, 2**40)
+    start = time.perf_counter()
+    (k,) = locate_branch(geometric_omega(1, r), y, 1)
+    assert time.perf_counter() - start < 1
+    assert r ** (k + 1) < 1 - y <= r**k
+
+
+def test_negative_depth_is_rejected():
+    fam = uniform_binary(8)
+    for call in (
+        lambda: locate_branch(fam, F(1, 3), -1),
+        lambda: sample_branches(fam, 1, 0, -1),
+        lambda: level(fam.tree, -1),
+    ):
+        with pytest.raises(NegativeDepth) as info:
+            call()
+        assert isinstance(info.value, ValueError)

@@ -1,9 +1,12 @@
-"""Differential property tests for the front check and the path-walk kernel.
+"""Differential property tests for the front check, the path-walk kernel,
+the trial-tree pmf kernel and the closed-form cell lookup.
 
 Every oracle here is a brute-force restatement of a definition that shares
-no code with the library: pairwise prefix tests for fronts, and products of
+no code with the library: pairwise prefix tests for fronts, products of
 checked `family.dist` lookups for weights, masses, cells and relative
-expectations. Results must be identical fractions.
+expectations, a `Fraction` walk over every leaf history for success-count
+pmfs, and a scan over child indices for descent through closed-form
+nodes. Results must be identical fractions.
 """
 
 from fractions import Fraction as F
@@ -11,22 +14,32 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import math
+
 from ptree import (
+    DependentTrialTree,
     EdgeFamily,
     FiniteDist,
     Front,
     GeneratedTree,
+    HypothesisViolated,
     PreconditionFrontMismatch,
+    QPointError,
     UnknownNode,
     complete_binary_tree,
+    dirac,
+    dominance_check,
     enumerate_front,
+    flip_success_convention,
     geometric_omega,
     is_front,
     level,
+    locate_branch,
     node_interval,
     node_mass,
     relative_expect,
     relative_expect_front,
+    success_pmf,
     tower_check,
     tower_check_fronts,
     uniform_binary,
@@ -233,3 +246,103 @@ def test_invalid_path_fails_before_any_arithmetic(head, bad, tail):
     with pytest.raises(UnknownNode):
         _walk(fam, [tuple(head), t])  # a valid end does not start the walk early
     assert queried == []
+
+
+def interior_nodes(n: int) -> list:
+    return [tuple((bits >> (d - 1 - i)) & 1 for i in range(d)) for d in range(n) for bits in range(2**d)]
+
+
+def brute_trial_pmf(n: int, probs: dict) -> tuple:
+    """Success-count pmf by a Fraction walk over every leaf history (child 0 = success)."""
+    pmf = [F(0)] * (n + 1)
+    stack = [((), F(1), 0)]
+    while stack:
+        t, mass, successes = stack.pop()
+        if len(t) == n:
+            pmf[successes] += mass
+            continue
+        p = probs[t]
+        stack.append((t + (0,), mass * p, successes + 1))
+        stack.append((t + (1,), mass * (1 - p), successes))
+    return tuple(pmf)
+
+
+PROBS = st.one_of(
+    st.just(F(0)), st.just(F(1)), st.fractions(min_value=0, max_value=1, max_denominator=60)
+)
+
+
+@FAST
+@given(st.integers(0, 8), st.data())
+def test_trial_pmf_and_dominance_match_leaf_walk(n, data):
+    nodes = interior_nodes(n)
+    probs = dict(zip(nodes, data.draw(st.lists(PROBS, min_size=len(nodes), max_size=len(nodes)))))
+    tt = DependentTrialTree.from_success_probs(n, probs)
+    pmf = brute_trial_pmf(n, probs)
+    assert success_pmf(tt) == pmf
+    adopted = DependentTrialTree(n, EdgeFamily.from_table({t: [p, 1 - p] for t, p in probs.items()}))
+    assert {t: adopted.success_prob(t) for t in nodes} == probs
+    assert success_pmf(flip_success_convention(tt)) == tuple(reversed(pmf))
+
+    p = data.draw(st.sampled_from(sorted(set(probs.values())) or [F(1, 2)]) | PROBS)
+    violators = sorted(t for t in nodes if probs[t] < p)
+    if violators:
+        with pytest.raises(HypothesisViolated) as info:
+            dominance_check(tt, p)
+        assert info.value.node == violators[0]
+        return
+    report = dominance_check(tt, p)
+    expected = []
+    cdf_successes = cdf_binomial = F(0)
+    for z in range(n + 1):
+        cdf_successes += pmf[z]
+        cdf_binomial += math.comb(n, z) * p**z * (1 - p) ** (n - z)
+        expected.append((z, cdf_successes, cdf_binomial))
+    assert [(r.z, r.cdf_successes, r.cdf_binomial) for r in report.rows] == expected
+    failing = [z for z, s, b in expected if s > b]
+    assert report.violated_z == (failing[0] if failing else None)
+    assert report.holds == (not failing)
+
+
+def scan_locate_branch(family, y, depth: int):
+    """Descent through closed-form nodes by scanning child indices upwards."""
+    t = ()
+    lower, width = F(0), F(1)
+    for _ in range(depth):
+        d = family.dist(t)
+        if y == lower + width:
+            raise QPointError("limit endpoint")
+        k = 0
+        while y >= lower + width * d.prefix_mass(k + 1):
+            k += 1
+        a = lower + width * d.prefix_mass(k)
+        if y == a and d.prefix_mass(k) > 0:
+            raise QPointError("shared endpoint")
+        lower, width = a, width * d.mass(k)
+        t += (k,)
+    return t
+
+
+def outcome(locate, family, y, depth):
+    try:
+        return locate(family, y, depth)
+    except QPointError:
+        return QPointError
+
+
+@FAST
+@given(
+    st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=50),
+    st.integers(0, 6),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_locate_branch_closed_forms_match_scan(r, index, depth, data):
+    family = data.draw(st.sampled_from([geometric_omega(3, r), dirac(index, 3)]))
+    # random points, the shared endpoints 1 - r^k of the first level, and the ends of [0, 1]
+    y = data.draw(
+        st.builds(lambda n: F(n, 2**16), st.integers(0, 2**16))
+        | st.builds(lambda k: 1 - r**k, st.integers(0, 40))
+        | st.sampled_from([F(0), F(1)])
+    )
+    assert outcome(locate_branch, family, y, depth) == outcome(scan_locate_branch, family, y, depth)
