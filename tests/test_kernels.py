@@ -9,12 +9,13 @@ pmfs, and a scan over child indices for descent through closed-form
 nodes. Results must be identical fractions.
 """
 
+import math
+import time
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import math
 
 from ptree import (
     DependentTrialTree,
@@ -26,6 +27,7 @@ from ptree import (
     PreconditionFrontMismatch,
     QPointError,
     UnknownNode,
+    binomial_pmf,
     complete_binary_tree,
     dirac,
     dominance_check,
@@ -37,6 +39,7 @@ from ptree import (
     locate_branch,
     node_interval,
     node_mass,
+    random_trial_tree,
     relative_expect,
     relative_expect_front,
     success_pmf,
@@ -44,6 +47,7 @@ from ptree import (
     tower_check_fronts,
     uniform_binary,
 )
+from ptree import bernoulli
 from ptree.measures import _walk
 from ptree.paths import is_prefix
 
@@ -275,6 +279,18 @@ PROBS = st.one_of(
 @FAST
 @given(st.integers(0, 8), st.data())
 def test_trial_pmf_and_dominance_match_leaf_walk(n, data):
+    check_trial_kernel(n, data)
+
+
+@FAST
+@given(st.integers(0, 8), st.data())
+def test_trial_leaf_walk_fallback_matches_oracle(n, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bernoulli, "_MAX_MASS_BITS", 0)  # every tree with a trial takes the leaf walk
+        check_trial_kernel(n, data)
+
+
+def check_trial_kernel(n, data):
     nodes = interior_nodes(n)
     probs = dict(zip(nodes, data.draw(st.lists(PROBS, min_size=len(nodes), max_size=len(nodes)))))
     tt = DependentTrialTree.from_success_probs(n, probs)
@@ -302,6 +318,30 @@ def test_trial_pmf_and_dominance_match_leaf_walk(n, data):
     failing = [z for z, s, b in expected if s > b]
     assert report.violated_z == (failing[0] if failing else None)
     assert report.holds == (not failing)
+
+
+def test_coprime_denominators_take_the_leaf_walk():
+    # 4,095 denominators up to 10^6 have an lcm of about 32,000 bits, so
+    # integer masses over its powers would reach 380,000 bits; the leaf
+    # walk keeps each path's own denominators
+    tt = random_trial_tree(12, 1, denominator_bound=10**6)
+    assert bernoulli._over_common_denominator(tt) is None
+    probs = {t: tt.success_prob(t) for t in interior_nodes(12)}
+    start = time.perf_counter()
+    pmf = success_pmf(tt)
+    report = dominance_check(tt, 0)
+    assert time.perf_counter() - start < 5
+    assert pmf == brute_trial_pmf(12, probs)
+    assert [r.cdf_successes for r in report.rows] == list(accumulate(pmf))
+
+
+def test_integer_kernel_mass_bound_is_inclusive():
+    n, bound = 8, bernoulli._MAX_MASS_BITS
+    for bits, kernel in [(bound // n, True), (bound // n + 1, False)]:
+        p = F(1, 2 ** (bits - 1) + 1)
+        tt = DependentTrialTree.from_success_probs(n, lambda t: p)
+        assert (bernoulli._over_common_denominator(tt) is not None) == kernel
+        assert success_pmf(tt) == binomial_pmf(n, p)
 
 
 def scan_locate_branch(family, y, depth: int):
