@@ -40,6 +40,7 @@ from .errors import (
     MultipleRoots,
     NegativeDepth,
     NodeNotBelowFront,
+    NotADistribution,
     NotAFront,
     NotALeaf,
     NotASubtree,

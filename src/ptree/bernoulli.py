@@ -28,7 +28,7 @@ from itertools import accumulate
 from typing import Callable, Iterator, Mapping, Union
 
 from .dists import FiniteDist, FractionLike, ONE, ZERO, as_fraction
-from .errors import HypothesisViolated, NotALeaf, NotATrialTree, TooDeep, UnknownNode
+from .errors import HypothesisViolated, NotADistribution, NotALeaf, NotATrialTree, TooDeep, UnknownNode
 from .measures import EdgeFamily, node_mass
 from .paths import Path
 from .trees import complete_binary_tree
@@ -216,7 +216,7 @@ def success_pmf(trial_tree: DependentTrialTree) -> tuple[Fraction, ...]:
 def _binomial_numerators(n: int, p: Fraction) -> tuple[list[int], int]:
     """The Binomial(n, p) pmf as integer numerators over one denominator."""
     if not 0 <= p <= 1:
-        raise ValueError("the success probability must lie in [0, 1]")
+        raise NotADistribution(f"the success probability {p} does not lie in [0, 1]")
     a, d = p.numerator, p.denominator
     return [math.comb(n, k) * a**k * (d - a) ** (n - k) for k in range(n + 1)], d**n
 
@@ -230,7 +230,7 @@ def binomial_cdf(n: int, p: FractionLike, z: int) -> Fraction:
     """Pr[B(n, p) <= z], exact; zero below the range and one above it."""
     p = as_fraction(p)
     if not 0 <= p <= 1:
-        raise ValueError("the success probability must lie in [0, 1]")
+        raise NotADistribution(f"the success probability {p} does not lie in [0, 1]")
     if z < 0:
         return ZERO
     if z >= n:

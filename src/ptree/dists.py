@@ -8,6 +8,7 @@ never need enumeration.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -34,7 +35,7 @@ class FiniteDist:
     to one here; family validation reports that separately.
     """
 
-    __slots__ = ("_items", "_cells", "_total")
+    __slots__ = ("_items", "_cells", "_total", "_grid")
 
     def __init__(self, masses: Union[Sequence[FractionLike], Mapping[int, FractionLike]]):
         if isinstance(masses, Mapping):
@@ -51,6 +52,7 @@ class FiniteDist:
             run += m
         self._cells = tuple(cells)
         self._total = run
+        self._grid = None
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -76,13 +78,30 @@ class FiniteDist:
                 return before
         return self._total
 
-    def cells(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
-        """(index, cumulative mass before, cumulative mass after) per child."""
-        return self._cells
-
     @property
     def total(self) -> Fraction:
         return self._total
+
+    def grid(self) -> tuple[int, list[int], list[tuple[int, int, int]], bool]:
+        """The row over one integer denominator, built on first use.
+
+        Returns (q, lowers, cells, stochastic): q is the lcm of the row's
+        denominators; cells holds (k, b, a) for each child of positive
+        mass, whose cell is [b/q, a/q), in index order; lowers holds the
+        b's for bisection; stochastic says whether every mass is
+        nonnegative and the masses sum to exactly one.
+        """
+        if self._grid is None:
+            q = math.lcm(*(m.denominator for _, m in self._items))
+            cells, run, nonnegative = [], 0, True
+            for k, m in self._items:
+                c = m.numerator * (q // m.denominator)
+                nonnegative = nonnegative and c >= 0
+                if c > 0:
+                    cells.append((k, run, run + c))
+                run += c
+            self._grid = (q, [b for _, b, _ in cells], cells, nonnegative and run == q)
+        return self._grid
 
     def positive_support(self) -> tuple[int, ...]:
         return tuple(j for j, m in self._items if m > 0)

@@ -63,6 +63,10 @@ class NotASubtree(PTreeError):
     """A node set is not a subtree of the host tree with compatible leaves."""
 
 
+class NotADistribution(PTreeError, ValueError):
+    """Masses that are not a probability distribution: one is negative, or they do not sum to one."""
+
+
 class QPointError(PTreeError):
     """The point is a shared cell endpoint; the descent map is undefined there."""
 

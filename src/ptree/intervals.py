@@ -11,20 +11,22 @@ inverts the embedding off the countable endpoint set.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dists import ONE, ZERO, PointMass
+from .dists import ONE, ZERO, FiniteDist, PointMass
 from .errors import (
     MalformedClopen,
+    NotADistribution,
     NotASubtree,
     QPointError,
     RequiresExplicitFiniteTree,
     SamplerStuck,
 )
 from .measures import EdgeFamily, _walk, induced_measure
-from .paths import OMEGA, Path
+from .paths import Path
 from .trees import ClopenSelection, ExplicitTree, _check_budget
 
 
@@ -84,30 +86,9 @@ def branch_window(family: EdgeFamily, x: Path, n: int) -> BranchWindow:
     return BranchWindow(prefix, iv.lower, iv.upper)
 
 
-def _descend_finite(d, y: Fraction, lower: Fraction, width: Fraction):
-    """Pick the child cell containing y; None means no positive cell holds it."""
-    upper = lower + width
-    prev_nondegenerate = False
-    chosen = None
-    for k, before, after in d.cells():
-        if before == after:
-            continue
-        a = lower + width * before
-        b = lower + width * after
-        if a <= y < b or (y == b and b == upper):  # last cell is closed on the right
-            chosen = (k, a, b)
-            break
-        prev_nondegenerate = True
-    if chosen is None:
-        return None
-    k, a, b = chosen
-    if y == a and prev_nondegenerate:
-        raise QPointError(f"{y} is a shared cell endpoint")
-    return k, a, b - a
-
-
-def _geometric_index(r: Fraction, v: Fraction) -> int:
-    """The largest k with r^k >= v, for 0 < r < 1 and 0 < v <= 1.
+def _geometric_index(rn: int, rd: int, vn: int, vd: int) -> tuple[int, int, int]:
+    """For r = rn/rd in (0, 1) and v = vn/vd in (0, 1]: the largest k with
+    r^k >= v, and r^k as (numerator, denominator).
 
     This is the geometric child whose cell holds the relative point 1 - v,
     since child k covers [1 - r^k, 1 - r^(k+1)). Squaring r until it drops
@@ -115,7 +96,6 @@ def _geometric_index(r: Fraction, v: Fraction) -> int:
     then fixes its bits. That is O(log k) exact integer products, where a
     scan over k would compute k powers.
     """
-    rn, rd, vn, vd = r.numerator, r.denominator, v.numerator, v.denominator
     squares = [(rn, rd)]  # squares[i] = r^(2^i) as (numerator, denominator)
     while squares[-1][0] * vd >= vn * squares[-1][1]:
         sn, sd = squares[-1]
@@ -126,7 +106,7 @@ def _geometric_index(r: Fraction, v: Fraction) -> int:
         qn, qd = pn * sn, pd * sd
         if qn * vd >= vn * qd:
             k, pn, pd = k + (1 << i), qn, qd
-    return k
+    return k, pn, pd
 
 
 def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
@@ -134,35 +114,48 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
 
     Cells are half-open on the right except the last one, degenerate cells
     are skipped, and hitting an endpoint shared by two positive cells
-    fails: the inverse map is genuinely undefined on such points.
+    fails: the inverse map is genuinely undefined on such points. A row
+    that is not a probability distribution raises NotADistribution.
+
+    The descent is in integers: un/ud is y's position relative to the
+    current cell, kept unreduced, and each step maps the chosen child's
+    cell onto [0, 1].
     """
     if not isinstance(y, Fraction):
         y = Fraction(y)
-    if not 0 <= y <= 1:
+    un, ud = y.numerator, y.denominator  # ud > 0
+    if not 0 <= un <= ud:
         raise ValueError("the point must lie in [0, 1]")
     _check_budget(family.tree, depth)
     t: Path = ()
-    lower, width = ZERO, ONE
     for _ in range(depth):
         d = family._dist_unchecked(t)
         if d is None:
             break
-        if d.support is OMEGA:
-            upper = lower + width
-            if y == upper:
-                raise QPointError(f"{y} is the limit endpoint of an infinite subdivision")
-            # the cell of child k holds y iff prefix_mass(k) <= (y - lower) / width < prefix_mass(k + 1)
-            k = d.index if isinstance(d, PointMass) else _geometric_index(d.ratio, (upper - y) / width)
-            a = lower + width * d.prefix_mass(k)
-            if y == a and d.prefix_mass(k) > 0:
+        if isinstance(d, FiniteDist):
+            q, lowers, cells, stochastic = d.grid()
+            if not stochastic:
+                raise NotADistribution(f"the masses at node {t} are not a probability distribution")
+            # the cells tile [0, q], so the last one with b <= floor(u * q) holds u
+            x, rem = divmod(un * q, ud)
+            i = bisect_right(lowers, x) - 1
+            k, b, a = cells[i]
+            if i and rem == 0 and x == b:
                 raise QPointError(f"{y} is a shared cell endpoint")
-            lower, width = a, width * d.mass(k)
-            t = t + (k,)
-            continue
-        step = _descend_finite(d, y, lower, width)
-        if step is None:
-            raise QPointError(f"{y} is not interior to any positive cell below {t}")
-        k, lower, width = step
+            un, ud = un * q - b * ud, (a - b) * ud
+        else:
+            vn = ud - un  # 1 - u = vn / ud
+            if vn == 0:
+                raise QPointError(f"{y} is the limit endpoint of an infinite subdivision")
+            if isinstance(d, PointMass):
+                k = d.index  # its cell is all of [0, 1]
+            else:
+                rn, rd = d.ratio.numerator, d.ratio.denominator
+                k, pn, pd = _geometric_index(rn, rd, vn, ud)
+                if k and vn * pd == pn * ud:
+                    raise QPointError(f"{y} is a shared cell endpoint")
+                # (u - (1 - r^k)) / ((1 - r) r^k), with 1 - u = vn / ud and r^k = pn / pd
+                un, ud = (pn * ud - vn * pd) * rd, (rd - rn) * pn * ud
         t = t + (k,)
     return t
 

@@ -8,7 +8,6 @@ infinite set fail with InfiniteLevel instead of truncating silently.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -148,11 +147,12 @@ class TreeProfile:
 class GeneratedTree:
     """A tree backed by an arity rule, explored only up to a depth budget.
 
-    Arity lookups are memoized behind a lock; the cache is observationally
-    pure because the rule is required to be deterministic.
+    Arity lookups are memoized without a lock: the rule is required to be
+    deterministic, so a racing recompute stores the same value, and a dict
+    store is atomic.
     """
 
-    __slots__ = ("_arity_fn", "depth_budget", "name", "profile", "_cache", "_lock")
+    __slots__ = ("_arity_fn", "depth_budget", "name", "profile", "_cache")
 
     def __init__(
         self,
@@ -168,7 +168,6 @@ class GeneratedTree:
         self.name = name
         self.profile = profile
         self._cache: dict[Path, Arity] = {}
-        self._lock = threading.Lock()
 
     @property
     def is_explicit(self) -> bool:
@@ -183,8 +182,7 @@ class GeneratedTree:
             value = int(value)
             if value < 0:
                 raise ValueError(f"negative arity at {t}")
-        with self._lock:
-            self._cache[t] = value
+        self._cache[t] = value
         return value
 
     def contains(self, t: Path) -> bool:

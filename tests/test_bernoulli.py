@@ -7,7 +7,9 @@ import pytest
 from ptree import (
     DependentTrialTree,
     HypothesisViolated,
+    NotADistribution,
     NotALeaf,
+    PTreeError,
     TooDeep,
     binomial_cdf,
     binomial_pmf,
@@ -322,3 +324,14 @@ def test_hypothesis_violation_names_the_lexicographically_first_node():
     with pytest.raises(HypothesisViolated) as info:
         dominance_check(tt, F(1, 3))
     assert info.value.node == (0, 1)
+
+
+def test_binomial_rejects_p_outside_unit_interval():
+    for call in (
+        lambda: binomial_pmf(3, F(-1, 2)),
+        lambda: binomial_cdf(3, F(3, 2), 1),
+        lambda: dominance_check(random_trial_tree(3, 1, 0), F(-1, 2)),
+    ):
+        with pytest.raises(NotADistribution) as info:
+            call()
+        assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)

@@ -250,3 +250,10 @@ def test_bound_tree_of_wrong_shape_exits_1(tmp_path, capsys):
     path.write_text(serialize_spec(fam))
     assert main(["bound", "--tree", str(path), "--p", "1/4"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bound_p_outside_unit_interval_exits_1(capsys):
+    assert main(["bound", "--random", "1", "--n", "3", "--p=-1/2", "--min-p", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

@@ -15,7 +15,9 @@ from ptree import (
     FiniteDist,
     MalformedClopen,
     NegativeDepth,
+    NotADistribution,
     NotASubtree,
+    PTreeError,
     QPointError,
     RequiresExplicitFiniteTree,
     SamplerStuck,
@@ -494,3 +496,54 @@ def test_negative_depth_is_rejected():
         with pytest.raises(NegativeDepth) as info:
             call()
         assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [["1/3", "1/3"], ["2/3", "2/3"], ["3/2", "-1/2"]],
+    ids=["sum-2/3", "sum-4/3", "negative-mass"],
+)
+def test_descent_rejects_rows_that_are_not_distributions(row):
+    # redraws used to condition away the missing mass: a 2/3 row gave
+    # each child about half of the draws
+    fam = EdgeFamily.from_table({(): ["1/2", "1/2"], (1,): row})
+    assert locate_branch(fam, F(1, 4), 2) == (0,)  # the bad row is never reached
+    for call in (
+        lambda: locate_branch(fam, F(3, 4), 2),
+        lambda: sample_branches(fam, 1, 2000, 2),
+    ):
+        with pytest.raises(NotADistribution, match=r"node \(1,\)") as info:
+            call()
+        assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+def test_sampler_draws_are_pinned_to_their_seed():
+    # literals from the Fraction descent the integer descent replaced
+    assert sample_branches(uniform_binary(16), 42, 20, 16) == [
+        (1, 0, 1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0), (0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0),
+        (1, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0), (1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0),
+        (0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0), (1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1),
+        (1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1),
+        (0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1), (1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1),
+        (0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0),
+        (0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0),
+        (0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1), (0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0),
+        (1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1), (0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1),
+        (1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0), (0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1),
+    ]
+    assert sample_branches(geometric_omega(8, F(9, 10)), 7, 20, 8) == [
+        (4, 14, 2, 3, 7, 6, 4, 13), (16, 4, 1, 13, 2, 2, 28, 8), (8, 3, 6, 11, 22, 4, 0, 12),
+        (2, 3, 5, 27, 3, 14, 5, 11), (5, 1, 6, 27, 11, 1, 21, 16), (7, 9, 0, 2, 9, 5, 13, 2),
+        (7, 23, 4, 6, 16, 1, 3, 1), (9, 5, 29, 1, 1, 7, 9, 3), (0, 9, 1, 9, 2, 6, 0, 11),
+        (0, 6, 6, 18, 13, 22, 24, 16), (7, 12, 6, 1, 0, 13, 10, 13), (5, 1, 11, 5, 25, 2, 4, 19),
+        (8, 0, 3, 10, 22, 13, 1, 17), (10, 20, 1, 2, 21, 7, 2, 0), (8, 0, 4, 10, 12, 12, 6, 0),
+        (0, 34, 13, 9, 4, 1, 24, 0), (7, 21, 1, 4, 1, 6, 6, 11), (6, 7, 0, 6, 15, 14, 32, 13),
+        (14, 2, 20, 47, 5, 6, 5, 18), (24, 4, 20, 14, 2, 1, 4, 8),
+    ]
+    fam = EdgeFamily.from_table(
+        {(): ["1/6", "0", "1/2", "1/3"], (0,): ["1/3", "2/3"], (2,): ["0", "1/5", "4/5"], (2, 2): ["1/2", "1/2"]}
+    )
+    assert sample_branches(fam, 5, 20, 3) == [
+        (2, 2, 0), (3,), (2, 2, 1), (3,), (0, 0), (2, 2, 0), (2, 2, 0), (2, 1), (2, 2, 0), (3,),
+        (3,), (2, 2, 1), (0, 1), (0, 0), (3,), (0, 1), (2, 1), (2, 2, 1), (3,), (3,),
+    ]

@@ -1,12 +1,13 @@
 """Differential property tests for the front check, the path-walk kernel,
-the trial-tree pmf kernel and the closed-form cell lookup.
+the trial-tree pmf kernel and descent.
 
 Every oracle here is a brute-force restatement of a definition that shares
 no code with the library: pairwise prefix tests for fronts, products of
 checked `family.dist` lookups for weights, masses, cells and relative
 expectations, a `Fraction` walk over every leaf history for success-count
-pmfs, and a scan over child indices for descent through closed-form
-nodes. Results must be identical fractions.
+pmfs, and, for descent, a walk over absolute `Fraction` cell ends that
+scans each finite row's cells and the child indices of closed-form nodes.
+Results must be identical fractions.
 """
 
 import math
@@ -344,12 +345,46 @@ def test_integer_kernel_mass_bound_is_inclusive():
         assert success_pmf(tt) == binomial_pmf(n, p)
 
 
-def scan_locate_branch(family, y, depth: int):
-    """Descent through closed-form nodes by scanning child indices upwards."""
+def descend_finite(d, y, lower, width):
+    """The child cell of a finite row that holds y, as (k, lower, width);
+    None when no positive cell holds it. Scans the row's Fraction cells."""
+    upper = lower + width
+    prev_nondegenerate = False
+    chosen = None
+    afters = list(accumulate(m for _, m in d.items()))
+    for (k, _), before, after in zip(d.items(), [F(0)] + afters, afters):
+        if before == after:
+            continue
+        a = lower + width * before
+        b = lower + width * after
+        if a <= y < b or (y == b and b == upper):  # last cell is closed on the right
+            chosen = (k, a, b)
+            break
+        prev_nondegenerate = True
+    if chosen is None:
+        return None
+    k, a, b = chosen
+    if y == a and prev_nondegenerate:
+        raise QPointError("shared endpoint")
+    return k, a, b - a
+
+
+def fraction_locate_branch(family, y, depth: int):
+    """Descent over absolute cell ends in Fractions: finite rows by a scan
+    of their cells, closed-form nodes by a scan over child indices."""
     t = ()
     lower, width = F(0), F(1)
     for _ in range(depth):
+        if family.tree.is_maximal(t):
+            break
         d = family.dist(t)
+        if isinstance(d, FiniteDist):
+            step = descend_finite(d, y, lower, width)
+            if step is None:
+                raise QPointError("not interior to a positive cell")
+            k, lower, width = step
+            t += (k,)
+            continue
         if y == lower + width:
             raise QPointError("limit endpoint")
         k = 0
@@ -385,4 +420,28 @@ def test_locate_branch_closed_forms_match_scan(r, index, depth, data):
         | st.builds(lambda k: 1 - r**k, st.integers(0, 40))
         | st.sampled_from([F(0), F(1)])
     )
-    assert outcome(locate_branch, family, y, depth) == outcome(scan_locate_branch, family, y, depth)
+    assert outcome(locate_branch, family, y, depth) == outcome(fraction_locate_branch, family, y, depth)
+
+
+@FAST
+@given(
+    RANDOMS,
+    st.sampled_from(["explicit", "geometric", "dirac"]),
+    st.fractions(min_value=F(1, 20), max_value=F(9, 10), max_denominator=20),
+    st.lists(st.integers(0, 2**16), max_size=10),
+    st.lists(st.integers(0, 2**128), max_size=10),
+)
+def test_locate_branch_matches_fraction_descent(rng, kind, r, short, long):
+    if kind == "explicit":
+        tree = random_tree(rng, max_depth=4, max_arity=4)
+        family = random_family(rng, tree, allow_zero=True)
+        nodes, depth = list(tree.nodes()), tree.height
+    else:
+        family = geometric_omega(3, r) if kind == "geometric" else dirac(rng.randint(0, 3), 3)
+        nodes, depth = [()] + [(i,) for i in range(5)] + [(i, j) for i in range(3) for j in range(3)], 3
+    # every cell endpoint, where the shared-endpoint and last-cell cases live, and dyadic points
+    points = {e for t in nodes for e in node_interval(family, t)}
+    points |= {F(n, 2**16) for n in short} | {F(n, 2**128) for n in long}
+    for y in sorted(points):
+        for d in {1, depth}:
+            assert outcome(locate_branch, family, y, d) == outcome(fraction_locate_branch, family, y, d)
