@@ -8,6 +8,7 @@ report prints floats, and says so.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,7 +68,9 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact fraction: {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by every `main` call: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="ptree",
         description="Exact-arithmetic probability trees: masses, fronts, embeddings, bounds.",

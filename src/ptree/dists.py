@@ -48,8 +48,9 @@ class FiniteDist:
         cells = []
         run = ZERO
         for k, m in items:
-            cells.append((k, run, run + m))
-            run += m
+            end = run + m
+            cells.append((k, run, end))
+            run = end
         self._cells = tuple(cells)
         self._total = run
         self._grid = None

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .dists import FiniteDist, ZERO
+from .dists import ONE, ZERO, FiniteDist
 from .errors import DepthBudgetExceeded, EncodingMismatch, InfiniteLevel, UnknownNode
-from .intervals import node_interval
+from .intervals import Interval, _child_cell
 from .measures import (
     EdgeFamily,
     GeneralPair,
@@ -170,28 +170,37 @@ def verify_encoding(family: EdgeFamily, depth: int) -> EncodingReport:
             t for t in null if not image_tree.is_maximal(t)
         )))
         image_family = family_from_pair(pair)
-        for t in enc.h:
-            src = node_interval(family, t)
-            img = node_interval(image_family, enc.h[t])
-            if src != img:
+        # (lower end, width) of every source cell and every image cell
+        src_cells = _walk(family, enc.h, step=_child_cell, init=(ZERO, ONE))
+        img_cells = _walk(image_family, enc.h.values(), step=_child_cell, init=(ZERO, ONE))
+        for t, s in enc.h.items():
+            if src_cells[t] != img_cells[s]:
                 intervals_ok = False
-                failures.append(f"interval mismatch at {t}: {src} vs {img} at image {enc.h[t]}")
+                (a, w), (b, v) = src_cells[t], img_cells[s]
+                failures.append(f"interval mismatch at {t}: {Interval(a, a + w)} vs {Interval(b, b + v)} at image {s}")
     else:
         intervals_ok = False
 
+    # Extension is transitive, and two incompatible nodes extend two
+    # distinct siblings below their meet, whose images' extensions stay
+    # incompatible: checking each parent-child edge and each sibling pair
+    # decides the same as checking every pair of nodes.
     order_ok = True
-    nodes = sorted(enc.h)  # tuple order puts a prefix before its extensions
-    for i, s in enumerate(nodes):
-        hs = enc.h[s]
-        for t in nodes[i + 1 :]:
-            ht = enc.h[t]
-            if is_prefix(s, t):
-                if not is_prefix(hs, ht):
-                    order_ok = False
-                    failures.append(f"extension not preserved: {s} vs {t}")
-            elif compatible(hs, ht):
+    siblings: dict[Path, list[Path]] = {}
+    for t in sorted(enc.h):  # children of a node in index order
+        if t:
+            siblings.setdefault(t[:-1], []).append(t)
+    for parent, kids in siblings.items():
+        hp = enc.h[parent]
+        for i, s in enumerate(kids):
+            hs = enc.h[s]
+            if not is_prefix(hp, hs):
                 order_ok = False
-                failures.append(f"incompatibility not preserved: {s} vs {t}")
+                failures.append(f"extension not preserved: {parent} vs {s}")
+            for t in kids[i + 1 :]:
+                if compatible(hs, enc.h[t]):
+                    order_ok = False
+                    failures.append(f"incompatibility not preserved: {s} vs {t}")
 
     image_shape_ok = True
     for s in enc.image.nodes():

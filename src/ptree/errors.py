@@ -32,7 +32,7 @@ class InfiniteLevel(PTreeError):
 
 
 class MalformedPath(PTreeError, ValueError):
-    """Text that is not a dot-separated path of nonnegative child indices."""
+    """Text that is not a canonical dot-separated path of nonnegative child indices."""
 
 
 class UnknownNode(PTreeError):

@@ -19,6 +19,7 @@ from .errors import (
     InfiniteLevel,
     MalformedPair,
     NodeNotBelowFront,
+    NotADistribution,
     NotAFront,
     UnknownNode,
 )
@@ -359,7 +360,10 @@ class InductiveMeasure:
 
 
 def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMeasure:
-    """Materialize the induced node masses on all nodes up to `depth`."""
+    """Materialize the induced node masses on all nodes up to `depth`.
+
+    A row that is not a probability distribution raises NotADistribution.
+    """
     tree = family.tree
     if depth is None:
         if not isinstance(tree, ExplicitTree):
@@ -380,6 +384,8 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
             d = family.dist(t)
             if d.support is OMEGA:
                 raise InfiniteLevel(f"node {t} has infinitely many successors")
+            if not d.grid()[3]:
+                raise NotADistribution(f"the masses at node {t} are not a probability distribution")
             for k in d.indices:
                 stack.append((t + (k,), m * d.mass(k)))
     return InductiveMeasure(tree, masses, record_depth)

@@ -6,6 +6,7 @@ leading to it from the root; the empty tuple is the root itself.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 
 from .errors import MalformedPath
@@ -30,18 +31,21 @@ class _Omega:
 OMEGA = _Omega()
 
 
+# ASCII digits without leading zeros, so each node has exactly one key
+_CANONICAL_PATH = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))*")
+
+
 def parse_path(text: str) -> Path:
-    """Parse a dot-separated index path; the empty string is the root."""
+    """Parse a canonical dot-separated index path; the empty string is the root.
+
+    Only the form `format_path` writes is accepted: "00", " 0", "+0" and
+    "1_0" raise MalformedPath, so two different keys never name one node.
+    """
     if text == "":
         return ()
-    parts = text.split(".")
-    try:
-        indices = tuple(int(p) for p in parts)
-    except ValueError:
-        raise MalformedPath(f"not a dot-separated index path: {text!r}") from None
-    if any(i < 0 for i in indices):
-        raise MalformedPath(f"negative child index in path: {text!r}")
-    return indices
+    if _CANONICAL_PATH.fullmatch(text) is None:
+        raise MalformedPath(f"not a canonical dot-separated index path: {text!r}")
+    return tuple(map(int, text.split(".")))
 
 
 def format_path(path: Path) -> str:

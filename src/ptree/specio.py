@@ -78,7 +78,8 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
     nodes = doc.get("nodes")
     if not isinstance(nodes, dict):
         raise SpecValidationError("", "explicit documents need a 'nodes' table")
-    rows: dict[Path, dict] = {}
+    children: dict[Path, tuple[int, ...]] = {}
+    dists: dict[Path, FiniteDist] = {}
     for key, row in nodes.items():
         try:
             path = parse_path(key)
@@ -86,14 +87,6 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
             raise SpecValidationError(key, str(exc)) from None
         if not isinstance(row, dict):
             raise SpecValidationError(key, "node rows must be objects")
-        rows[path] = row
-    if () not in rows:
-        raise SpecValidationError("", "the root node is missing")
-
-    children: dict[Path, tuple[int, ...]] = {}
-    dists: dict[Path, FiniteDist] = {}
-    for path, row in rows.items():
-        key = format_path(path)
         arity = row.get("arity")
         if not isinstance(arity, int) or arity < 0:
             raise SpecValidationError(key, f"arity must be a nonnegative integer, got {arity!r}")
@@ -107,20 +100,27 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
             raise SpecValidationError(key, f"expected {arity} probabilities, got {len(probs) if isinstance(probs, list) else probs!r}")
         values = [_parse_fraction(p, key) for p in probs]
         for v in values:
-            if not 0 <= v <= 1:
+            # a Fraction's denominator is positive
+            if not 0 <= v.numerator <= v.denominator:
                 raise SpecValidationError(key, f"probability {v} outside [0, 1]")
-        if sum(values) != 1:
-            raise SpecValidationError(key, f"probabilities sum to {sum(values)}, not 1")
-        dists[path] = FiniteDist(values)
+        dist = FiniteDist(values)
+        if dist.total != 1:
+            raise SpecValidationError(key, f"probabilities sum to {dist.total}, not 1")
+        dists[path] = dist
+    if () not in children:
+        raise SpecValidationError("", "the root node is missing")
 
-    for path in rows:
-        if path != () and path[:-1] not in rows:
-            raise SpecValidationError(format_path(path), "parent node is missing (keys must be prefix-closed)")
-        if path != () and path[-1] >= len(children.get(path[:-1], ())):
-            raise SpecValidationError(format_path(path), "child index exceeds the parent's arity")
+    # keys are canonical, so format_path gives back the key of a node
+    for path in children:
+        if path:
+            parent = children.get(path[:-1])
+            if parent is None:
+                raise SpecValidationError(format_path(path), "parent node is missing (keys must be prefix-closed)")
+            if path[-1] >= len(parent):
+                raise SpecValidationError(format_path(path), "child index exceeds the parent's arity")
     for path, idx in children.items():
         for k in idx:
-            if path + (k,) not in rows:
+            if path + (k,) not in children:
                 raise SpecValidationError(format_path(path + (k,)), "declared child is missing from the table")
 
     tree = ExplicitTree(children, doc.get("depth_budget"))

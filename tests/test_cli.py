@@ -1,9 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
 
 from ptree import EdgeFamily, uniform_binary
-from ptree.cli import main
+from ptree.cli import build_parser, main
 from ptree.specio import serialize_spec
 
 
@@ -226,6 +228,71 @@ def test_expect_malformed_values_file_exits_1(binary_spec, tmp_path, capsys):
     ):
         assert main(argv + [_values_file(tmp_path, values)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_non_canonical_path_keys_exit_1(binary_spec, tmp_path, capsys):
+    # "00" used to name node 0 as well: the later row silently replaced the
+    # earlier one, and `measure --node 0.0` printed 1/20 instead of 1/6
+    spec = tmp_path / "alias.json"
+    spec.write_text(json.dumps({"version": 1, "representation": "explicit", "nodes": {
+        "": {"arity": 2, "probs": ["1/2", "1/2"]},
+        "0": {"arity": 2, "probs": ["1/3", "2/3"]},
+        "00": {"arity": 2, "probs": ["1/10", "9/10"]},
+        "0.0": {"arity": 0}, "0.1": {"arity": 0}, "1": {"arity": 0}}}))
+    assert main(["measure", "--tree", str(spec), "--node", "0.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    # a values file with an alias of a front member fails the same way
+    vfile = _values_file(tmp_path, {"0.0": "0", "0.1": "1", "1.0": "1", "1.1": "2", "01.1": "5"})
+    assert main(["expect", "--tree", binary_spec, "--depth", "2", "--values", vfile]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one `main` call, usage exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_reused_across_calls(binary_spec, generator_spec, tmp_path, monkeypatch):
+    vfile = _values_file(tmp_path, {"0.0": "0", "0.1": "1", "1.0": "1", "1.1": "2"})
+    calls = [
+        ["measure", "--tree", binary_spec, "--node", "0.1"],
+        ["front", "--tree", binary_spec, "--depth", "2", "--check-mass"],
+        ["expect", "--tree", binary_spec, "--depth", "2", "--values", vfile, "--node", "1"],
+        ["bound", "--random", "42", "--n", "4", "--p", "1/3", "--min-p", "1/3"],
+        ["bound", "--random", "3", "--p", "1/2"],
+        ["embed", "--tree", binary_spec, "--node", "1.0"],
+        ["sample", "--tree", generator_spec, "--seed", "5", "--count", "20", "--depth", "2", "--freq"],
+        ["encode", "--tree", binary_spec, "--depth", "2", "--verify"],
+        ["classify", "--tree", generator_spec],
+        ["measure", "--help"],
+        ["bound", "--p", "1/2"],
+    ]
+    build_parser.cache_clear()
+    code, out, err = _run(["measure", "--tree"])
+    assert code == 2 and out == "" and "usage:" in err
+    reused = [_run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2]
+
+    # PTREE_DEPTH_BUDGET is read on every call, not when the parser is built
+    doc = tmp_path / "nb.json"
+    doc.write_text('{"version": 1, "representation": "generator", "generator": "uniform_binary"}')
+    monkeypatch.setenv("PTREE_DEPTH_BUDGET", "3")
+    assert _run(["classify", "--tree", str(doc)])[1].splitlines()[-1] == "depth budget: 3"
+    monkeypatch.setenv("PTREE_DEPTH_BUDGET", "5")
+    assert _run(["classify", "--tree", str(doc)])[1].splitlines()[-1] == "depth budget: 5"
 
 
 @pytest.mark.parametrize(

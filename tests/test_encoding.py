@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -20,7 +21,10 @@ from ptree import (
     uniform_binary,
     verify_encoding,
 )
+from ptree import encoding
+from ptree.cli import main
 from ptree.paths import compatible, is_prefix
+from ptree.specio import serialize_spec
 
 from corpus import random_family, random_tree
 
@@ -184,3 +188,49 @@ def test_perfect_source_fills_binary_levels():
     frontier_min = min(len(enc.h[t]) for t in tree.max_nodes())
     for d in range(frontier_min):
         assert len(enc.image.level_nodes(d)) == 2**d
+
+
+# The encoding of {(): 3} at depth 1 is () -> (), (0,) -> (0,), (1,) -> (1, 0),
+# (2,) -> (1, 1); each case below corrupts one part of it.
+_IMAGE_WITH_UNARY_NODE = ExplicitTree({(): (0, 1), (0,): (0,), (0, 0): (), (1,): (0, 1), (1, 0): (), (1, 1): ()})
+_CORRUPTIONS = {
+    "intervals": ({(1,): (1, 1), (2,): (1, 0)}, None, "intervals_ok", "interval mismatch at (1,)"),
+    "extension": ({(): (1,)}, None, "order_ok", "extension not preserved: () vs (0,)"),
+    "incompatibility": ({(2,): (1, 0)}, None, "order_ok", "incompatibility not preserved: (1,) vs (2,)"),
+    "image-shape": ({}, _IMAGE_WITH_UNARY_NODE, "image_shape_ok", "image node (0,) has a single child"),
+}
+
+
+def _corrupt_encodings(monkeypatch, h, image):
+    """Make every binary_encode call return the true encoding with h and image altered."""
+    real = encoding.binary_encode
+
+    def corrupted(tree, depth):
+        enc = real(tree, depth)
+        return dataclasses.replace(enc, h={**enc.h, **h}, image=image or enc.image)
+
+    monkeypatch.setattr(encoding, "binary_encode", corrupted)
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTIONS))
+def test_verify_encoding_reports_each_failure(monkeypatch, case):
+    h, image, flag, line = _CORRUPTIONS[case]
+    fam = EdgeFamily.from_table({(): ["1/2", "1/3", "1/6"]})
+    assert verify_encoding(fam, 1).ok
+    _corrupt_encodings(monkeypatch, h, image)
+    report = verify_encoding(fam, 1)
+    assert not report.ok
+    assert getattr(report, flag) is False
+    assert any(f.startswith(line) for f in report.failures), report.failures
+
+
+def test_cli_encode_verify_failure_exits_1(monkeypatch, tmp_path, capsys):
+    spec = tmp_path / "t.json"
+    spec.write_text(serialize_spec(EdgeFamily.from_table({(): ["1/2", "1/3", "1/6"]})))
+    h, image, _, line = _CORRUPTIONS["incompatibility"]
+    _corrupt_encodings(monkeypatch, h, image)
+    assert main(["encode", "--tree", str(spec), "--depth", "1", "--verify"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "2 -> 1.0" in out
+    assert "verification: FAILED" in out
+    assert any(o.startswith("  " + line) for o in out), out

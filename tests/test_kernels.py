@@ -1,19 +1,22 @@
 """Differential property tests for the front check, the path-walk kernel,
-the trial-tree pmf kernel and descent.
+the trial-tree pmf kernel, descent and the encoding's order check.
 
 Every oracle here is a brute-force restatement of a definition that shares
 no code with the library: pairwise prefix tests for fronts, products of
 checked `family.dist` lookups for weights, masses, cells and relative
 expectations, a `Fraction` walk over every leaf history for success-count
 pmfs, and, for descent, a walk over absolute `Fraction` cell ends that
-scans each finite row's cells and the child indices of closed-form nodes.
-Results must be identical fractions.
+scans each finite row's cells and the child indices of closed-form nodes,
+and, for the order check, a test of every pair of encoded nodes. Results
+must be identical fractions and verdicts.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction as F
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,10 +50,11 @@ from ptree import (
     tower_check,
     tower_check_fronts,
     uniform_binary,
+    verify_encoding,
 )
-from ptree import bernoulli
+from ptree import bernoulli, encoding
 from ptree.measures import _walk
-from ptree.paths import is_prefix
+from ptree.paths import compatible, is_prefix
 
 from corpus import random_family, random_tree, random_variable
 from test_expectation import brute_conditional
@@ -445,3 +449,37 @@ def test_locate_branch_matches_fraction_descent(rng, kind, r, short, long):
     for y in sorted(points):
         for d in {1, depth}:
             assert outcome(locate_branch, family, y, d) == outcome(fraction_locate_branch, family, y, d)
+
+
+def pairwise_order_ok(h) -> bool:
+    """Order preservation checked on every pair of nodes of the map h."""
+    nodes = sorted(h)  # tuple order puts a prefix before its extensions
+    for i, s in enumerate(nodes):
+        for t in nodes[i + 1 :]:
+            if is_prefix(s, t):
+                if not is_prefix(h[s], h[t]):
+                    return False
+            elif compatible(h[s], h[t]):
+                return False
+    return True
+
+
+@FAST
+@given(RANDOMS, st.sampled_from(["none", "child", "any"]), st.integers(1, 4))
+def test_order_check_matches_pairwise_oracle(rng, move, count):
+    tree = random_tree(rng, max_depth=4, max_arity=4)
+    family = random_family(rng, tree, allow_zero=True)
+    real = encoding.binary_encode(tree, tree.height)
+    images = sorted(real.image.nodes())
+    h = dict(real.h)
+    # a node moved onto a child's image loses extension to its other
+    # children but keeps every incompatibility; "any" breaks either
+    for t in rng.sample(sorted(h), min(count, len(h))) if move != "none" else ():
+        if move == "any":
+            h[t] = rng.choice(images)
+        elif not tree.is_maximal(t):
+            h[t] = real.h[rng.choice(tree.children(t))]
+    broken = dataclasses.replace(real, h=h)
+    with mock.patch.object(encoding, "binary_encode", lambda tree, depth: broken):
+        report = verify_encoding(family, tree.height)
+    assert report.order_ok is pairwise_order_ok(h)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from ptree import (
     InfiniteLevel,
     MalformedPair,
     NodeNotBelowFront,
+    NotADistribution,
     NotAFront,
     UnknownNode,
     below_mass,
@@ -113,6 +115,21 @@ def test_induced_measure_figure_tree_leaf_masses():
 def test_induced_measure_infinite_level():
     with pytest.raises(InfiniteLevel):
         induced_measure(dirac(5, 8), depth=2)
+
+
+@pytest.mark.parametrize(
+    "table, node",
+    [
+        ({(): ["1/3", "1/3"]}, ()),
+        ({(): ["3/2", "-1/2"]}, ()),
+        # a row below a zero-mass node passed the inductive law (0 = 0)
+        ({(): ["1", "0"], (1,): ["1/3", "1/3"]}, (1,)),
+    ],
+    ids=["short-sum", "negative-mass", "below-null-node"],
+)
+def test_induced_measure_rejects_rows_that_are_not_distributions(table, node):
+    with pytest.raises(NotADistribution, match=f"node {re.escape(str(node))}"):
+        induced_measure(EdgeFamily.from_table(table))
 
 
 def test_node_mass_dirac_point_mass_everywhere():

@@ -1,6 +1,6 @@
 import pytest
 
-from ptree import OrderRelation, format_path, order_relations, parse_path
+from ptree import MalformedPath, OrderRelation, format_path, order_relations, parse_path
 from ptree.paths import compatible, is_prefix, lex_less
 
 
@@ -17,6 +17,17 @@ def test_parse_rejects_garbage():
         parse_path("0.x")
     with pytest.raises(ValueError):
         parse_path("-1.0")
+
+
+@pytest.mark.parametrize("text", ["00", "0.01", " 0", "0 ", "0\n", "+0", "1_0", "0.", ".0", "0..1", "\u0663"])
+def test_parse_rejects_non_canonical_paths(text):
+    # int() reads each of these, so two keys could name one node
+    with pytest.raises(MalformedPath):
+        parse_path(text)
+
+
+def test_parse_accepts_multi_digit_indices():
+    assert parse_path("10.0.205") == (10, 0, 205)
 
 
 def test_prefix_relation():

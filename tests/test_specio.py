@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -125,3 +126,17 @@ def test_round_trip_generators_stay_generators():
 def test_serializer_always_emits_root():
     fam = parse_spec(serialize_spec(random_family(random.Random(1), random_tree(random.Random(1), max_depth=0))))
     assert set(fam.tree.nodes()) == {()}
+
+
+@pytest.mark.parametrize("alias", ["00", " 0", "+0", "0_0"])
+def test_non_canonical_key_is_rejected(alias):
+    # "00" used to name node 0 too, and its row silently replaced the first
+    text = json.dumps({"version": 1, "representation": "explicit", "nodes": {
+        "": {"arity": 1, "probs": ["1"]},
+        "0": {"arity": 2, "probs": ["1/3", "2/3"]},
+        alias: {"arity": 2, "probs": ["1/10", "9/10"]},
+        "0.0": {"arity": 0}, "0.1": {"arity": 0}}})
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(text)
+    assert info.value.path == alias
+    assert "canonical" in info.value.reason
