@@ -1,36 +1,39 @@
 """Random variables on fronts and relative (conditional) expectations.
 
 A front variable assigns an exact rational to every member of a front.
-Its expectation relative to a node t re-weights the members extending t
-by the edge probabilities accumulated from t down, which is exactly the
-expectation in the subtree rooted at t under the inherited family.
+Its expectation relative to a node t is the expectation in the subtree
+rooted at t under the inherited family, folded bottom-up by the inductive
+law E[X | t] = sum_k p_t(k) E[X | tk] and memoized on the variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .dists import FractionLike, ZERO, as_fraction
 from .errors import NodeNotBelowFront, NotAFront, PreconditionFrontMismatch
 from .measures import EdgeFamily, InductiveMeasure, _walk
 from .paths import Path, is_prefix
-from .trees import Front, is_front, level
+from .trees import Front, _check_front, level
 
 
 @dataclass(frozen=True)
 class FrontVariable:
-    """An exact rational value for every member of a front."""
+    """An exact rational value for every member of a front; `values` is read-only."""
 
     front: Front
     values: Mapping[Path, Fraction]
 
     def __post_init__(self) -> None:
         table = {tuple(t): as_fraction(v) for t, v in self.values.items()}
-        object.__setattr__(self, "values", table)
         if set(table) != set(self.front.nodes):
             raise ValueError("variable values must cover exactly the front members")
+        object.__setattr__(self, "values", MappingProxyType(table))
+        # (family, {node: entry}), swapped as one object so no query mixes two families
+        object.__setattr__(self, "_memo", (None, {}))
 
     def __call__(self, t: Path) -> Fraction:
         return self.values[tuple(t)]
@@ -47,22 +50,41 @@ class FrontVariable:
 
 def expect(measure: InductiveMeasure, variable: FrontVariable) -> Fraction:
     """Expectation of the variable under the front restriction of the measure."""
-    if not is_front(measure.tree, variable.front.nodes):
-        raise NotAFront("variable's front is not a front of the measure's tree")
+    _check_front(measure.tree, variable.front, "the variable's front")
     return sum((variable(s) * measure.mass(s) for s in variable.front.nodes), ZERO)
 
 
-def _expect_below(family: EdgeFamily, variable: FrontVariable, t: Path, members) -> Fraction:
-    """Sum of X(s) times the weight from t down to s, over members extending t."""
-    weights = _walk(family, members, start=t)
-    return sum((variable(s) * w for s, w in weights.items()), ZERO)
+def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Optional[tuple]:
+    """(E[X | t], depth of the shallowest, depth of the deepest member below t).
 
-
-def _members_below(variable: FrontVariable, t: Path) -> list[Path]:
-    members = [s for s in variable.front.nodes if is_prefix(t, s)]
-    if not members:
-        raise NodeNotBelowFront(f"node {t} has no extension in the variable's front")
-    return members
+    None when t strictly extends a member. The first query at t folds the
+    subtree below t post-order and memoizes every entry for one family
+    object; later queries at or below t are dict reads. The front must be
+    a front of the family's tree: every child of a node above it then lies
+    at or above a member.
+    """
+    owner, memo = variable._memo
+    if owner is not family:
+        memo = {}
+        object.__setattr__(variable, "_memo", (family, memo))
+    values = variable.values
+    if t in memo or any(t[:i] in values for i in range(len(t))):
+        return memo.get(t)
+    stack = [(t, None)]
+    while stack:
+        u, kids = stack.pop()
+        if kids is not None:
+            d = family._dist_unchecked(u)
+            es, los, his = zip(*map(memo.__getitem__, kids))
+            terms = [d.mass(c[-1]) * e for c, e in zip(kids, es)]
+            memo[u] = (sum(terms[1:], terms[0]), min(los), max(his))
+        elif u in values:
+            memo[u] = (values[u], len(u), len(u))
+        else:
+            kids = family.tree.children(u)
+            stack.append((u, kids))
+            stack.extend((c, None) for c in kids if c not in memo)
+    return memo[t]
 
 
 def relative_expect(
@@ -75,17 +97,14 @@ def relative_expect(
     conditional weights form a probability distribution. With `any_front`
     the front may be arbitrary and that precondition is dropped.
     """
-    if not is_front(family.tree, variable.front.nodes):
-        raise NotAFront("variable's front is not a front of the family's tree")
+    _check_front(family.tree, variable.front, "the variable's front")
     t = family.tree.require(tuple(t))
-    members = _members_below(variable, t)
-    if not any_front:
-        n = max(len(s) for s in variable.front.nodes)
-        if any(len(s) != n for s in members):
-            raise PreconditionFrontMismatch(
-                f"a maximal node shorter than level {n} lies above {t}"
-            )
-    return _expect_below(family, variable, t, members)
+    entry = _conditional(family, variable, t)
+    if entry is None:
+        raise NodeNotBelowFront(f"node {t} has no extension in the variable's front")
+    if not any_front and entry[1] != (n := max(map(len, variable.values))):
+        raise PreconditionFrontMismatch(f"a maximal node shorter than level {n} lies above {t}")
+    return entry[0]
 
 
 def relative_expect_front(family: EdgeFamily, variable: FrontVariable, t: Path) -> Fraction:
@@ -125,32 +144,15 @@ class TowerReport:
         return self.cases[0].rhs
 
 
-def _tower_case(
-    family: EdgeFamily, variable: FrontVariable, t: Path, members: list[Path], inner: set[Path]
-) -> TowerCase:
-    """Both sides of E[E[X | inner] | t] = E[X | t] at the node t.
-
-    `members` are the front members extending t and `inner` the
-    intermediate nodes extending t. The right side groups the members by
-    the inner node above them in one pass, then sums weight(t, s) × E[X | s].
-    """
-    lengths = {len(s) for s in inner}
-    groups: dict[Path, list[Path]] = {}
-    for r in members:
-        for n in lengths:
-            if r[:n] in inner:
-                groups.setdefault(r[:n], []).append(r)
-                break
-    outer = _walk(family, groups, start=t)
-    rhs = sum(
-        (outer[s] * _expect_below(family, variable, s, rs) for s, rs in groups.items()), ZERO
-    )
-    return TowerCase(t, _expect_below(family, variable, t, members), rhs)
+def _tower_case(family: EdgeFamily, variable: FrontVariable, t: Path, inner) -> TowerCase:
+    """E[X | t] against the sum of w(t, s) × E[X | s] over the intermediate
+    nodes s extending t, which lie at or above the variable's front."""
+    weights = _walk(family, inner, start=t)
+    rhs = sum((w * _conditional(family, variable, s)[0] for s, w in weights.items()), ZERO)
+    return TowerCase(t, _conditional(family, variable, t)[0], rhs)
 
 
-def tower_check(
-    family: EdgeFamily, variable: FrontVariable, m: int, n: int, k: int
-) -> TowerReport:
+def tower_check(family: EdgeFamily, variable: FrontVariable, m: int, n: int, k: int) -> TowerReport:
     """Both sides of the iterated-conditioning identity, for every node at level m.
 
     The left side conditions the level-k variable on each level-m node
@@ -159,20 +161,17 @@ def tower_check(
     """
     if not (0 <= m <= n <= k):
         raise ValueError("levels must satisfy m <= n <= k")
-    if not is_front(family.tree, variable.front.nodes):
-        raise NotAFront("variable's front is not a front of the family's tree")
-    below: dict[Path, list[Path]] = {}
-    for r in variable.front.nodes:
-        if len(r) >= m:
-            below.setdefault(r[:m], []).append(r)
+    _check_front(family.tree, variable.front, "the variable's front")
+    tree = family.tree
     cases = []
-    for t in sorted(level(family.tree, m)):
-        members = below.get(t, [])
-        if any(len(r) != k for r in members):
-            raise PreconditionFrontMismatch(
-                f"a maximal node shorter than level {k} lies above {t}"
-            )
-        cases.append(_tower_case(family, variable, t, members, {r[:n] for r in members}))
+    for t in sorted(level(tree, m)):
+        entry = _conditional(family, variable, t)
+        if entry is None or entry[1:] != (k, k):
+            raise PreconditionFrontMismatch(f"a maximal node shorter than level {k} lies above {t}")
+        inner = [t]
+        for _ in range(n - m):
+            inner = [c for s in inner for c in tree.children(s)]
+        cases.append(_tower_case(family, variable, t, inner))
     return TowerReport(tuple(cases))
 
 
@@ -184,15 +183,12 @@ def tower_check_fronts(
     `inner` must be a front lying below the variable's front; the check
     conditions on the single node t.
     """
-    if not is_front(family.tree, variable.front.nodes):
-        raise NotAFront("variable's front is not a front of the family's tree")
-    if not is_front(family.tree, inner.nodes):
-        raise NotAFront("the intermediate node set is not a front")
-    if not inner.nodes <= {r[:i] for r in variable.front.nodes for i in range(len(r) + 1)}:
+    _check_front(family.tree, variable.front, "the variable's front")
+    _check_front(family.tree, inner, "the intermediate node set")
+    if any(_conditional(family, variable, s) is None for s in inner.nodes):
         raise NotAFront("the intermediate front is not below the variable's front")
     t = family.tree.require(tuple(t))
-    between = {s for s in inner.nodes if is_prefix(t, s)}
+    between = [s for s in inner.nodes if is_prefix(t, s)]
     if not between:
         raise NodeNotBelowFront(f"node {t} has no extension in the intermediate front")
-    members = _members_below(variable, t)
-    return TowerReport((_tower_case(family, variable, t, members, between),))
+    return TowerReport((_tower_case(family, variable, t, between),))

@@ -20,7 +20,6 @@ from .errors import (
     MalformedPair,
     NodeNotBelowFront,
     NotADistribution,
-    NotAFront,
     UnknownNode,
 )
 from .paths import OMEGA, Path, is_prefix
@@ -32,7 +31,7 @@ from .trees import (
     TreeProfile,
     TreeShape,
     _check_budget,
-    is_front,
+    _check_front,
 )
 
 
@@ -393,15 +392,13 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
 
 def front_mass(measure: InductiveMeasure, front: Front) -> Fraction:
     """Total mass of a front; exactly one for any valid inductive measure."""
-    if not is_front(measure.tree, front.nodes):
-        raise NotAFront("the given node set is not a front of the measure's tree")
+    _check_front(measure.tree, front, "the given node set")
     return sum((measure.mass(s) for s in front.nodes), ZERO)
 
 
 def below_mass(measure: InductiveMeasure, t: Path, front: Front) -> Fraction:
     """Mass of the front members extending t; equals the mass of t itself."""
-    if not is_front(measure.tree, front.nodes):
-        raise NotAFront("the given node set is not a front of the measure's tree")
+    _check_front(measure.tree, front, "the given node set")
     t = tuple(t)
     members = [s for s in front.nodes if is_prefix(t, s)]
     if not members:

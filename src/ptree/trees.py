@@ -8,7 +8,7 @@ infinite set fail with InfiniteLevel instead of truncating silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -18,6 +18,7 @@ from .errors import (
     InvalidAdjacency,
     MultipleRoots,
     NegativeDepth,
+    NotAFront,
     UnknownNode,
 )
 from .paths import OMEGA, Path, is_prefix
@@ -306,6 +307,8 @@ class Front:
 
     tree: TreeShape
     nodes: frozenset[Path]
+    # the last tree object this front passed `is_front` against (see _check_front)
+    _valid_for: TreeShape | None = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self) -> Iterator[Path]:
         return iter(self.nodes)
@@ -337,21 +340,31 @@ def is_front(tree: TreeShape, nodes: Iterable[Path]) -> bool:
     if any(is_prefix(s, t) for s, t in zip(ordered, ordered[1:])):
         return False
     max_len = max(len(t) for t in members)
-
-    def covered(t: Path) -> bool:
+    # coverage walk, depth first in child order; a finite set can meet only
+    # finitely many of an OMEGA node's subtrees
+    stack: list[Path] = [()]
+    while stack:
+        t = stack.pop()
         if t in members:
-            return True
+            continue
         if len(t) == max_len:
             return False
         arity = tree.arity(t)
-        if arity == 0:
+        if arity == 0 or arity is OMEGA:
             return False
-        if arity is OMEGA:
-            # a finite set can meet only finitely many of the subtrees
-            return False
-        return all(covered(c) for c in tree.children(t))
+        stack.extend(reversed(tree.children(t)))
+    return True
 
-    return covered(())
+
+def _check_front(tree: TreeShape, front: Front, what: str) -> None:
+    """Raise NotAFront unless `front` is a front of `tree`.
+
+    Only a pass is remembered, on the front and for one tree object.
+    """
+    if front._valid_for is not tree:
+        if not is_front(tree, front.nodes):
+            raise NotAFront(f"{what} is not a front of the tree")
+        object.__setattr__(front, "_valid_for", tree)
 
 
 @dataclass(frozen=True)

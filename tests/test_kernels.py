@@ -26,9 +26,11 @@ from ptree import (
     EdgeFamily,
     FiniteDist,
     Front,
+    FrontVariable,
     GeneratedTree,
     HypothesisViolated,
     PreconditionFrontMismatch,
+    PTreeError,
     QPointError,
     UnknownNode,
     binomial_pmf,
@@ -204,6 +206,81 @@ def test_tower_check_fronts_matches_brute_sums(rng):
              for s in inner if is_prefix(t, s)),
             F(0),
         )
+
+
+def tower_sides(family, variable, t, inner) -> tuple:
+    """Both sides of the tower identity at t, as brute sums over the inner nodes below t."""
+    rhs = sum(
+        (brute_weight(family, t, s) * brute_conditional(family, variable, s)
+         for s in inner if is_prefix(t, s)),
+        F(0),
+    )
+    return brute_conditional(family, variable, t), rhs
+
+
+def run_query(family, variable, query):
+    """The answer to one query, or the type and message of the error it raised."""
+    kind, *args = query
+    call = {"relative": relative_expect, "front": relative_expect_front,
+            "tower": tower_check, "fronts": tower_check_fronts}[kind]
+    try:
+        return call(family, variable, *args)
+    except PTreeError as exc:
+        return type(exc), str(exc)
+
+
+@FAST
+@given(RANDOMS)
+def test_memoized_queries_match_brute_sums(rng):
+    # one variable answers a random mix of queries under two families in
+    # turn; a fresh variable (and fresh fronts) gives the reference errors
+    tree = random_tree(rng, max_depth=4, max_arity=3, well_pruned=rng.random() < 0.5)
+    families = [random_family(rng, tree, allow_zero=True) for _ in range(2)]
+    inner = random_front(rng, tree, rng.randint(0, 3))
+    steps = rng.choice([rng.randint(0, 6), tree.node_count()])  # or down to the leaves
+    front = Front(tree, frozenset(refine(rng, tree, inner, steps)))
+    X = random_variable(rng, front)
+    # the second is a refinement of X's front: not below it once anything was refined
+    intermediates = [Front(tree, frozenset(nodes)) for nodes in (inner, refine(rng, tree, front.nodes, 2))]
+    nodes = sorted(tree.nodes())
+    for _ in range(12):
+        kind = rng.choice(["relative", "front", "tower", "fronts"])
+        t = rng.choice(nodes)
+        if kind == "tower":
+            k = rng.choice([rng.randint(0, tree.height), max(map(len, front.nodes))])
+            n = rng.randint(0, k)
+            query = (kind, rng.randint(0, n), n, k)
+        elif kind == "fronts":
+            query = (kind, rng.choice(intermediates), t)
+        else:
+            query = (kind, t)
+        fam = rng.choice(families)
+        got = run_query(fam, X, query)
+        fresh_query = query if kind != "fronts" else (kind, Front(tree, query[1].nodes), t)
+        assert got == run_query(fam, FrontVariable(Front(tree, front.nodes), X.values), fresh_query)
+        if isinstance(got, tuple):
+            continue
+        if kind in ("relative", "front"):
+            assert got == brute_conditional(fam, X, t)
+        elif kind == "tower":
+            assert [case.node for case in got.cases] == sorted(level(tree, query[1]))
+            for case in got.cases:
+                assert (case.lhs, case.rhs) == tower_sides(fam, X, case.node, level(tree, query[2]))
+        else:
+            (case,) = got.cases
+            assert (case.lhs, case.rhs) == tower_sides(fam, X, t, query[1].nodes)
+
+
+def test_variable_values_are_read_only():
+    fam = uniform_binary(8)
+    front = enumerate_front(fam.tree, 2)
+    X = FrontVariable(front, {t: sum(t) for t in front.nodes})
+    with pytest.raises(TypeError):
+        X.values[(0, 0)] = F(5)
+    Y = X.scale_add(2, X, -1)
+    assert Y == FrontVariable(front, dict(X.values))
+    assert Y != X.scale_add(1, X, 1)
+    assert relative_expect(fam, Y, (1,)) == F(3, 2)
 
 
 @FAST

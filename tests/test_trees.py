@@ -1,24 +1,39 @@
 import random
+from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
 from ptree import (
     CyclicInput,
     DepthBudgetExceeded,
+    EdgeFamily,
     ExplicitTree,
+    FiniteDist,
+    Front,
+    FrontVariable,
     GeneratedTree,
     InfiniteLevel,
     MultipleRoots,
+    NotAFront,
     UnknownNode,
+    below_mass,
     canonicalize,
     classify,
     complete_binary_tree,
     enumerate_front,
+    expect,
+    front_mass,
+    induced_measure,
     is_front,
     level,
+    relative_expect,
+    tower_check,
+    tower_check_fronts,
     uniform_binary,
     geometric_omega,
 )
+from ptree import trees
 from ptree.errors import InvalidAdjacency
 from ptree.paths import OMEGA
 
@@ -143,6 +158,61 @@ def test_is_front_examples():
     assert not is_front(tree, {(0,)})
     with pytest.raises(UnknownNode):
         is_front(tree, {(5,)})
+
+
+def test_is_front_deeper_than_the_recursion_limit():
+    # a comb: (1,), (0, 1), (0, 0, 1), ... and the spine's end, 1,500 deep
+    depth = 1500
+    comb = {(0,) * i + (1,) for i in range(depth)} | {(0,) * depth}
+    children = {(0,) * i: (0, 1) for i in range(depth)}
+    children.update({t: () for t in comb})
+    tree = ExplicitTree(children)
+    assert is_front(tree, comb)
+    assert not is_front(tree, comb - {(0,) * 700 + (1,)})
+
+
+def test_invalid_front_raises_on_every_call():
+    fam = EdgeFamily.from_table({(): ["1/2", "1/2"]})
+    measure = induced_measure(fam)
+    front = Front(fam.tree, frozenset({(0,)}))  # misses the branch through (1,)
+    X = FrontVariable(front, {(0,): F(1)})
+    valid = enumerate_front(fam.tree, 1)
+    calls = [
+        lambda: front_mass(measure, front),
+        lambda: below_mass(measure, (), front),
+        lambda: expect(measure, X),
+        lambda: relative_expect(fam, X, ()),
+        lambda: tower_check(fam, X, 0, 1, 1),
+        lambda: tower_check_fronts(fam, X, valid),
+        lambda: tower_check_fronts(fam, FrontVariable(valid, {(0,): 1, (1,): 2}), front),
+    ]
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(NotAFront):
+                call()
+
+
+def test_front_check_runs_once_per_tree_object():
+    def binary():
+        return EdgeFamily.from_table({(): ["1/2", "1/2"]})
+
+    small, twin = binary(), binary()
+    wide = EdgeFamily.from_table({(): ["1/3", "1/3", "1/3"]})
+    X = FrontVariable(Front(small.tree, frozenset({(0,), (1,)})), {(0,): F(1), (1,): F(3)})
+    with mock.patch.object(trees, "is_front", wraps=is_front) as spy:
+        for _ in range(3):
+            assert relative_expect(small, X, ()) == 2
+        assert spy.call_count == 1
+        # valid for `small`, but `wide` has a root child the front misses
+        for _ in range(2):
+            with pytest.raises(NotAFront):
+                relative_expect(wide, X, ())
+        assert spy.call_count == 3
+        # an equal tree that is another object is checked again, once
+        assert twin.tree == small.tree and twin.tree is not small.tree
+        assert relative_expect(twin, X, ()) == 2
+        assert relative_expect(twin, X, (1,)) == 3
+        assert spy.call_count == 4
 
 
 def test_is_front_on_omega_tree():
