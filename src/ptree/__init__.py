@@ -32,11 +32,13 @@ from .errors import (
     DepthBudgetExceeded,
     EncodingMismatch,
     HypothesisViolated,
+    InexactValue,
     InfiniteLevel,
     InvalidAdjacency,
     MalformedClopen,
     MalformedPair,
     MalformedPath,
+    MalformedTree,
     MultipleRoots,
     NegativeDepth,
     NodeNotBelowFront,

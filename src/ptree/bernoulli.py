@@ -96,9 +96,9 @@ class DependentTrialTree:
             raise NotATrialTree(f"the family must live on the complete binary tree of height {trials}")
         probs: list = [None] * len(table)
         for t, d in table.items():
-            if d.total != 1:
-                raise NotATrialTree(f"the row at {t} sums to {d.total}, not 1")
-            probs[_heap_index(t)] = _checked_prob(t, d.mass(0))
+            if (defect := d.defect()) is not None:
+                raise NotATrialTree(f"the row at {t} is not a distribution: {defect}")
+            probs[_heap_index(t)] = d.mass(0)
         self.trials = trials
         self._probs: tuple[Fraction, ...] = tuple(probs)
         self._family: EdgeFamily | None = family
@@ -215,6 +215,8 @@ def success_pmf(trial_tree: DependentTrialTree) -> tuple[Fraction, ...]:
 
 def _binomial_numerators(n: int, p: Fraction) -> tuple[list[int], int]:
     """The Binomial(n, p) pmf as integer numerators over one denominator."""
+    if n < 0:
+        raise NotATrialTree(f"the number of trials must be nonnegative, got {n}")
     if not 0 <= p <= 1:
         raise NotADistribution(f"the success probability {p} does not lie in [0, 1]")
     a, d = p.numerator, p.denominator
@@ -228,17 +230,8 @@ def binomial_pmf(n: int, p: FractionLike) -> tuple[Fraction, ...]:
 
 def binomial_cdf(n: int, p: FractionLike, z: int) -> Fraction:
     """Pr[B(n, p) <= z], exact; zero below the range and one above it."""
-    p = as_fraction(p)
-    if not 0 <= p <= 1:
-        raise NotADistribution(f"the success probability {p} does not lie in [0, 1]")
-    if z < 0:
-        return ZERO
-    if z >= n:
-        return ONE
-    q = 1 - p
-    return sum(
-        (math.comb(n, k) * p**k * q ** (n - k) for k in range(z + 1)), ZERO
-    )
+    terms, den = _binomial_numerators(n, as_fraction(p))
+    return Fraction(sum(terms[: max(z + 1, 0)]), den)
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_encode(args) -> int:
     family = _load_family(args.tree)
-    from .encoding import binary_encode, verify_encoding
+    from .encoding import _verify_encoding, binary_encode
 
     enc = binary_encode(family.tree, args.depth)
     for t in sorted(enc.h):
@@ -216,7 +216,7 @@ def _cmd_encode(args) -> int:
         img = format_path(enc.h[t]) if enc.h[t] else "<root>"
         print(f"{src} -> {img}")
     if args.verify:
-        report = verify_encoding(family, args.depth)
+        report = _verify_encoding(family, enc)
         print(f"verification: {'ok' if report.ok else 'FAILED'}")
         for failure in report.failures:
             print(f"  {failure}")

@@ -9,9 +9,12 @@ never need enumeration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
+from .errors import InexactValue
 from .paths import OMEGA
 
 ONE = Fraction(1)
@@ -21,9 +24,11 @@ FractionLike = Union[Fraction, int, str]
 
 
 def as_fraction(value: FractionLike) -> Fraction:
-    """Convert exactly; decimal strings become their exact rational value."""
+    """Convert exactly; decimal strings become their exact rational value, floats raise."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise InexactValue(f"{value!r} is a float; give an exact value such as the string {str(value)!r}")
     return Fraction(value)
 
 
@@ -32,10 +37,10 @@ class FiniteDist:
 
     The index set need not be contiguous: restrictions of a family to a
     subtree keep the original child indices. Entries are not forced to sum
-    to one here; family validation reports that separately.
+    to one here; `defect` says whether they do, and walks refuse a row that fails.
     """
 
-    __slots__ = ("_items", "_cells", "_total", "_grid")
+    __slots__ = ("_items", "_grid")
 
     def __init__(self, masses: Union[Sequence[FractionLike], Mapping[int, FractionLike]]):
         if isinstance(masses, Mapping):
@@ -45,14 +50,6 @@ class FiniteDist:
         if any(k < 0 for k, _ in items):
             raise ValueError("negative child index")
         self._items = items
-        cells = []
-        run = ZERO
-        for k, m in items:
-            end = run + m
-            cells.append((k, run, end))
-            run = end
-        self._cells = tuple(cells)
-        self._total = run
         self._grid = None
 
     @property
@@ -74,35 +71,44 @@ class FiniteDist:
         raise ValueError(f"child index {k} not in distribution support {self.indices}")
 
     def prefix_mass(self, k: int) -> Fraction:
-        for j, before, _after in self._cells:
-            if j >= k:
-                return before
-        return self._total
+        q, _, _, _, runs = self.grid()
+        return Fraction(runs[bisect_left(self._items, k, key=itemgetter(0))], q)
 
     @property
     def total(self) -> Fraction:
-        return self._total
+        q, _, _, _, runs = self.grid()
+        return Fraction(runs[-1], q)
 
-    def grid(self) -> tuple[int, list[int], list[tuple[int, int, int]], bool]:
+    def grid(self) -> tuple[int, list[int], list[tuple[int, int, int]], bool, list[int]]:
         """The row over one integer denominator, built on first use.
 
-        Returns (q, lowers, cells, stochastic): q is the lcm of the row's
-        denominators; cells holds (k, b, a) for each child of positive
-        mass, whose cell is [b/q, a/q), in index order; lowers holds the
-        b's for bisection; stochastic says whether every mass is
-        nonnegative and the masses sum to exactly one.
+        Returns (q, lowers, cells, stochastic, runs): q is the lcm of the
+        row's denominators; cells holds (k, b, a) for each child of
+        positive mass, whose cell is [b/q, a/q), in index order; lowers
+        holds the b's for bisection; stochastic says whether every mass
+        is nonnegative and the masses sum to exactly one; runs[i] is q
+        times the mass of the first i entries.
         """
         if self._grid is None:
             q = math.lcm(*(m.denominator for _, m in self._items))
-            cells, run, nonnegative = [], 0, True
+            runs, cells, nonnegative = [0], [], True
             for k, m in self._items:
-                c = m.numerator * (q // m.denominator)
+                run, c = runs[-1], m.numerator * (q // m.denominator)
                 nonnegative = nonnegative and c >= 0
                 if c > 0:
                     cells.append((k, run, run + c))
-                run += c
-            self._grid = (q, [b for _, b, _ in cells], cells, nonnegative and run == q)
+                runs.append(run + c)
+            self._grid = (q, [b for _, b, _ in cells], cells, nonnegative and runs[-1] == q, runs)
         return self._grid
+
+    def defect(self) -> str | None:
+        """Why the row is not a probability distribution; None when it is one."""
+        if self.grid()[3]:
+            return None
+        for k, m in self._items:
+            if not 0 <= m <= 1:
+                return f"child {k} has mass {m} outside [0, 1]"
+        return f"masses sum to {self.total}, not 1"
 
     def positive_support(self) -> tuple[int, ...]:
         return tuple(j for j, m in self._items if m > 0)

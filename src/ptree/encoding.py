@@ -151,8 +151,12 @@ def verify_encoding(family: EdgeFamily, depth: int) -> EncodingReport:
     preserves/reflects incompatibility; the image must consist of
     splitting and maximal nodes with maximal nodes coming from the source.
     """
+    return _verify_encoding(family, binary_encode(family.tree, depth))
+
+
+def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
+    """`verify_encoding` on an encoding already built from the family's tree."""
     failures: list[str] = []
-    enc = binary_encode(family.tree, depth)
 
     inductive_ok = True
     try:

@@ -11,6 +11,15 @@ class CyclicInput(PTreeError):
     """The parent relation of a labeled tree description contains a cycle."""
 
 
+class MalformedTree(PTreeError, ValueError):
+    """A child-index map that is not a tree: no root, a detached node, a missing or bad child."""
+
+    def __init__(self, node: tuple, reason: str) -> None:
+        super().__init__(f"node {node}: {reason}")
+        self.node = node
+        self.reason = reason
+
+
 class MultipleRoots(PTreeError):
     """A labeled tree description has more than one parentless node."""
 
@@ -61,6 +70,10 @@ class MalformedClopen(PTreeError):
 
 class NotASubtree(PTreeError):
     """A node set is not a subtree of the host tree with compatible leaves."""
+
+
+class InexactValue(PTreeError, TypeError):
+    """A float where an exact value is needed: it would enter as its binary value."""
 
 
 class NotADistribution(PTreeError, ValueError):

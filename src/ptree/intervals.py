@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dists import ONE, ZERO, FiniteDist, PointMass
+from .dists import ONE, ZERO, FiniteDist, PointMass, as_fraction
 from .errors import (
     MalformedClopen,
-    NotADistribution,
     NotASubtree,
     QPointError,
     RequiresExplicitFiniteTree,
@@ -115,14 +114,14 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
     Cells are half-open on the right except the last one, degenerate cells
     are skipped, and hitting an endpoint shared by two positive cells
     fails: the inverse map is genuinely undefined on such points. A row
-    that is not a probability distribution raises NotADistribution.
+    that is not a probability distribution raises NotADistribution when
+    the descent reaches it.
 
     The descent is in integers: un/ud is y's position relative to the
     current cell, kept unreduced, and each step maps the chosen child's
     cell onto [0, 1].
     """
-    if not isinstance(y, Fraction):
-        y = Fraction(y)
+    y = as_fraction(y)
     un, ud = y.numerator, y.denominator  # ud > 0
     if not 0 <= un <= ud:
         raise ValueError("the point must lie in [0, 1]")
@@ -133,9 +132,7 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
         if d is None:
             break
         if isinstance(d, FiniteDist):
-            q, lowers, cells, stochastic = d.grid()
-            if not stochastic:
-                raise NotADistribution(f"the masses at node {t} are not a probability distribution")
+            q, lowers, cells, _, _ = d._grid  # built and checked by the accessor
             # the cells tile [0, q], so the last one with b <= floor(u * q) holds u
             x, rem = divmod(un * q, ud)
             i = bisect_right(lowers, x) - 1
@@ -202,17 +199,12 @@ def subtree_mass_bound(
     members = frozenset(tuple(t) for t in nodes)
     if () not in members:
         raise NotASubtree("the subtree must contain the root")
-    children: dict[Path, list[Path]] = {t: [] for t in members}
     for t in members:
-        if t == ():
-            continue
-        parent = t[:-1]
-        if parent not in members:
+        if t and t[:-1] not in members:
             raise NotASubtree(f"node {t} is present without its parent")
         if not family.tree.contains(t):
             raise NotASubtree(f"node {t} is not in the host tree")
-        children[parent].append(t)
-    leaves = {t for t in members if not children[t]}
+    leaves = members - {t[:-1] for t in members if t}
     for t in leaves:
         if len(t) < depth and not family.tree.is_maximal(t):
             raise NotASubtree(
@@ -263,7 +255,7 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
     branch mass is then at most (sup edge probability)^depth; a declared
     forced child is a persistent atom.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon)
     tree = family.tree
     if isinstance(tree, ExplicitTree):
         measure = induced_measure(family)

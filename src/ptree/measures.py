@@ -83,19 +83,23 @@ class EdgeFamily:
 
     def dist(self, t: Path) -> Dist:
         t = self.tree.require(tuple(t))
-        if self.tree.is_maximal(t):
+        if self.tree._arity_unchecked(t) == 0:
             raise UnknownNode(f"node {t} is maximal and has no successor distribution")
-        if isinstance(self._dists, dict):
-            return self._dists[t]
-        return self._dists(t)
+        return self._dists[t] if isinstance(self._dists, dict) else self._dists(t)
 
     def _dist_unchecked(self, t: Path) -> Dist | None:
-        """Distribution at a node known to be valid; None when it is maximal."""
+        """Distribution at a node known to be valid; None when it is maximal.
+
+        Every walk reads its rows here: a finite row that is not a
+        probability distribution raises NotADistribution.
+        """
         if isinstance(self._dists, dict):
-            return self._dists.get(t)
-        if self.tree._arity_unchecked(t) == 0:
-            return None
-        return self._dists(t)
+            d = self._dists.get(t)
+        else:
+            d = self._dists(t) if self.tree._arity_unchecked(t) else None
+        if d.__class__ is FiniteDist and not d.grid()[3]:
+            raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
+        return d
 
     def edge_prob(self, t: Path, k: int) -> Fraction:
         return self.dist(t).mass(k)
@@ -112,14 +116,8 @@ class EdgeFamily:
         depth_budget: int | None = None,
     ) -> "EdgeFamily":
         """Build a canonical explicit family from non-maximal node rows."""
-        dists = {tuple(t): FiniteDist([as_fraction(v) for v in row]) for t, row in table.items()}
-        children: dict[Path, tuple[int, ...]] = {t: d.indices for t, d in dists.items()}
-        for t, idx in list(children.items()):
-            for k in idx:
-                children.setdefault(t + (k,), ())
-        children.setdefault((), ())
-        tree = ExplicitTree(children, depth_budget)
-        return cls(tree, dists)
+        dists = {tuple(t): FiniteDist(row) for t, row in table.items()}
+        return cls(ExplicitTree.from_arities({t: len(d.masses) for t, d in dists.items()}, depth_budget), dists)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeFamily):
@@ -220,35 +218,27 @@ def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> Valida
     checked on all nodes up to a shallow depth (closed forms certify their
     own totals); the report records the depth that was covered.
     """
-    violations: list[tuple[Path, str]] = []
-
-    def check(t: Path, d: Dist) -> None:
-        if isinstance(d, FiniteDist):
-            for k, m in d.items():
-                if not 0 <= m <= 1:
-                    violations.append((t, f"child {k} has mass {m} outside [0, 1]"))
-            if d.total != 1:
-                violations.append((t, f"masses sum to {d.total}, not 1"))
-        # closed forms have total 1 by construction
-
+    tree = family.tree
+    if depth is not None:
+        depth = depth if tree.depth_budget is None else min(tree.depth_budget, depth)
+        _check_budget(tree, depth)
     if family.is_explicit:
-        for t in family.tree.nodes():
-            if not family.tree.is_maximal(t):
-                check(t, family.dist(t))
-        return ValidationReport(not violations, tuple(violations), None)
-
-    budget = family.tree.depth_budget
-    check_depth = min(budget, 4) if depth is None else min(budget, depth)
-    stack: list[Path] = [()]
-    while stack:
-        t = stack.pop()
-        if family.tree.is_maximal(t):
-            continue
-        d = family.dist(t)
-        check(t, d)
-        if len(t) < check_depth and d.support is not OMEGA:
-            stack.extend(family.tree.children(t))
-    return ValidationReport(not violations, tuple(violations), check_depth)
+        check_depth = None
+        rows = [(t, family.dist(t)) for t in tree.nodes() if not tree.is_maximal(t)]
+    else:
+        check_depth = min(tree.depth_budget, 4) if depth is None else depth
+        rows, stack = [], [()]
+        while stack:
+            t = stack.pop()
+            if tree.is_maximal(t):
+                continue
+            d = family.dist(t)
+            rows.append((t, d))
+            if len(t) < check_depth and d.support is not OMEGA:
+                stack.extend(tree.children(t))
+    # closed forms have total 1 by construction
+    violations = tuple((t, defect) for t, d in rows if isinstance(d, FiniteDist) and (defect := d.defect()))
+    return ValidationReport(not violations, violations, check_depth)
 
 
 def _times_mass(w: Fraction, d: Dist, k: int) -> Fraction:
@@ -313,6 +303,13 @@ class InductiveMeasure:
         self.depth = depth
         self._validate()
 
+    @classmethod
+    def _trusted(cls, tree: TreeShape, masses: dict[Path, Fraction], depth: int | None) -> "InductiveMeasure":
+        """Adopt masses that obey the inductive law by construction, unchecked."""
+        measure = cls.__new__(cls)
+        measure.tree, measure._masses, measure.depth = tree, masses, depth
+        return measure
+
     def _validate(self) -> None:
         if self._masses.get((), None) != 1:
             raise ValueError("root mass must be exactly 1")
@@ -361,7 +358,9 @@ class InductiveMeasure:
 def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMeasure:
     """Materialize the induced node masses on all nodes up to `depth`.
 
-    A row that is not a probability distribution raises NotADistribution.
+    A row that is not a probability distribution raises NotADistribution,
+    so the masses obey the inductive law by construction and are not
+    checked again.
     """
     tree = family.tree
     if depth is None:
@@ -379,15 +378,13 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
     while stack:
         t, m = stack.pop()
         masses[t] = m
-        if len(t) < depth_limit and not tree.is_maximal(t):
-            d = family.dist(t)
-            if d.support is OMEGA:
-                raise InfiniteLevel(f"node {t} has infinitely many successors")
-            if not d.grid()[3]:
-                raise NotADistribution(f"the masses at node {t} are not a probability distribution")
-            for k in d.indices:
-                stack.append((t + (k,), m * d.mass(k)))
-    return InductiveMeasure(tree, masses, record_depth)
+        d = family._dist_unchecked(t) if len(t) < depth_limit else None
+        if d is None:
+            continue
+        if d.support is OMEGA:
+            raise InfiniteLevel(f"node {t} has infinitely many successors")
+        stack.extend((t + (k,), m * p) for k, p in d.items())
+    return InductiveMeasure._trusted(tree, masses, record_depth)
 
 
 def front_mass(measure: InductiveMeasure, front: Front) -> Fraction:
@@ -533,8 +530,8 @@ class GeneralPair:
                 raise MalformedPair(f"filler at {t} must be a finite distribution")
             if d.indices != host.child_indices(t):
                 raise MalformedPair(f"filler at {t} does not match the host child set")
-            if d.total != 1:
-                raise MalformedPair(f"filler at {t} sums to {d.total}, not 1")
+            if (defect := d.defect()) is not None:
+                raise MalformedPair(f"filler at {t} is not a distribution: {defect}")
 
     def induced_mass(self, t: Path) -> Fraction:
         """Mass of t in the measure this pair represents (zero off the positive part)."""
@@ -566,7 +563,8 @@ def split_measure(measure: InductiveMeasure) -> tuple[InductiveMeasure, frozense
     null = frozenset(t for t in tree.nodes() if t not in keep)
     children = {t: tuple(k for k in tree.child_indices(t) if t + (k,) in keep) for t in keep}
     sub_tree = ExplicitTree(children, tree.depth_budget)
-    positive = InductiveMeasure(sub_tree, {t: measure.mass(t) for t in keep})
+    # the restriction obeys the law wherever the measure does
+    positive = InductiveMeasure._trusted(sub_tree, {t: measure.mass(t) for t in keep}, measure.depth)
     return positive, null
 
 

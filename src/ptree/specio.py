@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .dists import FiniteDist
-from .errors import SpecSyntaxError, SpecValidationError, UnknownGenerator
+from .errors import MalformedTree, SpecSyntaxError, SpecValidationError, UnknownGenerator
 from .measures import EdgeFamily, dirac, geometric_omega, uniform_binary
 from .paths import Path, format_path, parse_path
 from .trees import DEFAULT_DEPTH_BUDGET, ExplicitTree
@@ -98,32 +98,15 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
             continue
         if not isinstance(probs, list) or len(probs) != arity:
             raise SpecValidationError(key, f"expected {arity} probabilities, got {len(probs) if isinstance(probs, list) else probs!r}")
-        values = [_parse_fraction(p, key) for p in probs]
-        for v in values:
-            # a Fraction's denominator is positive
-            if not 0 <= v.numerator <= v.denominator:
-                raise SpecValidationError(key, f"probability {v} outside [0, 1]")
-        dist = FiniteDist(values)
-        if dist.total != 1:
-            raise SpecValidationError(key, f"probabilities sum to {dist.total}, not 1")
+        dist = FiniteDist([_parse_fraction(p, key) for p in probs])
+        if (defect := dist.defect()) is not None:
+            raise SpecValidationError(key, defect)
         dists[path] = dist
-    if () not in children:
-        raise SpecValidationError("", "the root node is missing")
-
-    # keys are canonical, so format_path gives back the key of a node
-    for path in children:
-        if path:
-            parent = children.get(path[:-1])
-            if parent is None:
-                raise SpecValidationError(format_path(path), "parent node is missing (keys must be prefix-closed)")
-            if path[-1] >= len(parent):
-                raise SpecValidationError(format_path(path), "child index exceeds the parent's arity")
-    for path, idx in children.items():
-        for k in idx:
-            if path + (k,) not in children:
-                raise SpecValidationError(format_path(path + (k,)), "declared child is missing from the table")
-
-    tree = ExplicitTree(children, doc.get("depth_budget"))
+    try:
+        tree = ExplicitTree(children, doc.get("depth_budget"))
+    except MalformedTree as exc:
+        # keys are canonical, so format_path gives back the key of a node
+        raise SpecValidationError(format_path(exc.node), exc.reason) from None
     return EdgeFamily(tree, dists)
 
 

@@ -16,6 +16,7 @@ from .errors import (
     DepthBudgetExceeded,
     InfiniteLevel,
     InvalidAdjacency,
+    MalformedTree,
     MultipleRoots,
     NegativeDepth,
     NotAFront,
@@ -29,7 +30,7 @@ DEFAULT_DEPTH_BUDGET = 32
 
 
 class ExplicitTree:
-    """A finite prefix-closed tree, stored as a child-index map.
+    """A finite prefix-closed tree, stored as a child-index map and checked once, here.
 
     Canonical trees have children 0..arity-1 at every node; restrictions
     (positive parts, encoded images) may keep sparse child-index sets.
@@ -40,23 +41,25 @@ class ExplicitTree:
     def __init__(self, children: Mapping[Path, Sequence[int]], depth_budget: int | None = None):
         child_map: dict[Path, tuple[int, ...]] = {}
         for node, indices in children.items():
-            idx = tuple(sorted(int(i) for i in indices))
-            if any(i < 0 for i in idx):
-                raise ValueError(f"negative child index at {node}")
+            node, idx = tuple(node), tuple(sorted(int(i) for i in indices))
+            if idx and idx[0] < 0:
+                raise MalformedTree(node, "negative child index")
             if len(set(idx)) != len(idx):
-                raise ValueError(f"duplicate child index at {node}")
-            child_map[tuple(node)] = idx
+                raise MalformedTree(node, "duplicate child index")
+            child_map[node] = idx
         if () not in child_map:
-            raise ValueError("tree must contain the root")
+            raise MalformedTree((), "the root node is missing")
         for node in child_map:
             if node != ():
-                parent, k = node[:-1], node[-1]
-                if parent not in child_map or k not in child_map[parent]:
-                    raise ValueError(f"node {node} is not attached to its parent")
+                parent = child_map.get(node[:-1])
+                if parent is None:
+                    raise MalformedTree(node, "parent node is missing (keys must be prefix-closed)")
+                if node[-1] not in parent:
+                    raise MalformedTree(node, "the parent does not declare this child")
         for node, idx in child_map.items():
             for k in idx:
                 if node + (k,) not in child_map:
-                    raise ValueError(f"declared child {node + (k,)} is missing")
+                    raise MalformedTree(node + (k,), "declared child is missing")
         self._children = child_map
         self.depth_budget = depth_budget
         self._height = max(len(t) for t in child_map)
@@ -395,6 +398,8 @@ def classify(tree: TreeShape, explore_depth: int | None = None) -> ClassifyRepor
     declared profile when present; otherwise the answer is relative to an
     exploration depth and marked inexact.
     """
+    if explore_depth is not None:
+        _check_budget(tree, explore_depth)
     if isinstance(tree, ExplicitTree):
         height = tree.height
         well_pruned = all(len(t) == height for t in tree.max_nodes())

@@ -1,0 +1,306 @@
+"""Each fact is checked where the data enters, and nowhere else.
+
+Rows: `FiniteDist.defect` and the row gate in `EdgeFamily._dist_unchecked`,
+which every walk, descent, fold and `induced_measure` reads through.
+Tree shape: `ExplicitTree.__init__`. Values: `as_fraction`, which refuses
+floats. Depths: `_check_budget`.
+"""
+
+import json
+import re
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ptree import (
+    ClopenSelection,
+    DepthBudgetExceeded,
+    EdgeFamily,
+    ExplicitTree,
+    FiniteDist,
+    FrontVariable,
+    GeneralPair,
+    GeneratedTree,
+    InductiveMeasure,
+    InexactValue,
+    MalformedPair,
+    MalformedTree,
+    NegativeDepth,
+    NotADistribution,
+    NotATrialTree,
+    PTreeError,
+    SpecValidationError,
+    binomial_cdf,
+    binomial_pmf,
+    branch_window,
+    classify,
+    clopen_mass,
+    dominance_check,
+    enumerate_front,
+    freeness_report,
+    induced_measure,
+    locate_branch,
+    node_interval,
+    node_mass,
+    pair_from_family,
+    parse_spec,
+    random_trial_tree,
+    relative_expect,
+    serialize_spec,
+    split_measure,
+    subtree_mass_bound,
+    tower_check,
+    uniform_binary,
+    validate_edge_family,
+)
+from ptree import encoding
+from ptree.cli import main
+from ptree.dists import as_fraction
+
+from corpus import random_family, random_tree
+
+BAD_ROWS = {"short-sum": ["1/3", "1/3"], "negative-mass": ["3/2", "-1/2"]}
+QUERIES = [
+    "node_mass", "node_interval", "branch_window", "clopen_mass", "subtree_mass_bound", "relative_expect",
+    "tower_check",
+]
+
+
+def _queries_below_the_root(fam):
+    variable = FrontVariable(enumerate_front(fam.tree, 1), {(0,): 1, (1,): 2})
+    return {
+        "node_mass": lambda: node_mass(fam, (1,)),
+        "node_interval": lambda: node_interval(fam, (1,)),
+        "branch_window": lambda: branch_window(fam, (1,), 1),
+        "clopen_mass": lambda: clopen_mass(fam, ClopenSelection(1, frozenset({(1,)}))),
+        "subtree_mass_bound": lambda: subtree_mass_bound(fam, [(), (0,), (1,)], 1),
+        "relative_expect": lambda: relative_expect(fam, variable, ()),
+        "tower_check": lambda: tower_check(fam, variable, 0, 1, 1),
+    }
+
+
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("row", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+def test_walks_reject_a_bad_root_row(row, query):
+    # each of these used to answer: node_mass 1/3, relative_expect 1, ...
+    fam = EdgeFamily.from_table({(): row})
+    with pytest.raises(NotADistribution, match=r"at node \(\) ") as info:
+        _queries_below_the_root(fam)[query]()
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+def _level_variable(fam, level):
+    front = enumerate_front(fam.tree, level)
+    return FrontVariable(front, {t: i for i, t in enumerate(sorted(front.nodes))})
+
+
+@pytest.mark.parametrize("row", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+def test_walks_answer_when_the_path_avoids_the_bad_row(row):
+    fam = EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/4", "3/4"], (1,): row})
+    variable = _level_variable(fam, 2)
+    assert node_mass(fam, (0, 0)) == F(1, 8)
+    assert node_interval(fam, (0, 1)) == (F(1, 8), F(1, 2))
+    assert branch_window(fam, (0, 1), 2).lower == F(1, 8)
+    assert clopen_mass(fam, ClopenSelection(2, frozenset({(0, 0), (0, 1)}))) == F(1, 2)
+    assert subtree_mass_bound(fam, [(), (0,), (0, 0), (0, 1)], 2).values == (1, F(1, 2), F(1, 2))
+    # members (0, 0) and (0, 1) carry the values 0 and 1
+    assert relative_expect(fam, variable, (0,)) == F(3, 4)
+    for call in (
+        lambda: node_mass(fam, (1, 0)),
+        lambda: node_interval(fam, (1, 1)),
+        lambda: clopen_mass(fam, ClopenSelection(2, frozenset({(0, 0), (1, 0)}))),
+        lambda: relative_expect(fam, variable, ()),
+        lambda: tower_check(fam, variable, 0, 1, 2),
+        lambda: induced_measure(fam),
+        lambda: locate_branch(fam, F(3, 4), 2),
+    ):
+        with pytest.raises(NotADistribution, match=r"node \(1,\)"):
+            call()
+
+
+def test_the_gate_covers_generated_rules():
+    bad = FiniteDist(["1/2", "1/4"])
+    fam = EdgeFamily(GeneratedTree(lambda t: 2, 8), lambda t: bad if t == (1,) else FiniteDist(["1/2", "1/2"]))
+    assert node_mass(fam, (0, 1, 1)) == F(1, 8)
+    with pytest.raises(NotADistribution, match=r"at node \(1,\) .*: masses sum to 3/4, not 1"):
+        node_mass(fam, (1, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 2))
+def test_walk_answers_or_names_the_shallowest_bad_row(rng, corrupt):
+    fam = random_family(rng, random_tree(rng, max_depth=4, max_arity=3), allow_zero=True)
+    table = fam.dist_table()
+    bad = set(rng.sample(sorted(table), min(corrupt, len(table))))
+    for t in bad:
+        masses = list(table[t].masses)
+        masses[rng.randrange(len(masses))] += F(rng.choice([-3, -1, 1, 2]), rng.randint(2, 5))
+        table[t] = FiniteDist(masses)
+    fam = EdgeFamily(fam.tree, table)
+    for t in fam.tree.nodes():
+        on_path = [t[:i] for i in range(len(t)) if t[:i] in bad]
+        if on_path:
+            with pytest.raises(NotADistribution, match=f"at node {re.escape(str(on_path[0]))} "):
+                node_mass(fam, t)
+        else:
+            expected = F(1)
+            for i in range(len(t)):
+                expected *= table[t[:i]].mass(t[i])
+            assert node_mass(fam, t) == node_interval(fam, t).width == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 6), st.fractions(-1, 2, max_denominator=12), max_size=5))
+def test_row_form_matches_fraction_sums(row):
+    d = FiniteDist(row)
+    masses = sorted(row.items())
+    assert d.total == sum(row.values(), F(0))
+    for k in range(8):
+        assert d.prefix_mass(k) == sum((m for j, m in masses if j < k), F(0))
+    outside = [(j, m) for j, m in masses if not 0 <= m <= 1]
+    if outside:
+        assert d.defect() == f"child {outside[0][0]} has mass {outside[0][1]} outside [0, 1]"
+    elif d.total != 1:
+        assert d.defect() == f"masses sum to {d.total}, not 1"
+    else:
+        assert d.defect() is None
+
+
+def test_validate_reports_the_first_defect_of_each_row():
+    fam = EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/3", "1/3"], (1,): ["3/2", "-1/2"]})
+    assert validate_edge_family(fam).violations == (
+        ((0,), "masses sum to 2/3, not 1"),
+        ((1,), "child 0 has mass 3/2 outside [0, 1]"),
+    )
+
+
+def test_pair_rejects_a_filler_with_a_negative_mass():
+    # the total is 1, which was all that was checked
+    pair = pair_from_family(EdgeFamily.from_table({(): ["1", "0"], (1,): ["1/2", "1/2"]}))
+    with pytest.raises(MalformedPair, match=r"filler at \(1,\) is not a distribution: child 0 has mass 3/2"):
+        GeneralPair(pair.host_tree, pair.positive, {(1,): FiniteDist(["3/2", "-1/2"])})
+
+
+def test_internal_measures_skip_the_law_check(monkeypatch):
+    checked = []
+    real = InductiveMeasure._validate
+    monkeypatch.setattr(InductiveMeasure, "_validate", lambda self: checked.append(self) or real(self))
+    fam = EdgeFamily.from_table({(): ["1", "0"], (1,): ["1/2", "1/2"]})
+    measure = induced_measure(fam)
+    positive, null = split_measure(measure)
+    assert checked == []
+    # what they build is what the checked constructor accepts
+    assert InductiveMeasure(fam.tree, dict(measure.items())) == measure
+    assert InductiveMeasure(positive.tree, dict(positive.items())) == positive
+    assert len(checked) == 2
+    assert null == {(1,), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize(
+    "children, node, reason",
+    [
+        ({(0,): ()}, (), "the root node is missing"),
+        ({(): (0,)}, (0,), "declared child is missing"),
+        ({(): (), (3,): ()}, (3,), "the parent does not declare this child"),
+        ({(): (0,), (0,): (), (0, 1, 2): ()}, (0, 1, 2), "parent node is missing (keys must be prefix-closed)"),
+        ({(): (-1,), (-1,): ()}, (), "negative child index"),
+        ({(): (0, 0), (0,): ()}, (), "duplicate child index"),
+    ],
+)
+def test_explicit_tree_names_the_bad_node(children, node, reason):
+    with pytest.raises(MalformedTree) as info:
+        ExplicitTree(children)
+    assert (info.value.node, info.value.reason) == (node, reason)
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "nodes, key, reason",
+    [
+        ({"0": {"arity": 0}}, "", "the root node is missing"),
+        ({"": {"arity": 2, "probs": ["1/2", "1/2"]}, "0": {"arity": 0}}, "1", "declared child is missing"),
+        (
+            {"": {"arity": 1, "probs": ["1"]}, "0": {"arity": 0}, "0.0.0": {"arity": 0}},
+            "0.0.0",
+            "parent node is missing (keys must be prefix-closed)",
+        ),
+        (
+            {"": {"arity": 1, "probs": ["1"]}, "0": {"arity": 0}, "1": {"arity": 0}},
+            "1",
+            "the parent does not declare this child",
+        ),
+        (
+            {"": {"arity": 2, "probs": ["3/2", "-1/2"]}, "0": {"arity": 0}, "1": {"arity": 0}},
+            "",
+            "child 0 has mass 3/2 outside [0, 1]",
+        ),
+    ],
+)
+def test_spec_errors_carry_the_key_and_the_reason(nodes, key, reason):
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(json.dumps({"version": 1, "representation": "explicit", "nodes": nodes}))
+    assert (info.value.path, info.value.reason) == (key, reason)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: as_fraction(0.5),
+        lambda: FiniteDist([0.5, 0.5]),
+        lambda: EdgeFamily.from_table({(): [0.1, 0.9]}),
+        lambda: locate_branch(uniform_binary(4), 0.3, 3),
+        lambda: dominance_check(random_trial_tree(3, 1, 0), 0.25),
+        lambda: freeness_report(uniform_binary(4), 3, 0.1),
+        lambda: FrontVariable(enumerate_front(uniform_binary(4).tree, 1), {(0,): 0.5, (1,): 1}),
+    ],
+    ids=["as_fraction", "FiniteDist", "from_table", "locate_branch", "dominance_check", "freeness_report",
+         "FrontVariable"],
+)
+def test_floats_are_rejected_where_values_are_converted(call):
+    with pytest.raises(InexactValue) as info:
+        call()
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, TypeError)
+
+
+def test_decimal_strings_stay_exact():
+    assert FiniteDist(["0.1", "0.9"]).masses == (F(1, 10), F(9, 10))
+    assert locate_branch(uniform_binary(4), "0.3", 3) == locate_branch(uniform_binary(4), F(3, 10), 3) == (0, 1, 0)
+    assert freeness_report(uniform_binary(4), 3, "0.2").verdict == "free_certified"
+
+
+def test_negative_depths_raise():
+    ub = uniform_binary(8)
+    for call in (lambda: validate_edge_family(ub, -1), lambda: classify(ub.tree, explore_depth=-1)):
+        with pytest.raises(NegativeDepth):
+            call()
+    # validation still clamps to the budget
+    assert validate_edge_family(ub, 20).checked_depth == 8
+
+
+def test_binomial_checks_its_arguments_in_one_place():
+    # a negative trial count gave the empty pmf and a CDF of 1
+    for call in (lambda: binomial_pmf(-1, F(1, 2)), lambda: binomial_cdf(-1, F(1, 2), 0)):
+        with pytest.raises(NotATrialTree):
+            call()
+    assert [binomial_cdf(3, F(1, 3), z) for z in (-2, 0, 1, 3, 7)] == [0, F(8, 27), F(20, 27), 1, 1]
+
+
+def test_classify_checks_the_depth_before_walking():
+    asked = []
+    tree = GeneratedTree(lambda t: asked.append(t) or 2, 3)
+    with pytest.raises(DepthBudgetExceeded):
+        classify(tree, explore_depth=4)
+    assert asked == []
+    assert classify(tree, explore_depth=3).height_or_budget == 3
+
+
+def test_cli_encode_verify_encodes_once(monkeypatch, tmp_path, capsys):
+    spec = tmp_path / "t.json"
+    spec.write_text(serialize_spec(EdgeFamily.from_table({(): ["1/2", "1/3", "1/6"], (0,): ["1/2", "1/2"]})))
+    depths = []
+    real = encoding.binary_encode
+    monkeypatch.setattr(encoding, "binary_encode", lambda tree, depth: depths.append(depth) or real(tree, depth))
+    assert main(["encode", "--tree", str(spec), "--depth", "2", "--verify"]) == 0
+    assert depths == [2]
+    assert "verification: ok" in capsys.readouterr().out.splitlines()
