@@ -6,16 +6,17 @@ success probability is at least p, the number of successes dominates a
 Binomial(n, p) count: its CDF is bounded by the binomial CDF at every
 threshold. The check here is exact rational arithmetic throughout.
 
-A trial tree stores its success probabilities as one flat tuple in heap
-order: the node t at depth d sits at index 2^d - 1 + (t read as binary),
-so each level is a contiguous run in lexicographic order and the children
-of index i sit at 2i + 1 and 2i + 2. The pmf and the dominance bound are
-computed over integers: every probability becomes a numerator over the
-lcm D of the denominators, leaf masses are integers over D^n, and a
-Fraction is built once per pmf entry. Those integers grow with D, which
-grows with every distinct prime power in the tree; when they would exceed
-_MAX_MASS_BITS the pmf falls back to a Fraction walk over the leaves,
-whose masses grow only with the denominators along one path.
+A trial tree stores its success probabilities as two flat tuples of reduced
+numerators and denominators in heap order: the node t at depth d sits at
+index 2^d - 1 + (t read as binary), so each level is a contiguous run in
+lexicographic order and the children of index i sit at 2i + 1 and 2i + 2.
+A Fraction is built only where a caller reads a probability. The pmf and
+the dominance bound are computed over integers: every probability becomes
+a numerator over the lcm D of the denominators, leaf masses are integers
+over D^n, and a Fraction is built once per pmf entry. Those integers grow
+with D, which grows with every distinct prime power in the tree; when they
+would exceed _MAX_MASS_BITS the pmf falls back to a Fraction walk over the
+leaves, whose masses grow only with the denominators along one path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterator, Mapping, Union
 
@@ -34,7 +36,8 @@ from .paths import Path
 from .trees import complete_binary_tree
 
 # Cost doubles per trial: `ptree bound --random 1 --n 21 --p 1/3 --min-p 1/3`
-# takes 12-15 s and 321 MiB on a 2-vCPU x86-64 host, n = 22 about 29 s and 620 MiB.
+# takes 3-4.5 s and 321 MiB on a 2-vCPU x86-64 host, n = 22 6-9 s and 620 MiB
+# (time.perf_counter, ru_maxrss). Time would allow n = 22; memory sets the cap.
 MAX_TRIALS = 21
 
 # The integer kernel keeps 2^(n-1) masses of up to n * bits(D) bits at its
@@ -66,6 +69,11 @@ def _preorder(trials: int) -> Iterator[tuple[Path, int]]:
             stack.append((t + (1,), 2 * i + 2))
 
 
+@cache  # at most MAX_TRIALS + 1 entries
+def _preorder_indices(trials: int) -> tuple[int, ...]:
+    return tuple(i for _t, i in _preorder(trials))
+
+
 def _heap_index(t: Path) -> int:
     i = 0
     for bit in t:
@@ -73,16 +81,10 @@ def _heap_index(t: Path) -> int:
     return i
 
 
-def _checked_prob(t: Path, p: Fraction) -> Fraction:
-    if not 0 <= p.numerator <= p.denominator:
-        raise NotATrialTree(f"success probability at {t} is {p}, outside [0, 1]")
-    return p
-
-
 class DependentTrialTree:
     """n dependent Bernoulli trials; child 0 of each node is a success."""
 
-    __slots__ = ("trials", "_probs", "_family")
+    __slots__ = ("trials", "_nums", "_dens", "_family")
 
     def __init__(self, trials: int, family: EdgeFamily):
         """Adopt an explicit family on the complete binary tree of height `trials`."""
@@ -94,20 +96,22 @@ class DependentTrialTree:
             or any(len(t) >= trials or d.indices != (0, 1) for t, d in table.items())
         ):
             raise NotATrialTree(f"the family must live on the complete binary tree of height {trials}")
-        probs: list = [None] * len(table)
+        nums, dens = [0] * len(table), [1] * len(table)
         for t, d in table.items():
             if (defect := d.defect()) is not None:
                 raise NotATrialTree(f"the row at {t} is not a distribution: {defect}")
-            probs[_heap_index(t)] = d.mass(0)
+            p, i = d.mass(0), _heap_index(t)
+            nums[i], dens[i] = p.numerator, p.denominator
         self.trials = trials
-        self._probs: tuple[Fraction, ...] = tuple(probs)
+        self._nums, self._dens = tuple(nums), tuple(dens)
         self._family: EdgeFamily | None = family
 
     @classmethod
-    def _from_probs(cls, trials: int, probs: tuple[Fraction, ...]) -> "DependentTrialTree":
+    def _from_ints(cls, trials: int, nums: list[int], dens: list[int]) -> "DependentTrialTree":
+        """Adopt reduced numerators and denominators of probabilities in [0, 1], in heap order."""
         tree = cls.__new__(cls)
         tree.trials = trials
-        tree._probs = probs
+        tree._nums, tree._dens = tuple(nums), tuple(dens)
         tree._family = None
         return tree
 
@@ -120,16 +124,19 @@ class DependentTrialTree:
         """Build from per-node success probabilities (for the 0-child)."""
         _check_trials(trials)
         getter = probs.__getitem__ if isinstance(probs, Mapping) else probs
-        heap: list = [None] * ((1 << trials) - 1)
+        nums, dens = [0] * ((1 << trials) - 1), [1] * ((1 << trials) - 1)
         for t, i in _preorder(trials):
-            heap[i] = _checked_prob(t, as_fraction(getter(t)))
-        return cls._from_probs(trials, tuple(heap))
+            p = as_fraction(getter(t))
+            if not 0 <= p.numerator <= p.denominator:
+                raise NotATrialTree(f"success probability at {t} is {p}, outside [0, 1]")
+            nums[i], dens[i] = p.numerator, p.denominator
+        return cls._from_ints(trials, nums, dens)
 
     @property
     def family(self) -> EdgeFamily:
         """The trial tree as an explicit edge family, built on first use."""
         if self._family is None:
-            probs = self._probs
+            probs = list(map(Fraction, self._nums, self._dens))
             self._family = EdgeFamily(
                 complete_binary_tree(self.trials),
                 {t: FiniteDist([probs[i], 1 - probs[i]]) for t, i in _preorder(self.trials)},
@@ -140,7 +147,8 @@ class DependentTrialTree:
         t = tuple(t)
         if len(t) >= self.trials or any(bit not in (0, 1) for bit in t):
             raise UnknownNode(f"{t} is not an interior node of the {self.trials}-trial tree")
-        return self._probs[_heap_index(t)]
+        i = _heap_index(t)
+        return Fraction(self._nums[i], self._dens[i])
 
     def interior_nodes(self) -> Iterator[Path]:
         return (t for t, _i in _preorder(self.trials))
@@ -149,15 +157,15 @@ class DependentTrialTree:
 def _over_common_denominator(trial_tree: DependentTrialTree) -> tuple[int, list[int]] | None:
     """The lcm D of the denominators and each probability's numerator over D,
     or None when the integer kernel's masses would exceed _MAX_MASS_BITS."""
-    n, probs = trial_tree.trials, trial_tree._probs
-    dens = {p.denominator for p in probs}
+    n, dens = trial_tree.trials, trial_tree._dens
+    distinct = set(dens)
     common = 1
-    for d in dens:
+    for d in distinct:
         common = math.lcm(common, d)
         if n * common.bit_length() > _MAX_MASS_BITS:
             return None
-    factor = {d: common // d for d in dens}
-    return common, [p.numerator * factor[p.denominator] for p in probs]
+    factor = {d: common // d for d in distinct}
+    return common, [a * factor[d] for a, d in zip(trial_tree._nums, dens)]
 
 
 def _pmf_numerators(n: int, common: int, scaled: list[int]) -> list[int]:
@@ -183,7 +191,7 @@ def _pmf_numerators(n: int, common: int, scaled: list[int]) -> list[int]:
     return sums
 
 
-def _leaf_walk_pmf(n: int, probs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _leaf_walk_pmf(n: int, probs: list[Fraction]) -> tuple[Fraction, ...]:
     """Success-count pmf by a depth-first Fraction walk over every leaf history."""
     pmf = [ZERO] * (n + 1)
     first_leaf = (1 << n) - 1
@@ -202,7 +210,7 @@ def _leaf_walk_pmf(n: int, probs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 def _pmf(trial_tree: DependentTrialTree, scaled: tuple[int, list[int]] | None) -> tuple[Fraction, ...]:
     n = trial_tree.trials
     if scaled is None:
-        return _leaf_walk_pmf(n, trial_tree._probs)
+        return _leaf_walk_pmf(n, list(map(Fraction, trial_tree._nums, trial_tree._dens)))
     common, nums = scaled
     den = common**n
     return tuple(Fraction(s, den) for s in _pmf_numerators(n, common, nums))
@@ -267,10 +275,10 @@ def dominance_check(trial_tree: DependentTrialTree, p: FractionLike) -> Dominanc
     p = as_fraction(p)
     n = trial_tree.trials
     scaled = _over_common_denominator(trial_tree)
+    # success probability a/d < p  <=>  a * p.denominator < p.numerator * d
     if scaled is None:
-        below = min(trial_tree._probs, default=ONE) < p
+        below = any(a * p.denominator < p.numerator * d for a, d in zip(trial_tree._nums, trial_tree._dens))
     else:
-        # success probability a/common < p  <=>  a * p.denominator < p.numerator * common
         common, nums = scaled
         below = bool(nums) and min(nums) * p.denominator < p.numerator * common
     if below:
@@ -317,29 +325,44 @@ def random_trial_tree(
 ) -> DependentTrialTree:
     """A random trial tree with exact rational success probabilities >= min_p.
 
-    Each node draws a denominator den in [1, bound] and then k in [0, den];
-    its probability is min_p + (1 - min_p) * k / den.
+    Each node, in preorder with child 1 first, draws a denominator den in
+    [1, bound] and then k in [0, den]; its probability is
+    min_p + (1 - min_p) * k / den. Both draws are `rng.getrandbits` calls
+    in the rejection steps of `Random.randint`, so draws and final rng
+    state equal those of two `randint` calls per node, except for a
+    `Random` subclass that overrides `random()` but not `getrandbits()`.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
+    _check_trials(trials)
     lo = as_fraction(min_p)
+    if not (0 <= lo <= 1 and isinstance(denominator_bound, int) and denominator_bound >= 1):
+        raise NotATrialTree(
+            f"need 0 <= min_p <= 1 and an int denominator_bound >= 1, got {lo} and {denominator_bound!r}"
+        )
+    rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
+    getrandbits, gcd, bound_bits = rng.getrandbits, math.gcd, denominator_bound.bit_length()
     lo_num, lo_den = lo.numerator, lo.denominator
-
-    def prob(_t: Path) -> Fraction:
-        den = rng.randint(1, denominator_bound)
-        return Fraction(lo_num * den + (lo_den - lo_num) * rng.randint(0, den), lo_den * den)
-
-    return DependentTrialTree.from_success_probs(trials, prob)
+    nums, dens = [0] * ((1 << trials) - 1), [1] * ((1 << trials) - 1)
+    for i in _preorder_indices(trials):
+        den = getrandbits(bound_bits)  # den = randint(1, denominator_bound)
+        while den >= denominator_bound:
+            den = getrandbits(bound_bits)
+        den += 1
+        k_bits = (den + 1).bit_length()
+        k = getrandbits(k_bits)  # k = randint(0, den)
+        while k > den:
+            k = getrandbits(k_bits)
+        num, den = lo_num * den + (lo_den - lo_num) * k, lo_den * den
+        g = gcd(num, den)
+        nums[i], dens[i] = num // g, den // g
+    return DependentTrialTree._from_ints(trials, nums, dens)
 
 
 def flip_success_convention(trial_tree: DependentTrialTree) -> DependentTrialTree:
     """Reinterpret child 1 as success by mirroring every node of the tree.
 
     Mirroring reverses each level, and the new success probability is the
-    old failure probability.
+    old failure probability, (d - a)/d for a/d, which stays reduced.
     """
-    probs = trial_tree._probs
-    flipped: list[Fraction] = []
-    for d in range(trial_tree.trials):
-        start = (1 << d) - 1
-        flipped.extend(1 - p for p in reversed(probs[start : 2 * start + 1]))
-    return DependentTrialTree._from_probs(trial_tree.trials, tuple(flipped))
+    n, nums, dens = trial_tree.trials, trial_tree._nums, trial_tree._dens
+    mirror = [i for d in range(n) for i in range((2 << d) - 2, (1 << d) - 2, -1)]
+    return DependentTrialTree._from_ints(n, [dens[i] - nums[i] for i in mirror], [dens[i] for i in mirror])

@@ -316,6 +316,8 @@ class InductiveMeasure:
         for t, m in self._masses.items():
             if not 0 <= m <= 1:
                 raise ValueError(f"mass at {t} is {m}, outside [0, 1]")
+            if self.depth is not None and len(t) > self.depth:
+                raise ValueError(f"mass at {t} lies beyond the materialized depth {self.depth}")
             self.tree.require(t)
         for t, m in self._masses.items():
             if self.depth is not None and len(t) >= self.depth:

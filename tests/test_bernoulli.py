@@ -306,6 +306,21 @@ def test_trial_cap_is_checked_before_any_probability():
         random_trial_tree(MAX_TRIALS + 1, 1)
 
 
+@pytest.mark.parametrize(
+    "trials, min_p, bound",
+    [(3, F(0), 0), (1, F(-1, 2), 32), (0, F(2), 32)],
+    ids=["denominator-bound-0", "negative-min-p", "min-p-above-1"],
+)
+def test_random_trial_tree_checks_its_arguments_before_any_draw(trials, min_p, bound):
+    from ptree import NotATrialTree
+
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(NotATrialTree):
+        random_trial_tree(trials, rng, min_p, bound)
+    assert rng.getstate() == state
+
+
 def test_success_prob_rejects_leaves_and_foreign_nodes():
     from ptree import UnknownNode
 

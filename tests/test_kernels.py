@@ -1,11 +1,13 @@
 """Differential property tests for the front check, the path-walk kernel,
-the trial-tree pmf kernel, descent and the encoding's order check.
+the trial-tree builder and pmf kernel, descent and the encoding's order
+check.
 
 Every oracle here is a brute-force restatement of a definition that shares
 no code with the library: pairwise prefix tests for fronts, products of
 checked `family.dist` lookups for weights, masses, cells and relative
 expectations, a `Fraction` walk over every leaf history for success-count
-pmfs, and, for descent, a walk over absolute `Fraction` cell ends that
+pmfs, two `randint` calls and one `Fraction` per node for random trial
+trees, and, for descent, a walk over absolute `Fraction` cell ends that
 scans each finite row's cells and the child indices of closed-form nodes,
 and, for the order check, a test of every pair of encoded nodes. Results
 must be identical fractions and verdicts.
@@ -13,6 +15,7 @@ must be identical fractions and verdicts.
 
 import dataclasses
 import math
+import random
 import time
 from fractions import Fraction as F
 from itertools import accumulate
@@ -424,6 +427,45 @@ def test_integer_kernel_mass_bound_is_inclusive():
         tt = DependentTrialTree.from_success_probs(n, lambda t: p)
         assert (bernoulli._over_common_denominator(tt) is not None) == kernel
         assert success_pmf(tt) == binomial_pmf(n, p)
+
+
+def preorder_child_1_first(n: int, t=()):
+    if len(t) < n:
+        yield t
+        yield from preorder_child_1_first(n, t + (1,))
+        yield from preorder_child_1_first(n, t + (0,))
+
+
+def randint_trial_probs(n: int, rng, min_p, bound: int) -> dict:
+    """Success probabilities drawn with two `randint` calls and one Fraction per node."""
+    probs = {}
+    for t in preorder_child_1_first(n):
+        den = rng.randint(1, bound)
+        probs[t] = min_p + (1 - min_p) * F(rng.randint(0, den), den)
+    return probs
+
+
+@FAST
+@given(
+    st.integers(0, 8),
+    st.integers(0, 2**64),
+    st.booleans(),
+    PROBS,
+    st.sampled_from([*range(1, 65), 10**6]),
+)
+def test_random_trial_tree_matches_randint_builder(n, seed, shared, min_p, bound):
+    # a shared rng must be left where two randint calls per node leave it,
+    # so a second tree drawn from it continues the same stream
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(2 if shared else 1):
+        tt = random_trial_tree(n, rng if shared else seed, min_p, bound)
+        probs = randint_trial_probs(n, oracle_rng, min_p, bound)
+        assert {t: tt.success_prob(t) for t in probs} == probs
+        if shared:
+            assert rng.getstate() == oracle_rng.getstate()
+        oracle = DependentTrialTree.from_success_probs(n, probs)
+        assert success_pmf(tt) == success_pmf(oracle)
+        assert dominance_check(tt, min_p) == dominance_check(oracle, min_p)
 
 
 def descend_finite(d, y, lower, width):

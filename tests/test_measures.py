@@ -158,6 +158,16 @@ def test_inductive_measure_validation_rejects_bad_law():
         InductiveMeasure(tree, {(): F(1, 2), (0,): F(1, 4), (1,): F(1, 4)})
 
 
+def test_inductive_measure_rejects_masses_beyond_its_depth():
+    # the law is checked only above the depth, so deeper masses are refused,
+    # not adopted unchecked: here the children of (0,) sum to 2/3
+    masses = {(): 1, (0,): F(1, 2), (1,): F(1, 2), (0, 0): F(1, 3), (0, 1): F(1, 3), (1, 0): F(1, 2), (1, 1): 0}
+    with pytest.raises(ValueError, match="beyond the materialized depth 1"):
+        InductiveMeasure(complete_binary_tree(2), masses, depth=1)
+    shallow = {t: m for t, m in masses.items() if len(t) <= 1}
+    assert InductiveMeasure(complete_binary_tree(2), shallow, depth=1).mass((0,)) == F(1, 2)
+
+
 def test_front_mass_is_one_and_below_mass():
     fam = uniform_height(3)
     m = induced_measure(fam)
