@@ -51,7 +51,6 @@ from .errors import (
     PTreeError,
     QPointError,
     RequiresExplicitFiniteTree,
-    SamplerStuck,
     SpecSyntaxError,
     SpecValidationError,
     TooDeep,

@@ -84,10 +84,6 @@ class QPointError(PTreeError):
     """The point is a shared cell endpoint; the descent map is undefined there."""
 
 
-class SamplerStuck(PTreeError):
-    """The sampler hit the redraw cap (only possible on degenerate inputs)."""
-
-
 class RequiresExplicitFiniteTree(PTreeError):
     """The operation is only meaningful for explicit finite trees."""
 

@@ -22,7 +22,6 @@ from .errors import (
     NotASubtree,
     QPointError,
     RequiresExplicitFiniteTree,
-    SamplerStuck,
 )
 from .measures import EdgeFamily, _walk, induced_measure
 from .paths import Path
@@ -116,18 +115,26 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
     fails: the inverse map is genuinely undefined on such points. A row
     that is not a probability distribution raises NotADistribution when
     the descent reaches it.
-
-    The descent is in integers: un/ud is y's position relative to the
-    current cell, kept unreduced, and each step maps the chosen child's
-    cell onto [0, 1].
     """
     y = as_fraction(y)
     un, ud = y.numerator, y.denominator  # ud > 0
     if not 0 <= un <= ud:
         raise ValueError("the point must lie in [0, 1]")
     _check_budget(family.tree, depth)
+    return _descend(family, un, 0, ud, depth)
+
+
+def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=None) -> Path:
+    """Descend with [un/ud, (un + wn)/ud), in unreduced coordinates of the current cell.
+
+    Each step takes the child cell that holds the lower end and maps it onto
+    [0, 1]. If the upper end spills past it, `refine(un, wn, ud)` narrows the
+    interval and the node is tried again. Only a point (wn = 0), which never
+    spills, can sit on a shared endpoint and raise QPointError.
+    """
+    y = un, ud  # named in QPointError messages
     t: Path = ()
-    for _ in range(depth):
+    while len(t) < depth:
         d = family._dist_unchecked(t)
         if d is None:
             break
@@ -137,22 +144,28 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
             x, rem = divmod(un * q, ud)
             i = bisect_right(lowers, x) - 1
             k, b, a = cells[i]
-            if i and rem == 0 and x == b:
-                raise QPointError(f"{y} is a shared cell endpoint")
-            un, ud = un * q - b * ud, (a - b) * ud
+            if (un + wn) * q > a * ud:  # the upper end spills past the cell
+                un, wn, ud = refine(un, wn, ud)
+                continue
+            if not wn and i and rem == 0 and x == b:
+                raise QPointError(f"{Fraction(*y)} is a shared cell endpoint")
+            un, wn, ud = un * q - b * ud, wn * q, (a - b) * ud
         else:
             vn = ud - un  # 1 - u = vn / ud
             if vn == 0:
-                raise QPointError(f"{y} is the limit endpoint of an infinite subdivision")
+                raise QPointError(f"{Fraction(*y)} is the limit endpoint of an infinite subdivision")
             if isinstance(d, PointMass):
                 k = d.index  # its cell is all of [0, 1]
             else:
                 rn, rd = d.ratio.numerator, d.ratio.denominator
                 k, pn, pd = _geometric_index(rn, rd, vn, ud)
-                if k and vn * pd == pn * ud:
-                    raise QPointError(f"{y} is a shared cell endpoint")
+                if (vn - wn) * pd * rd < pn * rn * ud:  # the upper end passes 1 - r^(k+1)
+                    un, wn, ud = refine(un, wn, ud)
+                    continue
+                if not wn and k and vn * pd == pn * ud:
+                    raise QPointError(f"{Fraction(*y)} is a shared cell endpoint")
                 # (u - (1 - r^k)) / ((1 - r) r^k), with 1 - u = vn / ud and r^k = pn / pd
-                un, ud = (pn * ud - vn * pd) * rd, (rd - rn) * pn * ud
+                un, wn, ud = (pn * ud - vn * pd) * rd, wn * rd * pd, (rd - rn) * pn * ud
         t = t + (k,)
     return t
 
@@ -300,32 +313,23 @@ def atom_gaps(family: EdgeFamily) -> tuple[Interval, ...]:
 
 
 _SAMPLE_BITS = 128
-_REDRAW_CAP = 100
 
 
 def sample_branches(family: EdgeFamily, seed: int, count: int, depth: int) -> list[Path]:
-    """Inverse-transform sampling: uniform dyadic points pushed through descent.
+    """Inverse-transform sampling: uniform reals pushed through descent.
 
-    Deterministic for a fixed seed. Points landing on shared cell
-    endpoints are redrawn; that happens with probability at most
-    |Q|·2^-128 per draw, so the redraw cap is unreachable for honest
-    inputs.
+    Deterministic for a fixed seed. A draw is a uniform real known to 128
+    bits; whenever its interval straddles two cells the next 128 bits are
+    appended (Knuth–Yao refinement), so draws are exact at any depth and
+    never stop on a shared cell endpoint.
     """
     _check_budget(family.tree, depth)
-    rng = random.Random(seed)
-    denominator = 1 << _SAMPLE_BITS
-    out: list[Path] = []
-    for _ in range(count):
-        for _attempt in range(_REDRAW_CAP):
-            y = Fraction(rng.getrandbits(_SAMPLE_BITS), denominator)
-            try:
-                out.append(locate_branch(family, y, depth))
-                break
-            except QPointError:
-                continue
-        else:
-            raise SamplerStuck(f"exceeded {_REDRAW_CAP} redraws; the family is degenerate")
-    return out
+    getrandbits = random.Random(seed).getrandbits
+
+    def refine(un: int, wn: int, ud: int) -> tuple[int, int, int]:
+        return (un << _SAMPLE_BITS) + wn * getrandbits(_SAMPLE_BITS), wn, ud << _SAMPLE_BITS
+
+    return [_descend(family, getrandbits(_SAMPLE_BITS), 1, 1 << _SAMPLE_BITS, depth, refine) for _ in range(count)]
 
 
 def cylinder_frequencies(samples: Iterable[Path], depth: int) -> dict[Path, float]:

@@ -179,7 +179,7 @@ def geometric_omega(depth_budget: int | None = None, ratio: FractionLike = Fract
         tree,
         lambda t: geo,
         name=name,
-        edge_prob_sup=max(1 - r, r),
+        edge_prob_sup=1 - r,  # child 0's mass, the largest
         everywhere_positive_rule=True,
     )
 

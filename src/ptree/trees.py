@@ -208,8 +208,7 @@ class GeneratedTree:
     def arity(self, t: Path) -> Arity:
         return self._arity_raw(self.require(t))
 
-    def _arity_unchecked(self, t: Path) -> Arity:
-        return self._arity_raw(t)
+    _arity_unchecked = _arity_raw
 
     def child_indices(self, t: Path) -> tuple[int, ...]:
         a = self.arity(t)

@@ -181,6 +181,14 @@ def test_env_budget_override(generator_spec, tmp_path, capsys, monkeypatch):
     assert main(["sample", "--tree", str(path), "--seed", "1", "--count", "1", "--depth", "4"]) == 0
 
 
+def test_sample_past_the_first_chunk(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(serialize_spec(uniform_binary(300)))
+    assert main(["sample", "--tree", str(path), "--seed", "1", "--count", "3", "--depth", "130"]) == 0
+    lines = capsys.readouterr().out.split()
+    assert len(lines) == 3 and all(len(line.split(".")) == 130 for line in lines)
+
+
 def _values_file(tmp_path, values):
     vfile = tmp_path / "vals.json"
     vfile.write_text(json.dumps(values))

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -20,7 +21,6 @@ from ptree import (
     PTreeError,
     QPointError,
     RequiresExplicitFiniteTree,
-    SamplerStuck,
     atom_gaps,
     branch_mass_bound,
     branch_window,
@@ -294,6 +294,13 @@ def test_freeness_uniform_certified():
     assert report.level_mass_bound == F(1, 2**20)
 
 
+def test_freeness_geometric_certified_by_its_largest_edge():
+    # child 0 carries the largest edge mass, 1 - r, so branch masses fall as (1 - r)^depth
+    report = freeness_report(geometric_omega(32, F(9, 10)), 10, F(1, 10**9))
+    assert report.verdict == FREE_CERTIFIED
+    assert report.level_mass_bound == F(1, 10) ** 10
+
+
 def test_freeness_dirac_atom():
     report = freeness_report(dirac(5, 32), 20, F(1, 2**10))
     assert report.verdict == ATOM_FOUND
@@ -361,15 +368,32 @@ def test_sampler_dirac_always_atom_path():
     assert samples == [(5, 5, 5, 5)] * 50
 
 
-def test_sampler_stuck_cap(monkeypatch):
-    import ptree.intervals as mod
+def hoeffding_radius(trials: int, failure: float = 1e-9) -> float:
+    """A mean of independent 0/1 trials is off by more than this with probability at most `failure`."""
+    return math.sqrt(math.log(2 / failure) / (2 * trials))
 
-    def always_qpoint(family, y, depth):
-        raise QPointError("forced")
 
-    monkeypatch.setattr(mod, "locate_branch", always_qpoint)
-    with pytest.raises(SamplerStuck):
-        mod.sample_branches(uniform_binary(8), seed=1, count=1, depth=2)
+@pytest.mark.parametrize(
+    "make, depth",
+    [
+        (lambda: uniform_binary(300), 200),
+        (lambda: geometric_omega(300, F(1, 2)), 150),
+        (lambda: geometric_omega(300, F(9, 10)), 150),
+    ],
+    ids=["uniform_binary-200", "geometric-1/2-150", "geometric-9/10-150"],
+)
+def test_sampler_is_exact_past_the_first_chunk(make, depth):
+    # past about 128 bits of depth every draw needs more than its first
+    # chunk; the family is built here so its arity cache dies with the test
+    family, count = make(), 200
+    child0 = family.edge_prob((), 0)  # every row is the same
+    samples = sample_branches(family, 3, count, depth)
+    assert all(len(t) == depth for t in samples)
+    last = sum(t[-1] == 0 for t in samples) / count
+    assert abs(last - child0) <= hoeffding_radius(count)
+    # the levels are independent, so the levels past the first chunk pool
+    deep = [t[i] == 0 for t in samples for i in range(130, depth)]
+    assert abs(sum(deep) / len(deep) - child0) <= hoeffding_radius(len(deep))
 
 
 def test_sampler_skewed_family_frequency():

@@ -10,7 +10,9 @@ pmfs, two `randint` calls and one `Fraction` per node for random trial
 trees, and, for descent, a walk over absolute `Fraction` cell ends that
 scans each finite row's cells and the child indices of closed-form nodes,
 and, for the order check, a test of every pair of encoded nodes. Results
-must be identical fractions and verdicts.
+must be identical fractions and verdicts. The sampler's interval descent is
+checked by enumeration instead: every string of 2-bit chunks, weighted by
+its probability, must give each branch exactly its `node_mass`.
 """
 
 import dataclasses
@@ -57,7 +59,7 @@ from ptree import (
     uniform_binary,
     verify_encoding,
 )
-from ptree import bernoulli, encoding
+from ptree import bernoulli, encoding, intervals
 from ptree.measures import _walk
 from ptree.paths import compatible, is_prefix
 
@@ -568,6 +570,45 @@ def test_locate_branch_matches_fraction_descent(rng, kind, r, short, long):
     for y in sorted(points):
         for d in {1, depth}:
             assert outcome(locate_branch, family, y, d) == outcome(fraction_locate_branch, family, y, d)
+
+
+def chunked_descent_masses(family, depth: int, chunks: int) -> dict:
+    """Every string of `chunks` 2-bit chunks, weighted 4^-chunks and summed
+    per branch, where a string's branch is the descent of its first chunk's
+    interval, refined with the next chunk whenever it spills."""
+    masses: dict = {}
+    for s in range(4**chunks):
+        digits = [(s >> 2 * i) & 3 for i in reversed(range(chunks))]  # first chunk first
+        feed = iter(digits[1:])
+
+        def refine_by_chunk(un, wn, ud, feed=feed):
+            return un * 4 + wn * next(feed), wn, ud * 4
+
+        t = intervals._descend(family, digits[0], 1, 4, depth, refine_by_chunk)
+        masses[t] = masses.get(t, F(0)) + F(1, 4**chunks)
+    return masses
+
+
+@pytest.mark.parametrize(
+    "family, depth, chunks",
+    [
+        (
+            EdgeFamily.from_table(
+                {(): ["1/4", "0", "3/4"], (0,): ["1/2", "1/2"], (2,): ["1/8", "5/8", "1/4"], (2, 1): ["0", "1"]}
+            ),
+            3,
+            4,
+        ),
+        (uniform_binary(16), 8, 5),
+    ],
+    ids=["explicit-with-zero-mass-child", "uniform_binary"],
+)
+def test_chunked_descent_is_exact_on_dyadic_families(family, depth, chunks):
+    # the sampler's oracle: with enough bits every cell end is a chunk
+    # boundary, so each branch gets exactly its mass
+    front = enumerate_front(family.tree, depth).nodes
+    expected = {t: node_mass(family, t) for t in front if node_mass(family, t) > 0}
+    assert chunked_descent_masses(family, depth, chunks) == expected
 
 
 def pairwise_order_ok(h) -> bool:
