@@ -115,7 +115,6 @@ from .trees import (
     ExplicitTree,
     Front,
     GeneratedTree,
-    TreeProfile,
     canonicalize,
     classify,
     complete_binary_tree,

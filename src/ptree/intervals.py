@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dists import ONE, ZERO, FiniteDist, PointMass, as_fraction
+from .dists import ONE, ZERO, FiniteDist, Geometric, PointMass, as_fraction
 from .errors import (
     MalformedClopen,
     NotASubtree,
@@ -263,10 +263,10 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
     """Certify freeness, exhibit an atom, or give up with a bound.
 
     An explicit finite tree always has an atom: its leaves carry all the
-    mass. A generated family is free when its edge probabilities are
-    uniformly below one on a tree with no maximal nodes, since every
-    branch mass is then at most (sup edge probability)^depth; a declared
-    forced child is a persistent atom.
+    mass. A generated family with a shared row has no maximal nodes; a
+    child of mass one in that row is a persistent atom, and otherwise every
+    branch mass is at most s^depth, s the row's largest edge mass. A rule
+    family gives no verdict and no bound.
     """
     epsilon = as_fraction(epsilon)
     tree = family.tree
@@ -282,18 +282,18 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
         bound = max(measure.mass(t) for t in front)
         return FreenessReport(depth, epsilon, ATOM_FOUND, bound, best)
 
-    if family.atom_child is not None:
-        witness = (family.atom_child,) * min(depth, tree.depth_budget)
-        return FreenessReport(depth, epsilon, ATOM_FOUND, ONE, witness)
-
-    sup = family.edge_prob_sup
-    profile = tree.profile
-    if sup is not None and sup < 1 and profile is not None and profile.perfect:
-        bound = sup**depth
-        if bound <= epsilon:
-            return FreenessReport(depth, epsilon, FREE_CERTIFIED, bound)
-        return FreenessReport(depth, epsilon, INCONCLUSIVE, bound)
-    return FreenessReport(depth, epsilon, INCONCLUSIVE, sup**depth if sup is not None else None)
+    if family.row is None:
+        return FreenessReport(depth, epsilon, INCONCLUSIVE)
+    row = family._dist_unchecked(())  # the shared row, checked to be a distribution
+    if isinstance(row, Geometric):
+        sup = 1 - row.ratio  # child 0's mass, the largest
+    else:
+        k = row.index if isinstance(row, PointMass) else max(row.support, key=row.mass)
+        sup = row.mass(k)
+        if sup == 1:
+            return FreenessReport(depth, epsilon, ATOM_FOUND, ONE, (k,) * min(depth, tree.depth_budget))
+    bound = sup**depth
+    return FreenessReport(depth, epsilon, FREE_CERTIFIED if bound <= epsilon else INCONCLUSIVE, bound)
 
 
 def atom_gaps(family: EdgeFamily) -> tuple[Interval, ...]:

@@ -28,7 +28,6 @@ from .trees import (
     ExplicitTree,
     Front,
     GeneratedTree,
-    TreeProfile,
     TreeShape,
     _check_budget,
     _check_front,
@@ -38,29 +37,30 @@ from .trees import (
 class EdgeFamily:
     """Per-node successor distributions over a tree.
 
-    Explicit families carry a distribution table; generated families carry
-    a rule. The optional metadata fields let named families answer global
-    questions (edge-probability bound, forced atom) without enumeration.
+    Explicit families carry a distribution table. Generated families carry
+    either one row shared by every node of a tree with a shared arity, or a
+    rule; a shared row lets named families answer global questions
+    (largest edge mass, forced atom) without enumeration.
     """
 
-    __slots__ = ("tree", "_dists", "name", "edge_prob_sup", "atom_child", "everywhere_positive_rule")
+    __slots__ = ("tree", "_dists", "row", "name")
 
     def __init__(
         self,
         tree: TreeShape,
-        dists: Union[Mapping[Path, Dist], Callable[[Path], Dist]],
+        dists: Union[Dist, Mapping[Path, Dist], Callable[[Path], Dist]],
         *,
         name: str | None = None,
-        edge_prob_sup: Fraction | None = None,
-        atom_child: int | None = None,
-        everywhere_positive_rule: bool | None = None,
     ):
         self.tree = tree
         self.name = name
-        self.edge_prob_sup = edge_prob_sup
-        self.atom_child = atom_child
-        self.everywhere_positive_rule = everywhere_positive_rule
-        if isinstance(dists, Mapping):
+        self.row = None
+        if isinstance(dists, (FiniteDist, Geometric, PointMass)):
+            arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
+            if not arity or dists.support != (OMEGA if arity is OMEGA else tuple(range(arity))):
+                raise ValueError(f"the shared row {dists!r} needs a generated tree of matching shared arity")
+            self.row, self._dists = dists, None
+        elif isinstance(dists, Mapping):
             table = {tuple(t): d for t, d in dists.items()}
             if not isinstance(tree, ExplicitTree):
                 raise ValueError("distribution tables require an explicit tree")
@@ -82,9 +82,12 @@ class EdgeFamily:
         return isinstance(self._dists, dict)
 
     def dist(self, t: Path) -> Dist:
+        """The row at t, as given: it may fail to be a distribution."""
         t = self.tree.require(tuple(t))
         if self.tree._arity_unchecked(t) == 0:
             raise UnknownNode(f"node {t} is maximal and has no successor distribution")
+        if self.row is not None:
+            return self.row
         return self._dists[t] if isinstance(self._dists, dict) else self._dists(t)
 
     def _dist_unchecked(self, t: Path) -> Dist | None:
@@ -93,16 +96,21 @@ class EdgeFamily:
         Every walk reads its rows here: a finite row that is not a
         probability distribution raises NotADistribution.
         """
-        if isinstance(self._dists, dict):
-            d = self._dists.get(t)
-        else:
-            d = self._dists(t) if self.tree._arity_unchecked(t) else None
+        d = self.row
+        if d is None:
+            if isinstance(self._dists, dict):
+                d = self._dists.get(t)
+            else:
+                d = self._dists(t) if self.tree._arity_unchecked(t) else None
         if d.__class__ is FiniteDist and not d.grid()[3]:
             raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
         return d
 
     def edge_prob(self, t: Path, k: int) -> Fraction:
-        return self.dist(t).mass(k)
+        """Mass of the edge from t to child k; the row must be a distribution."""
+        t = tuple(t)
+        self.dist(t)  # t is a node, and not a maximal one
+        return self._dist_unchecked(t).mass(k)
 
     def dist_table(self) -> Mapping[Path, Dist]:
         if not isinstance(self._dists, dict):
@@ -146,62 +154,21 @@ def _budget(depth_budget: int | None) -> int:
 
 def uniform_binary(depth_budget: int | None = None) -> EdgeFamily:
     """Fair coin at every node of the infinite binary tree."""
-    budget = _budget(depth_budget)
-    tree = GeneratedTree(
-        lambda t: 2,
-        budget,
-        name="uniform_binary",
-        profile=TreeProfile(well_pruned=True, finitely_branching=True, perfect=True),
-    )
-    half = FiniteDist([Fraction(1, 2), Fraction(1, 2)])
-    return EdgeFamily(
-        tree,
-        lambda t: half,
-        name="uniform_binary",
-        edge_prob_sup=Fraction(1, 2),
-        everywhere_positive_rule=True,
-    )
+    tree = GeneratedTree(2, _budget(depth_budget), name="uniform_binary")
+    return EdgeFamily(tree, FiniteDist([Fraction(1, 2), Fraction(1, 2)]), name="uniform_binary")
 
 
 def geometric_omega(depth_budget: int | None = None, ratio: FractionLike = Fraction(1, 2)) -> EdgeFamily:
     """Child k of every node gets mass (1-r)·r^k on the full omega-branching tree."""
-    budget = _budget(depth_budget)
-    r = as_fraction(ratio)
-    tree = GeneratedTree(
-        lambda t: OMEGA,
-        budget,
-        name="geometric_omega",
-        profile=TreeProfile(well_pruned=True, finitely_branching=False, perfect=True),
-    )
-    geo = Geometric(r)
-    name = "geometric_omega" if r == Fraction(1, 2) else f"geometric_omega({r})"
-    return EdgeFamily(
-        tree,
-        lambda t: geo,
-        name=name,
-        edge_prob_sup=1 - r,  # child 0's mass, the largest
-        everywhere_positive_rule=True,
-    )
+    geo = Geometric(ratio)
+    name = "geometric_omega" if geo.ratio == Fraction(1, 2) else f"geometric_omega({geo.ratio})"
+    return EdgeFamily(GeneratedTree(OMEGA, _budget(depth_budget), name="geometric_omega"), geo, name=name)
 
 
 def dirac(index: int = 5, depth_budget: int | None = None) -> EdgeFamily:
     """All mass on child `index` at every node of the omega-branching tree."""
-    budget = _budget(depth_budget)
-    tree = GeneratedTree(
-        lambda t: OMEGA,
-        budget,
-        name="dirac",
-        profile=TreeProfile(well_pruned=True, finitely_branching=False, perfect=True),
-    )
-    pm = PointMass(index)
-    return EdgeFamily(
-        tree,
-        lambda t: pm,
-        name=f"dirac({index})",
-        edge_prob_sup=ONE,
-        atom_child=index,
-        everywhere_positive_rule=False,
-    )
+    tree = GeneratedTree(OMEGA, _budget(depth_budget), name="dirac")
+    return EdgeFamily(tree, PointMass(index), name=f"dirac({index})")
 
 
 @dataclass(frozen=True)
@@ -451,9 +418,10 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     """Restrict the family to nodes of positive induced mass.
 
     The restricted tree keeps the original child indices, so the positive
-    part of a canonical family may be sparse. Generated families that are
-    positive everywhere come back unchanged; ones whose positive support
-    is finite at every node (point masses) are materialized up to `depth`.
+    part of a canonical family may be sparse. A generated family whose
+    shared row is positive on its whole support comes back unchanged; any
+    other must have finite positive support at every node (point masses)
+    and is materialized up to `depth`.
     """
     tree = family.tree
     if family.is_explicit:
@@ -462,7 +430,8 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
         dists = {t: family.dist(t).restrict(sub.child_indices(t)) for t in sub.nodes() if not sub.is_maximal(t)}
         return EdgeFamily(sub, dists), NullNodeSet(family, null)
 
-    if family.everywhere_positive_rule:
+    row = family.row
+    if row is not None and row.positive_support() == row.support:
         return family, NullNodeSet(family, None)
 
     limit = tree.depth_budget if depth is None else depth

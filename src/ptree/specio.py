@@ -23,8 +23,9 @@ from .trees import DEFAULT_DEPTH_BUDGET, ExplicitTree
 
 FORMAT_VERSION = 1
 
-_GENERATORS = ("uniform_binary", "geometric_omega", "dirac(k)")
+_GENERATORS = ("uniform_binary", "geometric_omega", "geometric_omega(r)", "dirac(k)")
 _DIRAC_RE = re.compile(r"^dirac\((\d+)\)$")
+_GEOMETRIC_RE = re.compile(r"geometric_omega\((.*)\)")
 
 
 def _parse_fraction(text: Any, path: str) -> Fraction:
@@ -46,6 +47,12 @@ def _build_generator(name: str, depth_budget: int) -> EdgeFamily:
     match = _DIRAC_RE.match(name)
     if match:
         return dirac(int(match.group(1)), depth_budget)
+    match = _GEOMETRIC_RE.fullmatch(name)
+    if match:
+        try:  # a ratio outside (0, 1), or one too long to write out as the family's name
+            return geometric_omega(depth_budget, _parse_fraction(match.group(1), ""))
+        except ValueError as exc:
+            raise SpecValidationError("", f"bad geometric ratio {match.group(1)!r}: {exc}") from None
     raise UnknownGenerator(f"unknown generator {name!r}; available: {', '.join(_GENERATORS)}")
 
 

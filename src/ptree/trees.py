@@ -139,63 +139,49 @@ class ExplicitTree:
         return f"ExplicitTree({self.node_count()} nodes, height {self.height})"
 
 
-@dataclass(frozen=True)
-class TreeProfile:
-    """Shape facts a generated tree declares about its whole extent."""
-
-    well_pruned: bool
-    finitely_branching: bool
-    perfect: bool
-
-
 class GeneratedTree:
-    """A tree backed by an arity rule, explored only up to a depth budget.
+    """A tree given by one arity shared by every node, or by an arity rule,
+    explored only up to a depth budget.
 
-    Arity lookups are memoized without a lock: the rule is required to be
-    deterministic, so a racing recompute stores the same value, and a dict
-    store is atomic.
+    A shared arity (an int >= 0 or OMEGA) fixes the whole shape, so it is
+    classified exactly. A rule maps each node to its arity; nothing is
+    memoized, so the rule is called at every lookup and must be
+    deterministic.
     """
 
-    __slots__ = ("_arity_fn", "depth_budget", "name", "profile", "_cache")
+    __slots__ = ("shared_arity", "_rule", "depth_budget", "name")
 
-    def __init__(
-        self,
-        arity_fn: Callable[[Path], Arity],
-        depth_budget: int,
-        name: str | None = None,
-        profile: TreeProfile | None = None,
-    ):
+    def __init__(self, arity: Arity | Callable[[Path], Arity], depth_budget: int, name: str | None = None):
         if depth_budget is None or depth_budget < 0:
             raise ValueError("generated trees need a nonnegative depth budget")
-        self._arity_fn = arity_fn
+        if callable(arity):
+            self.shared_arity, self._rule = None, arity
+        else:
+            self.shared_arity, self._rule = _checked_arity(arity, "every node"), None
         self.depth_budget = depth_budget
         self.name = name
-        self.profile = profile
-        self._cache: dict[Path, Arity] = {}
 
     @property
     def is_explicit(self) -> bool:
         return False
 
-    def _arity_raw(self, t: Path) -> Arity:
-        cached = self._cache.get(t)  # dict reads are atomic under the GIL
-        if cached is not None:
-            return cached
-        value = self._arity_fn(t)
-        if value is not OMEGA:
-            value = int(value)
-            if value < 0:
-                raise ValueError(f"negative arity at {t}")
-        self._cache[t] = value
-        return value
+    def _arity_unchecked(self, t: Path) -> Arity:
+        """Arity of a node known to be in the tree."""
+        a = self.shared_arity
+        return _checked_arity(self._rule(t), t) if a is None else a
 
     def contains(self, t: Path) -> bool:
         t = tuple(t)
         if len(t) > self.depth_budget:
             raise DepthBudgetExceeded(f"node {t} lies beyond the depth budget {self.depth_budget}")
+        a = self.shared_arity
+        if a is OMEGA:
+            return all(k >= 0 for k in t)
+        if a is not None:
+            return all(0 <= k < a for k in t)
         for i, k in enumerate(t):
-            a = self._arity_raw(t[:i])
-            if a is not OMEGA and k >= a:
+            a = self._arity_unchecked(t[:i])
+            if k < 0 or (a is not OMEGA and k >= a):
                 return False
         return True
 
@@ -206,9 +192,7 @@ class GeneratedTree:
         return t
 
     def arity(self, t: Path) -> Arity:
-        return self._arity_raw(self.require(t))
-
-    _arity_unchecked = _arity_raw
+        return self._arity_unchecked(self.require(t))
 
     def child_indices(self, t: Path) -> tuple[int, ...]:
         a = self.arity(t)
@@ -226,6 +210,15 @@ class GeneratedTree:
     def __repr__(self) -> str:
         label = self.name or "custom"
         return f"GeneratedTree({label}, budget {self.depth_budget})"
+
+
+def _checked_arity(a: Arity, where: object) -> Arity:
+    if a is OMEGA:
+        return a
+    a = int(a)
+    if a < 0:
+        raise ValueError(f"negative arity {a} at {where}")
+    return a
 
 
 TreeShape = Union[ExplicitTree, GeneratedTree]
@@ -393,9 +386,11 @@ def classify(tree: TreeShape, explore_depth: int | None = None) -> ClassifyRepor
     """Well-prunedness, branching, and perfectness of the tree.
 
     Explicit trees are classified exactly; a finite tree is never perfect
-    because nothing splits above a maximal node. Generated trees use their
-    declared profile when present; otherwise the answer is relative to an
-    exploration depth and marked inexact.
+    because nothing splits above a maximal node. So is a generated tree
+    with a shared arity: it is well pruned, finitely branching unless the
+    arity is OMEGA, and perfect unless it is 0. Otherwise, or when an
+    exploration depth is given, the answer is relative to that depth and
+    marked inexact.
     """
     if explore_depth is not None:
         _check_budget(tree, explore_depth)
@@ -410,12 +405,12 @@ def classify(tree: TreeShape, explore_depth: int | None = None) -> ClassifyRepor
             exact=True,
         )
 
-    if tree.profile is not None and explore_depth is None:
-        p = tree.profile
+    a = tree.shared_arity
+    if a is not None and explore_depth is None:
         return ClassifyReport(
-            well_pruned=p.well_pruned,
-            finitely_branching=p.finitely_branching,
-            perfect=p.perfect,
+            well_pruned=True,
+            finitely_branching=a is not OMEGA,
+            perfect=a != 0,
             height_or_budget=tree.depth_budget,
             exact=True,
         )

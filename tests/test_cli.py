@@ -332,3 +332,16 @@ def test_bound_p_outside_unit_interval_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def test_geometric_generator_spec_runs_and_a_bad_ratio_exits_1(tmp_path, capsys):
+    spec = tmp_path / "geo.json"
+    spec.write_text(json.dumps({"version": 1, "representation": "generator",
+                                "generator": "geometric_omega(9/10)", "depth_budget": 64}))
+    assert main(["classify", "--tree", str(spec)]) == 0
+    assert "perfect: True (exact)" in capsys.readouterr().out
+    assert main(["sample", "--tree", str(spec), "--seed", "1", "--count", "3", "--depth", "40"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    spec.write_text(json.dumps({"version": 1, "representation": "generator", "generator": "geometric_omega(1)"}))
+    assert main(["classify", "--tree", str(spec)]) == 1
+    assert "geometric ratio" in capsys.readouterr().err

@@ -322,9 +322,35 @@ def test_freeness_inconclusive_with_prob_one_edge():
     tree = GeneratedTree(lambda t: 2, depth_budget=16)
     forced = FiniteDist([F(1), F(0)])
     fair = FiniteDist([F(1, 2), F(1, 2)])
-    fam = EdgeFamily(tree, lambda t: forced if t == () else fair, edge_prob_sup=F(1))
+    fam = EdgeFamily(tree, lambda t: forced if t == () else fair)
     report = freeness_report(fam, 10, F(1, 4))
     assert report.verdict == INCONCLUSIVE
+
+
+def test_freeness_of_shared_rows():
+    def shared(row):
+        return EdgeFamily(GeneratedTree(2, depth_budget=16), FiniteDist(row))
+
+    atom = freeness_report(shared([F(1), F(0)]), 10, F(1, 4))
+    assert atom.verdict == ATOM_FOUND
+    assert atom.witness == (0,) * 10 and node_mass(shared([F(1), F(0)]), atom.witness) == 1
+    free = freeness_report(shared([F(1, 3), F(2, 3)]), 10, F(1, 50))
+    assert free.verdict == FREE_CERTIFIED
+    assert free.level_mass_bound == F(2, 3) ** 10
+    shallow = freeness_report(shared([F(1, 3), F(2, 3)]), 3, F(1, 50))
+    assert shallow.verdict == INCONCLUSIVE and shallow.level_mass_bound == F(2, 3) ** 3
+
+
+def test_freeness_of_a_rule_family_is_inconclusive_without_a_bound():
+    fair = FiniteDist([F(1, 2), F(1, 2)])
+    report = freeness_report(EdgeFamily(GeneratedTree(lambda t: 2, 16), lambda t: fair), 10, F(1, 4))
+    assert report.verdict == INCONCLUSIVE and report.level_mass_bound is None
+
+
+def test_freeness_refuses_a_shared_row_that_is_not_a_distribution():
+    fam = EdgeFamily(GeneratedTree(2, depth_budget=16), FiniteDist(["1/3", "1/3"]))
+    with pytest.raises(NotADistribution, match=r"node \(\)"):
+        freeness_report(fam, 10, F(1, 4))
 
 
 def test_atom_gaps():

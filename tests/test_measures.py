@@ -10,6 +10,8 @@ from ptree import (
     FiniteDist,
     Front,
     GeneralPair,
+    GeneratedTree,
+    Geometric,
     InductiveMeasure,
     InfiniteLevel,
     MalformedPair,
@@ -33,6 +35,8 @@ from ptree import (
     uniform_binary,
     validate_edge_family,
 )
+
+from ptree.paths import OMEGA
 
 from corpus import random_family, random_tree
 
@@ -231,6 +235,53 @@ def test_positive_part_everywhere_positive_generated():
     pos, null = positive_part(fam)
     assert pos is fam
     assert (2, 2) not in null
+
+
+def test_positive_part_of_a_shared_row_with_a_zero_edge_is_materialized():
+    fam = EdgeFamily(GeneratedTree(2, depth_budget=8), FiniteDist(["1", "0"]))
+    pos, null = positive_part(fam, depth=3)
+    assert pos is not fam
+    assert set(pos.tree.nodes()) == {(), (0,), (0, 0), (0, 0, 0)}
+    assert (0, 1) in null and (0, 0) not in null
+
+
+@pytest.mark.parametrize(
+    "tree, row",
+    [
+        (GeneratedTree(2, 8), FiniteDist(["1/3", "1/3", "1/3"])),
+        (GeneratedTree(3, 8), FiniteDist({0: "1/2", 2: "1/2"})),
+        (GeneratedTree(OMEGA, 8), FiniteDist(["1/2", "1/2"])),
+        (GeneratedTree(2, 8), Geometric("1/2")),
+        (GeneratedTree(0, 8), FiniteDist([])),
+        (GeneratedTree(lambda t: 2, 8), FiniteDist(["1/2", "1/2"])),
+        (complete_binary_tree(2), FiniteDist(["1/2", "1/2"])),
+    ],
+    ids=["short-row", "sparse-row", "finite-row-on-omega", "geometric-on-binary", "arity-0", "rule-tree", "explicit"],
+)
+def test_a_shared_row_must_match_the_shared_arity(tree, row):
+    with pytest.raises(ValueError, match="shared row"):
+        EdgeFamily(tree, row)
+
+
+def test_a_shared_row_is_read_at_every_node():
+    fam = EdgeFamily(GeneratedTree(OMEGA, 8), Geometric("1/3"))
+    assert fam.row == Geometric("1/3") and fam.dist((4, 0, 7)) is fam.row
+    assert node_mass(fam, (1, 0)) == F(2, 3) * F(1, 3) * F(2, 3)
+    assert uniform_binary(4).row == FiniteDist(["1/2", "1/2"])
+    assert EdgeFamily.from_table({(): ["1/2", "1/2"]}).row is None
+
+
+def test_edge_prob_refuses_a_row_that_is_not_a_distribution():
+    fam = EdgeFamily.from_table({(): ["1/3", "1/3"]})
+    with pytest.raises(NotADistribution) as info:
+        fam.edge_prob((), 0)
+    with pytest.raises(NotADistribution) as walked:
+        node_mass(fam, (0,))
+    assert str(info.value) == str(walked.value)
+    assert fam.dist(()).masses == (F(1, 3), F(1, 3))  # the raw row stays readable
+    assert EdgeFamily.from_table({(): ["1/3", "2/3"]}).edge_prob((), 1) == F(2, 3)
+    with pytest.raises(UnknownNode):
+        fam.edge_prob((0,), 0)
 
 
 def test_positive_part_idempotent():

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -121,6 +122,33 @@ def test_round_trip_generators_stay_generators():
         assert '"generator"' in text
         assert "nodes" not in text
         assert parse_spec(text) == fam
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [geometric_omega(8, Fraction(1, 2)), geometric_omega(8, Fraction(9, 10)), dirac(3, 8)],
+    ids=["geometric-1/2", "geometric-9/10", "dirac-3"],
+)
+def test_round_trip_named_rows(fam):
+    back = parse_spec(serialize_spec(fam))
+    assert back == fam
+    assert back.row == fam.row and back.tree.depth_budget == 8
+
+
+def test_geometric_ratio_is_read_exactly():
+    fam = parse_spec(_generator_doc("geometric_omega(0.9)"))
+    assert fam == geometric_omega(32, Fraction(9, 10))
+    assert fam.row.ratio == Fraction(9, 10)
+
+
+def _generator_doc(name):
+    return json.dumps({"version": 1, "representation": "generator", "generator": name})
+
+
+@pytest.mark.parametrize("ratio", ["0", "1", "3/2", "-1/2", "1/0", "abc", "", "0.5.5", "1e-5000"])
+def test_bad_geometric_ratio_is_a_spec_error(ratio):
+    with pytest.raises(SpecValidationError, match="geometric ratio|not an exact fraction"):
+        parse_spec(_generator_doc(f"geometric_omega({ratio})"))
 
 
 def test_serializer_always_emits_root():

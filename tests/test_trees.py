@@ -166,9 +166,9 @@ def test_is_front_deeper_than_the_recursion_limit():
     comb = {(0,) * i + (1,) for i in range(depth)} | {(0,) * depth}
     children = {(0,) * i: (0, 1) for i in range(depth)}
     children.update({t: () for t in comb})
-    tree = ExplicitTree(children)
-    assert is_front(tree, comb)
-    assert not is_front(tree, comb - {(0,) * 700 + (1,)})
+    for tree in (ExplicitTree(children), uniform_binary(2000).tree):
+        assert is_front(tree, comb)
+        assert not is_front(tree, comb - {(0,) * 700 + (1,)})
 
 
 def test_invalid_front_raises_on_every_call():
@@ -272,6 +272,31 @@ def test_classify_generated_without_profile():
     stunted = GeneratedTree(lambda t: 0 if t == (0,) else 2, depth_budget=16)
     report = classify(stunted)
     assert not report.well_pruned and not report.perfect
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2, 3, OMEGA], ids=["0", "1", "2", "3", "omega"])
+def test_classify_shared_arity_is_exact_and_agrees_with_exploring(arity):
+    report = classify(GeneratedTree(arity, depth_budget=6))
+    assert report.exact and report.height_or_budget == 6
+    for d in range(5):
+        explored = classify(GeneratedTree(lambda t: arity, depth_budget=6), explore_depth=d)
+        assert not explored.exact
+        flags = (explored.well_pruned, explored.finitely_branching, explored.perfect)
+        assert (report.well_pruned, report.finitely_branching, report.perfect) == flags
+
+
+def test_generated_tree_rejects_a_negative_arity():
+    with pytest.raises(ValueError, match="negative arity"):
+        GeneratedTree(-1, depth_budget=8)
+    with pytest.raises(ValueError, match="negative arity"):
+        GeneratedTree(lambda t: -1, depth_budget=8).arity(())
+
+
+def test_generated_tree_rejects_negative_child_indices():
+    for tree in (uniform_binary(4).tree, geometric_omega(4).tree, GeneratedTree(lambda t: 2, 4)):
+        assert not tree.contains((0, -1))
+        with pytest.raises(UnknownNode):
+            tree.require((-1,))
 
 
 def test_generated_tree_membership_and_budget():
