@@ -47,6 +47,7 @@ from .errors import (
     NotALeaf,
     NotASubtree,
     NotATrialTree,
+    OversizedValue,
     PreconditionFrontMismatch,
     PTreeError,
     QPointError,

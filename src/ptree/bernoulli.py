@@ -29,7 +29,7 @@ from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterator, Mapping, Union
 
-from .dists import FiniteDist, FractionLike, ONE, ZERO, as_fraction
+from .dists import FiniteDist, FractionLike, ONE, ZERO, as_fraction, show
 from .errors import HypothesisViolated, NotADistribution, NotALeaf, NotATrialTree, TooDeep, UnknownNode
 from .measures import EdgeFamily, node_mass
 from .paths import Path
@@ -128,7 +128,7 @@ class DependentTrialTree:
         for t, i in _preorder(trials):
             p = as_fraction(getter(t))
             if not 0 <= p.numerator <= p.denominator:
-                raise NotATrialTree(f"success probability at {t} is {p}, outside [0, 1]")
+                raise NotATrialTree(f"success probability at {t} is {show(p)}, outside [0, 1]")
             nums[i], dens[i] = p.numerator, p.denominator
         return cls._from_ints(trials, nums, dens)
 
@@ -226,7 +226,7 @@ def _binomial_numerators(n: int, p: Fraction) -> tuple[list[int], int]:
     if n < 0:
         raise NotATrialTree(f"the number of trials must be nonnegative, got {n}")
     if not 0 <= p <= 1:
-        raise NotADistribution(f"the success probability {p} does not lie in [0, 1]")
+        raise NotADistribution(f"the success probability {show(p)} does not lie in [0, 1]")
     a, d = p.numerator, p.denominator
     return [math.comb(n, k) * a**k * (d - a) ** (n - k) for k in range(n + 1)], d**n
 
@@ -284,7 +284,7 @@ def dominance_check(trial_tree: DependentTrialTree, p: FractionLike) -> Dominanc
     if below:
         t = next(t for t in sorted(trial_tree.interior_nodes()) if trial_tree.success_prob(t) < p)
         raise HypothesisViolated(
-            t, f"success probability {trial_tree.success_prob(t)} at {t} is below {p}"
+            t, f"success probability {show(trial_tree.success_prob(t))} at {t} is below {show(p)}"
         )
     binomial, binomial_den = _binomial_numerators(n, p)
     rows = []
@@ -313,7 +313,7 @@ def cell_volume(trial_tree: DependentTrialTree, leaf: Path) -> Fraction:
         volume *= p if bit == 0 else 1 - p
     mass = node_mass(trial_tree.family, leaf)
     if volume != mass:
-        raise AssertionError(f"cell volume {volume} disagrees with leaf mass {mass}")
+        raise AssertionError(f"cell volume {show(volume)} disagrees with leaf mass {show(mass)}")
     return volume
 
 
@@ -336,7 +336,7 @@ def random_trial_tree(
     lo = as_fraction(min_p)
     if not (0 <= lo <= 1 and isinstance(denominator_bound, int) and denominator_bound >= 1):
         raise NotATrialTree(
-            f"need 0 <= min_p <= 1 and an int denominator_bound >= 1, got {lo} and {denominator_bound!r}"
+            f"need 0 <= min_p <= 1 and an int denominator_bound >= 1, got {show(lo)} and {denominator_bound!r}"
         )
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     getrandbits, gcd, bound_bits = rng.getrandbits, math.gcd, denominator_bound.bit_length()

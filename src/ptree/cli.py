@@ -20,7 +20,7 @@ from .bernoulli import (
     flip_success_convention,
     random_trial_tree,
 )
-from .errors import PTreeError
+from .errors import PTreeError, SpecValidationError
 from .expectation import FrontVariable, expect, relative_expect
 from .intervals import (
     cylinder_frequencies,
@@ -63,9 +63,9 @@ def _load_family(path: str) -> EdgeFamily:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact fraction: {text!r}") from None
+        return _parse_fraction(text, "")
+    except SpecValidationError as exc:
+        raise argparse.ArgumentTypeError(exc.reason) from None
 
 
 @functools.cache

@@ -9,18 +9,26 @@ never need enumeration.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InexactValue
+from .errors import InexactValue, OversizedValue
 from .paths import OMEGA
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
 FractionLike = Union[Fraction, int, str]
+
+# A string is read only when it is short and its decimal exponent small:
+# CPython parses at most 4,300 digits, and 10^10,000 already has 33,220 bits.
+MAX_CHARS = 4_000
+MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
+SHOWN_BITS = 1_024
 
 
 def as_fraction(value: FractionLike) -> Fraction:
@@ -29,7 +37,26 @@ def as_fraction(value: FractionLike) -> Fraction:
         return value
     if isinstance(value, float):
         raise InexactValue(f"{value!r} is a float; give an exact value such as the string {str(value)!r}")
+    if isinstance(value, str) and (
+        len(value) > MAX_CHARS or ((e := _EXPONENT.search(value)) and abs(int(e[1])) > MAX_EXPONENT)
+    ):
+        raise OversizedValue(f"fraction string {value[:40]!r}: over {MAX_CHARS} characters, or an exponent beyond ±{MAX_EXPONENT}")
     return Fraction(value)
+
+
+def show(x: Fraction) -> str:
+    """x as text for messages and names; past 1,024 bits, its size: str() fails past 4,300 digits."""
+    n, d = x.numerator.bit_length(), x.denominator.bit_length()
+    return str(x) if max(n, d) <= SHOWN_BITS else f"{'-' * (x < 0)}~2^{n - d} ({n}-bit/{d}-bit fraction)"
+
+
+def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of n/d over (n, d) pairs, d > 0: numerators added per d, then over one lcm, one gcd."""
+    groups: dict[int, int] = {}
+    for n, d in terms:
+        groups[d] = groups.get(d, 0) + n
+    q = math.lcm(*groups)
+    return Fraction(sum(n * (q // d) for d, n in groups.items()), q)
 
 
 class FiniteDist:
@@ -74,6 +101,15 @@ class FiniteDist:
         q, _, _, _, runs = self.grid()
         return Fraction(runs[bisect_left(self._items, k, key=itemgetter(0))], q)
 
+    def cell(self, k: int) -> tuple[int, int, int]:
+        """Child k's cell [b/q, (b + c)/q) in [0, 1], as unreduced integers (b, c, q)."""
+        q, _, _, _, runs = self.grid()
+        items = self._items
+        i = k if k < len(items) and items[k][0] == k else bisect_left(items, k, key=itemgetter(0))
+        if i == len(items) or items[i][0] != k:
+            raise ValueError(f"child index {k} not in distribution support {self.indices}")
+        return runs[i], runs[i + 1] - runs[i], q
+
     @property
     def total(self) -> Fraction:
         q, _, _, _, runs = self.grid()
@@ -107,8 +143,8 @@ class FiniteDist:
             return None
         for k, m in self._items:
             if not 0 <= m <= 1:
-                return f"child {k} has mass {m} outside [0, 1]"
-        return f"masses sum to {self.total}, not 1"
+                return f"child {k} has mass {show(m)} outside [0, 1]"
+        return f"masses sum to {show(self.total)}, not 1"
 
     def positive_support(self) -> tuple[int, ...]:
         return tuple(j for j, m in self._items if m > 0)
@@ -127,11 +163,26 @@ class FiniteDist:
         return hash(self._items)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{j}: {m}" for j, m in self._items)
+        body = ", ".join(f"{j}: {show(m)}" for j, m in self._items)
         return f"FiniteDist({{{body}}})"
 
 
-class Geometric:
+class _ClosedForm:
+    """Countably many children, total mass one; child k's mass and prefix mass come from `cell(k)`."""
+
+    __slots__ = ()
+    support = OMEGA
+    total = ONE
+
+    def mass(self, k: int) -> Fraction:
+        return Fraction(*self.cell(k)[1:])
+
+    def prefix_mass(self, k: int) -> Fraction:
+        b, _, q = self.cell(k)
+        return Fraction(b, q)
+
+
+class Geometric(_ClosedForm):
     """Closed form over countably many children: child k has mass (1-r)·r^k."""
 
     __slots__ = ("ratio",)
@@ -142,19 +193,11 @@ class Geometric:
             raise ValueError("geometric ratio must lie strictly between 0 and 1")
         self.ratio = r
 
-    @property
-    def support(self):
-        return OMEGA
-
-    def mass(self, k: int) -> Fraction:
-        return (1 - self.ratio) * self.ratio**k
-
-    def prefix_mass(self, k: int) -> Fraction:
-        return 1 - self.ratio**k
-
-    @property
-    def total(self) -> Fraction:
-        return ONE
+    def cell(self, k: int) -> tuple[int, int, int]:
+        """Child k's cell [1 - r^k, 1 - r^(k+1)) as (b, c, q) over q = rd^(k+1), for r = rn/rd."""
+        rn, rd = self.ratio.numerator, self.ratio.denominator
+        pn, pd = rn**k, rd**k
+        return (pd - pn) * rd, (rd - rn) * pn, pd * rd
 
     def positive_support(self):
         return OMEGA
@@ -166,10 +209,10 @@ class Geometric:
         return hash(("geometric", self.ratio))
 
     def __repr__(self) -> str:
-        return f"Geometric({self.ratio})"
+        return f"Geometric({show(self.ratio)})"
 
 
-class PointMass:
+class PointMass(_ClosedForm):
     """Closed form over countably many children: all mass on one child."""
 
     __slots__ = ("index",)
@@ -179,19 +222,9 @@ class PointMass:
             raise ValueError("negative child index")
         self.index = index
 
-    @property
-    def support(self):
-        return OMEGA
-
-    def mass(self, k: int) -> Fraction:
-        return ONE if k == self.index else ZERO
-
-    def prefix_mass(self, k: int) -> Fraction:
-        return ONE if k > self.index else ZERO
-
-    @property
-    def total(self) -> Fraction:
-        return ONE
+    def cell(self, k: int) -> tuple[int, int, int]:
+        """Child k's cell: [0, 1] for the index, a point at 0 or 1 for every other child."""
+        return int(k > self.index), int(k == self.index), 1
 
     def positive_support(self) -> tuple[int, ...]:
         return (self.index,)

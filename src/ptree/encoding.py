@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .dists import ONE, ZERO, FiniteDist
+from .dists import FiniteDist, fraction_sum
 from .errors import DepthBudgetExceeded, EncodingMismatch, InfiniteLevel, UnknownNode
-from .intervals import Interval, _child_cell
+from .intervals import Interval
 from .measures import (
     EdgeFamily,
     GeneralPair,
@@ -90,24 +90,16 @@ def encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> InductiveMeasure
     """
     if enc.source is not family.tree and enc.source != family.tree:
         raise EncodingMismatch("the encoding was built from a different tree")
-    source_mass = _walk(family, enc.h)
+    source_cells = _walk(family, enc.h)
     masses: dict[Path, Fraction] = {}
     for s in enc.image.nodes():
         if s in enc.preimages:
-            masses[s] = source_mass[enc.preimages[s][0]]
+            masses[s] = Fraction(*source_cells[enc.preimages[s][0]][1:])
             continue
-        anchor = None
-        for plen in range(len(s) - 1, -1, -1):
-            if s[:plen] in enc.preimages:
-                anchor = s[:plen]
-                break
+        anchor = next(s[:n] for n in range(len(s) - 1, -1, -1) if s[:n] in enc.preimages)
         # the longest preimage below s; unique because deeper preimages collapse chains
         t = enc.preimages[anchor][-1]
-        total = ZERO
-        for child in family.tree.children(t):
-            if child in enc.h and is_prefix(s, enc.h[child]):
-                total += source_mass[child]
-        masses[s] = total
+        masses[s] = fraction_sum(source_cells[c][1:] for c in family.tree.children(t) if c in enc.h and is_prefix(s, enc.h[c]))
     return InductiveMeasure(enc.image, masses)
 
 
@@ -158,15 +150,13 @@ def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
     """`verify_encoding` on an encoding already built from the family's tree."""
     failures: list[str] = []
 
-    inductive_ok = True
     try:
         measure = encoded_measure(family, enc)
     except ValueError as exc:
-        inductive_ok = False
         failures.append(f"pushed measure violates the inductive law: {exc}")
         measure = None
 
-    intervals_ok = True
+    inductive_ok = intervals_ok = measure is not None
     if measure is not None:
         image_tree = measure.tree
         positive, null = split_measure(measure)
@@ -174,16 +164,14 @@ def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
             t for t in null if not image_tree.is_maximal(t)
         )))
         image_family = family_from_pair(pair)
-        # (lower end, width) of every source cell and every image cell
-        src_cells = _walk(family, enc.h, step=_child_cell, init=(ZERO, ONE))
-        img_cells = _walk(image_family, enc.h.values(), step=_child_cell, init=(ZERO, ONE))
+        src_cells = _walk(family, enc.h)
+        img_cells = _walk(image_family, enc.h.values())
         for t, s in enc.h.items():
-            if src_cells[t] != img_cells[s]:
+            (a, w, q), (b, v, r) = src_cells[t], img_cells[s]
+            if a * r != b * q or w * r != v * q:  # the same cell, compared unreduced
                 intervals_ok = False
-                (a, w), (b, v) = src_cells[t], img_cells[s]
-                failures.append(f"interval mismatch at {t}: {Interval(a, a + w)} vs {Interval(b, b + v)} at image {s}")
-    else:
-        intervals_ok = False
+                src, img = Interval(Fraction(a, q), Fraction(a + w, q)), Interval(Fraction(b, r), Fraction(b + v, r))
+                failures.append(f"interval mismatch at {t}: {src} vs {img} at image {s}")
 
     # Extension is transitive, and two incompatible nodes extend two
     # distinct siblings below their meet, whose images' extensions stay
@@ -208,8 +196,7 @@ def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
 
     image_shape_ok = True
     for s in enc.image.nodes():
-        a = len(enc.image.child_indices(s))
-        if a == 1:
+        if len(enc.image.child_indices(s)) == 1:
             image_shape_ok = False
             failures.append(f"image node {s} has a single child")
     for s in enc.image.max_nodes():

@@ -76,6 +76,10 @@ class InexactValue(PTreeError, TypeError):
     """A float where an exact value is needed: it would enter as its binary value."""
 
 
+class OversizedValue(PTreeError, ValueError):
+    """A fraction string too long, or with too large a decimal exponent, to read exactly."""
+
+
 class NotADistribution(PTreeError, ValueError):
     """Masses that are not a probability distribution: one is negative, or they do not sum to one."""
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .dists import FractionLike, ZERO, as_fraction
+from .dists import FractionLike, as_fraction, fraction_sum
 from .errors import NodeNotBelowFront, NotAFront, PreconditionFrontMismatch
 from .measures import EdgeFamily, InductiveMeasure, _walk
 from .paths import Path, is_prefix
@@ -51,7 +51,8 @@ class FrontVariable:
 def expect(measure: InductiveMeasure, variable: FrontVariable) -> Fraction:
     """Expectation of the variable under the front restriction of the measure."""
     _check_front(measure.tree, variable.front, "the variable's front")
-    return sum((variable(s) * measure.mass(s) for s in variable.front.nodes), ZERO)
+    terms = ((variable(s), measure.mass(s)) for s in variable.front.nodes)
+    return fraction_sum((v.numerator * m.numerator, v.denominator * m.denominator) for v, m in terms)
 
 
 def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Optional[tuple]:
@@ -147,8 +148,9 @@ class TowerReport:
 def _tower_case(family: EdgeFamily, variable: FrontVariable, t: Path, inner) -> TowerCase:
     """E[X | t] against the sum of w(t, s) × E[X | s] over the intermediate
     nodes s extending t, which lie at or above the variable's front."""
-    weights = _walk(family, inner, start=t)
-    rhs = sum((w * _conditional(family, variable, s)[0] for s, w in weights.items()), ZERO)
+    cells = _walk(family, inner, start=t)
+    terms = ((w, q, _conditional(family, variable, s)[0]) for s, (_, w, q) in cells.items())
+    rhs = fraction_sum((w * e.numerator, q * e.denominator) for w, q, e in terms)
     return TowerCase(t, _conditional(family, variable, t)[0], rhs)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dists import ONE, ZERO, FiniteDist, Geometric, PointMass, as_fraction
+from .dists import ONE, FiniteDist, Geometric, PointMass, as_fraction, fraction_sum, show
 from .errors import (
     MalformedClopen,
     NotASubtree,
@@ -37,20 +37,14 @@ class Interval(NamedTuple):
         return self.upper - self.lower
 
     def __str__(self) -> str:
-        return f"[{self.lower}, {self.upper}]"
-
-
-def _child_cell(cell: tuple[Fraction, Fraction], d, k: int) -> tuple[Fraction, Fraction]:
-    """(lower end, width) of child k's cell inside the parent's cell."""
-    lower, width = cell
-    return lower + width * d.prefix_mass(k), width * d.mass(k)
+        return f"[{show(self.lower)}, {show(self.upper)}]"
 
 
 def node_interval(family: EdgeFamily, t: Path) -> Interval:
     """Endpoints of the cell assigned to t; its width is the mass of t."""
     t = tuple(t)
-    lower, width = _walk(family, (t,), step=_child_cell, init=(ZERO, ONE))[t]
-    return Interval(lower, lower + width)
+    lo, w, q = _walk(family, (t,))[t]
+    return Interval(Fraction(lo, q), Fraction(lo + w, q))
 
 
 @dataclass(frozen=True)
@@ -148,12 +142,12 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
                 un, wn, ud = refine(un, wn, ud)
                 continue
             if not wn and i and rem == 0 and x == b:
-                raise QPointError(f"{Fraction(*y)} is a shared cell endpoint")
+                raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
             un, wn, ud = un * q - b * ud, wn * q, (a - b) * ud
         else:
             vn = ud - un  # 1 - u = vn / ud
             if vn == 0:
-                raise QPointError(f"{Fraction(*y)} is the limit endpoint of an infinite subdivision")
+                raise QPointError(f"{show(Fraction(*y))} is the limit endpoint of an infinite subdivision")
             if isinstance(d, PointMass):
                 k = d.index  # its cell is all of [0, 1]
             else:
@@ -163,7 +157,7 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
                     un, wn, ud = refine(un, wn, ud)
                     continue
                 if not wn and k and vn * pd == pn * ud:
-                    raise QPointError(f"{Fraction(*y)} is a shared cell endpoint")
+                    raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
                 # (u - (1 - r^k)) / ((1 - r) r^k), with 1 - u = vn / ud and r^k = pn / pd
                 un, wn, ud = (pn * ud - vn * pd) * rd, wn * rd * pd, (rd - rn) * pn * ud
         t = t + (k,)
@@ -182,7 +176,7 @@ def clopen_mass(family: EdgeFamily, selection: ClopenSelection) -> Fraction:
             raise MalformedClopen(f"selected node {s} lies beyond front level {n}")
         if len(s) < n and not family.tree.is_maximal(s):
             raise MalformedClopen(f"selected node {s} is neither at level {n} nor maximal")
-    total = sum(_walk(family, selection.selected).values(), ZERO)
+    total = fraction_sum((w, q) for _, w, q in _walk(family, selection.selected).values())
     return 1 - total if selection.complemented else total
 
 
@@ -227,7 +221,7 @@ def subtree_mass_bound(
     for m in range(depth + 1):
         front = {t for t in members if len(t) == m}
         front |= {t for t in leaves if len(t) < m}
-        values.append(sum(_walk(family, front).values(), ZERO))
+        values.append(fraction_sum((w, q) for _, w, q in _walk(family, front).values()))
     nonincreasing = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
     return SubtreeMassReport(tuple(values), nonincreasing)
 
@@ -238,8 +232,7 @@ def branch_mass_bound(family: EdgeFamily, x: Path, n: int) -> tuple[Fraction, bo
     The prefix mass bounds the point mass of the branch from above; once a
     prefix has mass zero the limit is exactly zero.
     """
-    window = branch_window(family, x, n)
-    mass = window.width
+    mass = branch_window(family, x, n).width
     return mass, mass == 0
 
 
@@ -272,10 +265,7 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
     tree = family.tree
     if isinstance(tree, ExplicitTree):
         measure = induced_measure(family)
-        best: Path | None = None
-        for t in tree.max_nodes():
-            if measure.mass(t) > 0 and (best is None or measure.mass(t) > measure.mass(best)):
-                best = t
+        best = max((t for t in tree.max_nodes() if measure.mass(t) > 0), key=measure.mass, default=None)
         # total leaf mass is one, so an explicit tree always has an atom
         d = min(depth, tree.height)
         front = set(tree.level_nodes(d)) | {t for t in tree.max_nodes() if len(t) < d}
@@ -305,11 +295,8 @@ def atom_gaps(family: EdgeFamily) -> tuple[Interval, ...]:
     if not isinstance(family.tree, ExplicitTree):
         raise RequiresExplicitFiniteTree("atom gaps are defined for explicit finite trees")
     measure = induced_measure(family)
-    gaps = []
-    for t in sorted(family.tree.max_nodes()):
-        if measure.mass(t) > 0:
-            gaps.append(node_interval(family, t))
-    return tuple(gaps)
+    cells = _walk(family, (t for t in family.tree.max_nodes() if measure.mass(t) > 0))
+    return tuple(Interval(Fraction(lo, q), Fraction(lo + w, q)) for lo, w, q in cells.values())
 
 
 _SAMPLE_BITS = 128

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .dists import Dist, FiniteDist, FractionLike, Geometric, PointMass, ONE, ZERO, as_fraction
+from .dists import Dist, FiniteDist, FractionLike, Geometric, PointMass, ONE, ZERO, as_fraction, fraction_sum, show
 from .errors import (
     DepthBudgetExceeded,
     InfiniteLevel,
@@ -132,16 +132,14 @@ class EdgeFamily:
             return NotImplemented
         if self.is_explicit and other.is_explicit:
             return self.tree == other.tree and self._dists == other._dists
-        if self.is_explicit != other.is_explicit:
-            return False
-        if self.name is not None and other.name is not None:
-            return self.name == other.name and self.tree.depth_budget == other.tree.depth_budget
-        return self is other
+        if self.row is not None and other.row is not None:  # a shared row fixes the shared arity
+            return self.row == other.row and self.tree.depth_budget == other.tree.depth_budget
+        return self is other  # rule families, and explicit against generated
 
     def __hash__(self) -> int:
         if self.is_explicit:
             return hash((self.tree, frozenset(self._dists.items())))
-        return hash((self.name, self.tree.depth_budget))
+        return hash((self.row, self.tree.depth_budget)) if self.row is not None else id(self)
 
     def __repr__(self) -> str:
         kind = "explicit" if self.is_explicit else (self.name or "generated")
@@ -161,7 +159,7 @@ def uniform_binary(depth_budget: int | None = None) -> EdgeFamily:
 def geometric_omega(depth_budget: int | None = None, ratio: FractionLike = Fraction(1, 2)) -> EdgeFamily:
     """Child k of every node gets mass (1-r)·r^k on the full omega-branching tree."""
     geo = Geometric(ratio)
-    name = "geometric_omega" if geo.ratio == Fraction(1, 2) else f"geometric_omega({geo.ratio})"
+    name = "geometric_omega" if geo.ratio == Fraction(1, 2) else f"geometric_omega({show(geo.ratio)})"
     return EdgeFamily(GeneratedTree(OMEGA, _budget(depth_budget), name="geometric_omega"), geo, name=name)
 
 
@@ -208,34 +206,32 @@ def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> Valida
     return ValidationReport(not violations, violations, check_depth)
 
 
-def _times_mass(w: Fraction, d: Dist, k: int) -> Fraction:
-    return w * d.mass(k)
-
-
-def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), step=_times_mass, init=ONE) -> dict:
-    """Fold `step(acc, dist, k)` over the edges from `start` down to each end.
+def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = ()) -> dict[Path, tuple[int, int, int]]:
+    """Each end's cell [l/q, (l + w)/q) within start's cell scaled to [0, 1], as integers (l, w, q).
 
     The path-walk kernel: each end is validated once with `require` and
     must extend `start`; the distributions on the way are then read
-    unchecked. Ends are visited in lexicographic order, so a prefix shared
-    by several ends is folded once: one step per distinct node. With the
-    default step the result maps each end to its weight below `start`.
+    unchecked, and each step multiplies in the row's integer cell, with no
+    gcd. w/q is the end's weight below `start`. Ends are visited in
+    lexicographic order, so a prefix shared by several ends is folded
+    once: one step per distinct node.
     """
     tree = family.tree
     base = len(start)
-    out: dict[Path, Any] = {}
+    out: dict[Path, tuple[int, int, int]] = {}
     prev = start
-    accs = [init]  # accs[j]: the fold down to prev[: base + j]
+    cells = [(0, 1, 1)]  # cells[j]: the cell of prev[: base + j]
     for s in sorted({tree.require(tuple(e)) for e in ends}):
         j, common = base, min(len(prev), len(s))
         while j < common and prev[j] == s[j]:
             j += 1
-        del accs[j - base + 1 :]
-        acc = accs[-1]
+        del cells[j - base + 1 :]
+        lo, w, q = cells[-1]
         for i in range(j, len(s)):
-            acc = step(acc, family._dist_unchecked(s[:i]), s[i])
-            accs.append(acc)
-        out[s] = acc
+            b, c, r = family._dist_unchecked(s[:i]).cell(s[i])
+            lo, w, q = lo * r + w * b, w * c, q * r
+            cells.append((lo, w, q))
+        out[s] = lo, w, q
         prev = s
     return out
 
@@ -243,7 +239,7 @@ def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), step=_time
 def node_mass(family: EdgeFamily, t: Path) -> Fraction:
     """Product of the edge probabilities along the path to t."""
     t = tuple(t)
-    return _walk(family, (t,))[t]
+    return Fraction(*_walk(family, (t,))[t][1:])
 
 
 class InductiveMeasure:
@@ -282,7 +278,7 @@ class InductiveMeasure:
             raise ValueError("root mass must be exactly 1")
         for t, m in self._masses.items():
             if not 0 <= m <= 1:
-                raise ValueError(f"mass at {t} is {m}, outside [0, 1]")
+                raise ValueError(f"mass at {t} is {show(m)}, outside [0, 1]")
             if self.depth is not None and len(t) > self.depth:
                 raise ValueError(f"mass at {t} lies beyond the materialized depth {self.depth}")
             self.tree.require(t)
@@ -295,9 +291,9 @@ class InductiveMeasure:
             missing = [c for c in kids if c not in self._masses]
             if missing:
                 raise ValueError(f"successors of {t} are not all materialized: {missing[0]}")
-            total = sum((self._masses[c] for c in kids), ZERO)
+            total = fraction_sum(self._masses[c].as_integer_ratio() for c in kids)
             if total != m:
-                raise ValueError(f"inductive law fails at {t}: children sum to {total}, node has {m}")
+                raise ValueError(f"inductive law fails at {t}: children sum to {show(total)}, node has {show(m)}")
 
     def mass(self, t: Path) -> Fraction:
         t = tuple(t)
@@ -359,7 +355,7 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
 def front_mass(measure: InductiveMeasure, front: Front) -> Fraction:
     """Total mass of a front; exactly one for any valid inductive measure."""
     _check_front(measure.tree, front, "the given node set")
-    return sum((measure.mass(s) for s in front.nodes), ZERO)
+    return fraction_sum(measure.mass(s).as_integer_ratio() for s in front.nodes)
 
 
 def below_mass(measure: InductiveMeasure, t: Path, front: Front) -> Fraction:
@@ -369,7 +365,7 @@ def below_mass(measure: InductiveMeasure, t: Path, front: Front) -> Fraction:
     members = [s for s in front.nodes if is_prefix(t, s)]
     if not members:
         raise NodeNotBelowFront(f"node {t} has no extension in the front")
-    return sum((measure.mass(s) for s in members), ZERO)
+    return fraction_sum(measure.mass(s).as_integer_ratio() for s in members)
 
 
 class NullNodeSet:
@@ -571,13 +567,9 @@ def pair_from_family(family: EdgeFamily) -> GeneralPair:
 
 def positive_equivalent(a: EdgeFamily, b: EdgeFamily) -> bool:
     """True when the two families have identical positive parts."""
-    pa, _ = positive_part(a)
-    pb, _ = positive_part(b)
-    return pa == pb
+    return positive_part(a)[0] == positive_part(b)[0]
 
 
 def positive_equivalent_measures(a: InductiveMeasure, b: InductiveMeasure) -> bool:
     """True when the two measures agree on their positive subtrees."""
-    pos_a = {t: m for t, m in a.items() if m > 0}
-    pos_b = {t: m for t, m in b.items() if m > 0}
-    return pos_a == pos_b
+    return {t: m for t, m in a.items() if m > 0} == {t: m for t, m in b.items() if m > 0}

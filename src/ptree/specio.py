@@ -15,8 +15,8 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .dists import FiniteDist
-from .errors import MalformedTree, SpecSyntaxError, SpecValidationError, UnknownGenerator
+from .dists import SHOWN_BITS, FiniteDist, as_fraction
+from .errors import MalformedTree, OversizedValue, SpecSyntaxError, SpecValidationError, UnknownGenerator
 from .measures import EdgeFamily, dirac, geometric_omega, uniform_binary
 from .paths import Path, format_path, parse_path
 from .trees import DEFAULT_DEPTH_BUDGET, ExplicitTree
@@ -33,10 +33,11 @@ def _parse_fraction(text: Any, path: str) -> Fraction:
     if not isinstance(text, str):
         raise SpecValidationError(path, f"expected a fraction string, got {text!r}")
     try:
-        value = Fraction(text)
+        return as_fraction(text)
+    except OversizedValue as exc:
+        raise SpecValidationError(path, str(exc)) from None
     except (ValueError, ZeroDivisionError):
         raise SpecValidationError(path, f"not an exact fraction: {text!r}") from None
-    return value
 
 
 def _build_generator(name: str, depth_budget: int) -> EdgeFamily:
@@ -49,8 +50,11 @@ def _build_generator(name: str, depth_budget: int) -> EdgeFamily:
         return dirac(int(match.group(1)), depth_budget)
     match = _GEOMETRIC_RE.fullmatch(name)
     if match:
-        try:  # a ratio outside (0, 1), or one too long to write out as the family's name
-            return geometric_omega(depth_budget, _parse_fraction(match.group(1), ""))
+        ratio = _parse_fraction(match.group(1), "")
+        try:  # a ratio outside (0, 1), or one too long to spell out in the family's name
+            if max(ratio.numerator.bit_length(), ratio.denominator.bit_length()) > SHOWN_BITS:
+                raise ValueError(f"a family name spells out at most {SHOWN_BITS} bits")
+            return geometric_omega(depth_budget, ratio)
         except ValueError as exc:
             raise SpecValidationError("", f"bad geometric ratio {match.group(1)!r}: {exc}") from None
     raise UnknownGenerator(f"unknown generator {name!r}; available: {', '.join(_GENERATORS)}")

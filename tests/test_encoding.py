@@ -195,6 +195,8 @@ def test_perfect_source_fills_binary_levels():
 _IMAGE_WITH_UNARY_NODE = ExplicitTree({(): (0, 1), (0,): (0,), (0, 0): (), (1,): (0, 1), (1, 0): (), (1, 1): ()})
 _CORRUPTIONS = {
     "intervals": ({(1,): (1, 1), (2,): (1, 0)}, None, "intervals_ok", "interval mismatch at (1,)"),
+    # the same lower end: only the widths differ
+    "widths": ({(1,): (1,)}, None, "intervals_ok", "interval mismatch at (1,): [1/2, 5/6] vs [1/2, 1] at image (1,)"),
     "extension": ({(): (1,)}, None, "order_ok", "extension not preserved: () vs (0,)"),
     "incompatibility": ({(2,): (1, 0)}, None, "order_ok", "incompatibility not preserved: (1,) vs (2,)"),
     "image-shape": ({}, _IMAGE_WITH_UNARY_NODE, "image_shape_ok", "image node (0,) has a single child"),

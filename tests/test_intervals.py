@@ -410,7 +410,7 @@ def hoeffding_radius(trials: int, failure: float = 1e-9) -> float:
 )
 def test_sampler_is_exact_past_the_first_chunk(make, depth):
     # past about 128 bits of depth every draw needs more than its first
-    # chunk; the family is built here so its arity cache dies with the test
+    # chunk of random bits
     family, count = make(), 200
     child0 = family.edge_prob((), 0)  # every row is the same
     samples = sample_branches(family, 3, count, depth)

@@ -1,11 +1,12 @@
 """Differential property tests for the front check, the path-walk kernel,
-the trial-tree builder and pmf kernel, descent and the encoding's order
-check.
+the exact-sum helper, the trial-tree builder and pmf kernel, descent and
+the encoding's order check.
 
 Every oracle here is a brute-force restatement of a definition that shares
-no code with the library: pairwise prefix tests for fronts, products of
-checked `family.dist` lookups for weights, masses, cells and relative
-expectations, a `Fraction` walk over every leaf history for success-count
+no code with the library: pairwise prefix tests for fronts, products and
+prefix folds of checked `family.dist` lookups for weights, masses, cells
+and relative expectations, a running `Fraction` sum for the exact-sum
+helper, a `Fraction` walk over every leaf history for success-count
 pmfs, two `randint` calls and one `Fraction` per node for random trial
 trees, and, for descent, a walk over absolute `Fraction` cell ends that
 scans each finite row's cells and the child indices of closed-form nodes,
@@ -29,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 from ptree import (
     DependentTrialTree,
     EdgeFamily,
+    ExplicitTree,
     FiniteDist,
     Front,
     FrontVariable,
@@ -60,7 +62,8 @@ from ptree import (
     verify_encoding,
 )
 from ptree import bernoulli, encoding, intervals
-from ptree.measures import _walk
+from ptree.dists import Geometric, fraction_sum
+from ptree.measures import _walk, positive_part
 from ptree.paths import compatible, is_prefix
 
 from corpus import random_family, random_tree, random_variable
@@ -84,6 +87,24 @@ def brute_weight(family, start, end) -> F:
     for i in range(len(start), len(end)):
         w *= family.dist(end[:i]).mass(end[i])
     return w
+
+
+def brute_child(d, k) -> tuple:
+    """(mass before child k, mass of child k), restated from each row's definition."""
+    if isinstance(d, FiniteDist):
+        return sum((m for j, m in d.items() if j < k), F(0)), dict(d.items())[k]
+    if isinstance(d, Geometric):
+        return 1 - d.ratio**k, (1 - d.ratio) * d.ratio**k
+    return F(int(k > d.index)), F(int(k == d.index))  # a point mass
+
+
+def brute_cell(family, start, end) -> tuple:
+    """(lower end, width) of end's cell inside start's cell: a product and a prefix fold."""
+    lower, width = F(0), F(1)
+    for i in range(len(start), len(end)):
+        before, mass = brute_child(family.dist(end[:i]), end[i])
+        lower, width = lower + width * before, width * mass
+    return lower, width
 
 
 def refine(rng, tree, nodes, steps: int) -> set:
@@ -146,7 +167,77 @@ def test_walk_weights_match_products(rng):
     start = rng.choice(sorted(tree.nodes()))
     below = [s for s in sorted(tree.nodes()) if is_prefix(start, s)]
     ends = rng.sample(below, rng.randint(0, len(below)))  # may hold a node and its extensions
-    assert _walk(fam, ends, start=start) == {s: brute_weight(fam, start, s) for s in ends}
+    weights = {s: F(w, q) for s, (_, w, q) in _walk(fam, ends, start=start).items()}
+    assert weights == {s: brute_weight(fam, start, s) for s in ends}
+
+
+def assert_cells_match(fam, ends, start=()):
+    cells = _walk(fam, ends, start=start)
+    assert list(cells) == sorted(set(ends))
+    for s, (lo, w, q) in cells.items():
+        assert q > 0 and (F(lo, q), F(w, q)) == brute_cell(fam, start, s)
+
+
+def random_sparse_family(rng, max_depth: int = 3) -> EdgeFamily:
+    """An explicit family whose child indices skip values, as restrictions keep them."""
+    children, dists, stack = {}, {}, [()]
+    while stack:
+        t = stack.pop()
+        if len(t) >= max_depth or (t and rng.random() < 0.25):
+            children[t] = ()
+            continue
+        idx = sorted(rng.sample(range(6), rng.randint(1, 4)))
+        weights = [rng.randint(0, 9) for _ in idx]
+        weights[rng.randrange(len(idx))] += 1
+        children[t], dists[t] = tuple(idx), FiniteDist({k: F(w, sum(weights)) for k, w in zip(idx, weights)})
+        stack.extend(t + (k,) for k in idx)
+    return EdgeFamily(ExplicitTree(children), dists)
+
+
+@FAST
+@given(RANDOMS, st.sampled_from(["canonical", "positive-part", "sparse"]))
+def test_walk_cells_match_explicit_products_and_prefix_folds(rng, kind):
+    # with zero masses; positive parts and restrictions keep the original, sparse, child indices
+    if kind == "sparse":
+        fam = random_sparse_family(rng)
+    else:
+        fam = random_family(rng, random_tree(rng, max_depth=4, max_arity=4), allow_zero=True)
+        fam = positive_part(fam)[0] if kind == "positive-part" else fam
+    nodes = sorted(fam.tree.nodes())
+    start = rng.choice(nodes)
+    below = [s for s in nodes if is_prefix(start, s)]
+    assert_cells_match(fam, rng.sample(below, rng.randint(0, len(below))), start)
+
+
+@FAST
+@given(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda r: 0 < r < 1),
+    st.lists(st.lists(st.integers(0, 6), max_size=12), max_size=4),
+)
+def test_walk_cells_match_geometric_products_and_prefix_folds(r, paths):
+    assert_cells_match(geometric_omega(12, r), [tuple(p) for p in paths])
+
+
+@FAST
+@given(st.integers(0, 3), st.lists(st.lists(st.integers(0, 4), max_size=8), max_size=4))
+def test_walk_cells_match_dirac_products_and_prefix_folds(index, paths):
+    # off the index every cell is a point, at 0 or at 1
+    assert_cells_match(dirac(index, 8), [tuple(p) for p in paths])
+
+
+# pairwise coprime and large: Mersenne primes, and two common moduli
+PRIMES = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 10**9 + 7, 998_244_353]
+
+
+@FAST
+@given(st.lists(st.tuples(st.integers(-(10**40), 10**40), st.one_of(st.sampled_from(PRIMES), st.integers(1, 60)))))
+def test_fraction_sum_matches_a_running_fraction_sum(terms):
+    total = fraction_sum(terms)
+    assert type(total) is F and total == sum((F(n, d) for n, d in terms), F(0))
+
+
+def test_fraction_sum_of_nothing_is_zero():
+    assert fraction_sum([]) == 0 and fraction_sum(iter(())) == F(0)
 
 
 @FAST

@@ -263,6 +263,20 @@ def test_a_shared_row_must_match_the_shared_arity(tree, row):
         EdgeFamily(tree, row)
 
 
+def test_shared_row_families_compare_by_row_and_budget():
+    half = FiniteDist(["1/2", "1/2"])
+    a = EdgeFamily(GeneratedTree(2, 8), FiniteDist(["1/2", "1/2"]))
+    b = EdgeFamily(GeneratedTree(2, 8), FiniteDist(["1/2", "1/2"]))
+    assert a == b and hash(a) == hash(b)
+    assert a == uniform_binary(8) and hash(a) == hash(uniform_binary(8))
+    assert a != EdgeFamily(GeneratedTree(2, 9), half)
+    assert a != EdgeFamily(GeneratedTree(2, 8), FiniteDist(["1/3", "2/3"]))
+    assert EdgeFamily(GeneratedTree(OMEGA, 8), Geometric("1/3")) == geometric_omega(8, F(1, 3))
+    # a rule is compared by identity: two rules that agree cannot be told apart
+    rule = EdgeFamily(GeneratedTree(2, 8), lambda t: half)
+    assert rule == rule and rule != EdgeFamily(GeneratedTree(2, 8), lambda t: half) and rule != a
+
+
 def test_a_shared_row_is_read_at_every_node():
     fam = EdgeFamily(GeneratedTree(OMEGA, 8), Geometric("1/3"))
     assert fam.row == Geometric("1/3") and fam.dist((4, 0, 7)) is fam.row

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,23 @@ def _generator_doc(name):
 def test_bad_geometric_ratio_is_a_spec_error(ratio):
     with pytest.raises(SpecValidationError, match="geometric ratio|not an exact fraction"):
         parse_spec(_generator_doc(f"geometric_omega({ratio})"))
+
+
+def test_a_huge_decimal_exponent_is_refused_before_it_is_built():
+    start = time.perf_counter()
+    with pytest.raises(SpecValidationError, match="exponent beyond"):
+        parse_spec(_generator_doc("geometric_omega(1e-10000000)"))
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("prob", ["1e-100000", "1" * 5000 + "/3"], ids=["exponent", "digits"])
+def test_oversized_probability_names_its_node(prob):
+    text = json.dumps({"version": 1, "representation": "explicit", "nodes": {
+        "": {"arity": 1, "probs": ["1"]}, "0": {"arity": 2, "probs": [prob, "1/2"]},
+        "0.0": {"arity": 0}, "0.1": {"arity": 0}}})
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(text)
+    assert info.value.path == "0" and "an exponent beyond" in info.value.reason
 
 
 def test_serializer_always_emits_root():

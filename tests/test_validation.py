@@ -3,7 +3,8 @@
 Rows: `FiniteDist.defect` and the row gate in `EdgeFamily._dist_unchecked`,
 which every walk, descent, fold and `induced_measure` reads through.
 Tree shape: `ExplicitTree.__init__`. Values: `as_fraction`, which refuses
-floats. Depths: `_check_budget`.
+floats, and strings too long or with too large an exponent to read.
+Depths: `_check_budget`.
 """
 
 import json
@@ -29,6 +30,7 @@ from ptree import (
     NegativeDepth,
     NotADistribution,
     NotATrialTree,
+    OversizedValue,
     PTreeError,
     SpecValidationError,
     binomial_cdf,
@@ -39,6 +41,7 @@ from ptree import (
     dominance_check,
     enumerate_front,
     freeness_report,
+    geometric_omega,
     induced_measure,
     locate_branch,
     node_interval,
@@ -56,7 +59,7 @@ from ptree import (
 )
 from ptree import encoding
 from ptree.cli import main
-from ptree.dists import as_fraction
+from ptree.dists import as_fraction, show
 
 from corpus import random_family, random_tree
 
@@ -261,6 +264,41 @@ def test_floats_are_rejected_where_values_are_converted(call):
     with pytest.raises(InexactValue) as info:
         call()
     assert isinstance(info.value, PTreeError) and isinstance(info.value, TypeError)
+
+
+@pytest.mark.parametrize("text", ["1e-10001", "1E+1_0001", "1" * 4001, "2/" + "3" * 4000])
+def test_oversized_fraction_strings_are_refused_before_they_are_built(text):
+    with pytest.raises(OversizedValue) as info:
+        as_fraction(text)
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+    assert len(str(info.value)) < 200
+
+
+def test_the_string_bounds_admit_their_limits():
+    assert as_fraction("1e-10000") == F(1, 10**10000)
+    assert as_fraction("1" * 4000) == int("1" * 4000)
+
+
+def test_oversized_cli_fractions_are_usage_errors(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bound", "--random", "1", "--n", "3", "--p", "1e-10000000"])
+    assert info.value.code == 2 and "exponent beyond" in capsys.readouterr().err
+
+
+def test_a_defect_message_abbreviates_a_long_sum():
+    defect = FiniteDist(["1e-5000", "1/2"]).defect()  # the sum has 5,000 digits
+    assert defect.startswith("masses sum to ~2^-1 (") and defect.endswith("-bit fraction), not 1")
+
+
+def test_a_family_name_abbreviates_a_long_ratio():
+    fam = geometric_omega(8, F(1, 10**5000))
+    assert fam.name.startswith("geometric_omega(~2^-16609 (") and len(fam.name) < 80
+    assert node_mass(fam, (0,)) == 1 - F(1, 10**5000)
+
+
+def test_show_abbreviates_past_its_bit_length_only():
+    assert show(F(-(2**2000), 3)) == "-~2^1999 (2001-bit/2-bit fraction)"
+    assert show(F(2**1023, 3)) == str(F(2**1023, 3))
 
 
 def test_decimal_strings_stay_exact():
