@@ -61,6 +61,16 @@ def _load_family(path: str) -> EdgeFamily:
     return parse_spec(text, default_budget=_default_budget())
 
 
+def _exact(x: Fraction | int) -> str:
+    """str(x) at any size, for every exact answer the CLI prints: str() refuses ints past 4,300 digits by default."""
+    if x.denominator != 1:
+        return f"{_exact(x.numerator)}/{_exact(x.denominator)}"
+    if (bits := abs(int(x)).bit_length()) <= 2_000:  # at most 603 digits: under 640, the lowest limit Python allows
+        return str(x)
+    high, low = divmod(abs(int(x)), 10 ** (k := bits * 3 // 20))  # k: about half the digits
+    return "-" * (x < 0) + _exact(high) + _exact(low).zfill(k)
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return _parse_fraction(text, "")
@@ -125,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_measure(args) -> int:
     family = _load_family(args.tree)
-    print(node_mass(family, parse_path(args.node)))
+    print(_exact(node_mass(family, parse_path(args.node))))
     return 0
 
 
@@ -136,7 +146,7 @@ def _cmd_front(args) -> int:
         print(format_path(t) if t else "<root>")
     if args.check_mass:
         measure = induced_measure(family, args.depth)
-        print(f"mass = {front_mass(measure, front)}")
+        print(f"mass = {_exact(front_mass(measure, front))}")
     return 0
 
 
@@ -159,9 +169,9 @@ def _cmd_expect(args) -> int:
         raise PTreeError(f"{args.values}: {exc}") from None
     if args.node is None:
         measure = induced_measure(family, args.depth)
-        print(expect(measure, variable))
+        print(_exact(expect(measure, variable)))
     else:
-        print(relative_expect(family, variable, parse_path(args.node)))
+        print(_exact(relative_expect(family, variable, parse_path(args.node))))
     return 0
 
 
@@ -182,7 +192,7 @@ def _cmd_bound(args) -> int:
     report = dominance_check(trial_tree, args.p)
     print(f"{'z':>4}  {'CDF(successes)':>20}  {'CDF(binomial)':>20}  {'margin':>16}")
     for row in report.rows:
-        print(f"{row.z:>4}  {str(row.cdf_successes):>20}  {str(row.cdf_binomial):>20}  {str(row.margin):>16}")
+        print(f"{row.z:>4}  {_exact(row.cdf_successes):>20}  {_exact(row.cdf_binomial):>20}  {_exact(row.margin):>16}")
     print(f"dominance holds: {report.holds}")
     return 0
 
@@ -190,7 +200,7 @@ def _cmd_bound(args) -> int:
 def _cmd_embed(args) -> int:
     family = _load_family(args.tree)
     iv = node_interval(family, parse_path(args.node))
-    print(f"[{iv.lower}, {iv.upper}]")
+    print(f"[{_exact(iv.lower)}, {_exact(iv.upper)}]")
     return 0
 
 

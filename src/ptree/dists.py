@@ -28,19 +28,21 @@ FractionLike = Union[Fraction, int, str]
 MAX_CHARS = 4_000
 MAX_EXPONENT = 10_000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what str(Fraction) writes; int() reads it
 SHOWN_BITS = 1_024
 
 
 def as_fraction(value: FractionLike) -> Fraction:
     """Convert exactly; decimal strings become their exact rational value, floats raise."""
-    if isinstance(value, Fraction):
+    if value.__class__ is Fraction:  # not isinstance: Fraction is an ABC, slow to test a str against
         return value
-    if isinstance(value, float):
+    if isinstance(value, str):
+        if len(value) <= MAX_CHARS and (canonical := _CANONICAL.fullmatch(value)):
+            return Fraction(int(canonical[1]), int(canonical[2] or 1))
+        if len(value) > MAX_CHARS or ((e := _EXPONENT.search(value)) and abs(int(e[1])) > MAX_EXPONENT):
+            raise OversizedValue(f"fraction string {value[:40]!r}: over {MAX_CHARS} characters, or an exponent beyond ±{MAX_EXPONENT}")
+    elif isinstance(value, float):
         raise InexactValue(f"{value!r} is a float; give an exact value such as the string {str(value)!r}")
-    if isinstance(value, str) and (
-        len(value) > MAX_CHARS or ((e := _EXPONENT.search(value)) and abs(int(e[1])) > MAX_EXPONENT)
-    ):
-        raise OversizedValue(f"fraction string {value[:40]!r}: over {MAX_CHARS} characters, or an exponent beyond ±{MAX_EXPONENT}")
     return Fraction(value)
 
 
@@ -70,18 +72,18 @@ class FiniteDist:
     __slots__ = ("_items", "_grid")
 
     def __init__(self, masses: Union[Sequence[FractionLike], Mapping[int, FractionLike]]):
-        if isinstance(masses, Mapping):
-            items = tuple((int(k), as_fraction(v)) for k, v in sorted(masses.items()))
+        if isinstance(masses, (list, tuple)) or not isinstance(masses, Mapping):
+            items = tuple(enumerate(map(as_fraction, masses)))
         else:
-            items = tuple((k, as_fraction(v)) for k, v in enumerate(masses))
-        if any(k < 0 for k, _ in items):
-            raise ValueError("negative child index")
+            items = tuple((int(k), as_fraction(v)) for k, v in sorted(masses.items()))
+            if any(k < 0 for k, _ in items):
+                raise ValueError("negative child index")
         self._items = items
         self._grid = None
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self._items)
+        return tuple(map(itemgetter(0), self._items))
 
     @property
     def masses(self) -> tuple[Fraction, ...]:

@@ -53,20 +53,12 @@ def binary_encode(tree: TreeShape, depth: int) -> BinaryEncoding:
     _check_budget(tree, depth)
     h: dict[Path, Path] = {(): ()}
     for t in walk_to_depth(tree, depth):
-        if len(t) >= depth or tree.is_maximal(t):
+        if len(t) >= depth or (arity := tree._arity_unchecked(t)) == 0:
             continue
-        arity = tree.arity(t)
         if arity is OMEGA:
             raise InfiniteLevel(f"node {t} has infinitely many successors")
-        base = h[t]
-        if arity == 1:
-            h[t + (0,)] = base
-            continue
-        for k in range(arity):
-            if k < arity - 1:
-                h[t + (k,)] = base + (1,) * k + (0,)
-            else:
-                h[t + (k,)] = base + (1,) * k
+        for k in range(arity):  # an only child collapses; the last child keeps the all-ones run
+            h[t + (k,)] = h[t] if arity == 1 else h[t] + (1,) * k + (0,) * (k < arity - 1)
 
     preimages: dict[Path, list[Path]] = {}
     for t, s in h.items():
@@ -88,6 +80,11 @@ def encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> InductiveMeasure
     source successors whose images extend them; the result satisfies the
     inductive law.
     """
+    return _encoded_measure(family, enc)[0]
+
+
+def _encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> tuple[InductiveMeasure, dict[Path, tuple[int, int, int]]]:
+    """`encoded_measure`, and the source nodes' cells it was summed from."""
     if enc.source is not family.tree and enc.source != family.tree:
         raise EncodingMismatch("the encoding was built from a different tree")
     source_cells = _walk(family, enc.h)
@@ -100,7 +97,7 @@ def encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> InductiveMeasure
         # the longest preimage below s; unique because deeper preimages collapse chains
         t = enc.preimages[anchor][-1]
         masses[s] = fraction_sum(source_cells[c][1:] for c in family.tree.children(t) if c in enc.h and is_prefix(s, enc.h[c]))
-    return InductiveMeasure(enc.image, masses)
+    return InductiveMeasure(enc.image, masses), source_cells
 
 
 def embed_branch(enc: BinaryEncoding, x: Path) -> Path:
@@ -151,7 +148,7 @@ def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
     failures: list[str] = []
 
     try:
-        measure = encoded_measure(family, enc)
+        measure, src_cells = _encoded_measure(family, enc)
     except ValueError as exc:
         failures.append(f"pushed measure violates the inductive law: {exc}")
         measure = None
@@ -164,7 +161,6 @@ def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
             t for t in null if not image_tree.is_maximal(t)
         )))
         image_family = family_from_pair(pair)
-        src_cells = _walk(family, enc.h)
         img_cells = _walk(image_family, enc.h.values())
         for t, s in enc.h.items():
             (a, w, q), (b, v, r) = src_cells[t], img_cells[s]

@@ -64,15 +64,14 @@ class EdgeFamily:
             table = {tuple(t): d for t, d in dists.items()}
             if not isinstance(tree, ExplicitTree):
                 raise ValueError("distribution tables require an explicit tree")
-            non_max = {t for t in tree.nodes() if not tree.is_maximal(t)}
-            if set(table) != non_max:
+            children = tree._children
+            if table.keys() != {t for t, idx in children.items() if idx}:
                 raise ValueError("distribution table must cover exactly the non-maximal nodes")
             for t, d in table.items():
-                if isinstance(d, FiniteDist):
-                    if d.indices != tree.child_indices(t):
-                        raise ValueError(f"distribution at {t} does not match the child set")
-                else:
+                if not isinstance(d, FiniteDist):
                     raise ValueError("closed-form distributions require a generated tree")
+                if d.indices != children[t]:
+                    raise ValueError(f"distribution at {t} does not match the child set")
             self._dists = table  # always a dict: `isinstance(_, dict)` is the cheap test
         else:
             self._dists = dists

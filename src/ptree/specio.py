@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import repeat
 from typing import Any
 
 from .dists import SHOWN_BITS, FiniteDist, as_fraction
@@ -109,7 +110,12 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
             continue
         if not isinstance(probs, list) or len(probs) != arity:
             raise SpecValidationError(key, f"expected {arity} probabilities, got {len(probs) if isinstance(probs, list) else probs!r}")
-        dist = FiniteDist([_parse_fraction(p, key) for p in probs])
+        try:
+            dist = FiniteDist(probs) if all(map(isinstance, probs, repeat(str))) else None
+        except (ValueError, ZeroDivisionError):
+            dist = None
+        if dist is None:  # the entry-by-entry parse names the entry at fault
+            dist = FiniteDist([_parse_fraction(p, key) for p in probs])
         if (defect := dist.defect()) is not None:
             raise SpecValidationError(key, defect)
         dists[path] = dist

@@ -41,7 +41,7 @@ class ExplicitTree:
     def __init__(self, children: Mapping[Path, Sequence[int]], depth_budget: int | None = None):
         child_map: dict[Path, tuple[int, ...]] = {}
         for node, indices in children.items():
-            node, idx = tuple(node), tuple(sorted(int(i) for i in indices))
+            node, idx = tuple(node), tuple(sorted(map(int, indices)))
             if idx and idx[0] < 0:
                 raise MalformedTree(node, "negative child index")
             if len(set(idx)) != len(idx):
@@ -56,10 +56,9 @@ class ExplicitTree:
                     raise MalformedTree(node, "parent node is missing (keys must be prefix-closed)")
                 if node[-1] not in parent:
                     raise MalformedTree(node, "the parent does not declare this child")
-        for node, idx in child_map.items():
-            for k in idx:
-                if node + (k,) not in child_map:
-                    raise MalformedTree(node + (k,), "declared child is missing")
+        if sum(map(len, child_map.values())) != len(child_map) - 1:  # each other node is a declared child
+            missing = next(t + (k,) for t, idx in child_map.items() for k in idx if t + (k,) not in child_map)
+            raise MalformedTree(missing, "declared child is missing")
         self._children = child_map
         self.depth_budget = depth_budget
         self._height = max(len(t) for t in child_map)
@@ -91,6 +90,9 @@ class ExplicitTree:
 
     def contains(self, t: Path) -> bool:
         return tuple(t) in self._children
+
+    def _contains_after(self, t: Path, prev: Path) -> bool:
+        return t in self._children
 
     def require(self, t: Path) -> Path:
         t = tuple(t)
@@ -171,7 +173,10 @@ class GeneratedTree:
         return _checked_arity(self._rule(t), t) if a is None else a
 
     def contains(self, t: Path) -> bool:
-        t = tuple(t)
+        return self._contains_after(tuple(t), ())
+
+    def _contains_after(self, t: Path, prev: Path) -> bool:
+        """Whether t is a node, given that prev is one: the rule is called only past their common prefix."""
         if len(t) > self.depth_budget:
             raise DepthBudgetExceeded(f"node {t} lies beyond the depth budget {self.depth_budget}")
         a = self.shared_arity
@@ -179,9 +184,10 @@ class GeneratedTree:
             return all(k >= 0 for k in t)
         if a is not None:
             return all(0 <= k < a for k in t)
-        for i, k in enumerate(t):
-            a = self._arity_unchecked(t[:i])
-            if k < 0 or (a is not OMEGA and k >= a):
+        i = next((n for n, (x, y) in enumerate(zip(prev, t)) if x != y), min(len(prev), len(t)))
+        for j in range(i, len(t)):
+            a = self._arity_unchecked(t[:j])
+            if t[j] < 0 or (a is not OMEGA and t[j] >= a):
                 return False
         return True
 
@@ -195,10 +201,7 @@ class GeneratedTree:
         return self._arity_unchecked(self.require(t))
 
     def child_indices(self, t: Path) -> tuple[int, ...]:
-        a = self.arity(t)
-        if a is OMEGA:
-            raise InfiniteLevel(f"node {t} has infinitely many successors")
-        return tuple(range(a))
+        return tuple(_child_indices(self, self.require(t)))
 
     def children(self, t: Path) -> tuple[Path, ...]:
         t = tuple(t)
@@ -222,6 +225,16 @@ def _checked_arity(a: Arity, where: object) -> Arity:
 
 
 TreeShape = Union[ExplicitTree, GeneratedTree]
+
+
+def _child_indices(tree: TreeShape, t: Path) -> Sequence[int]:
+    """The child indices of a node already known to be in the tree: walks from the root read these."""
+    if isinstance(tree, ExplicitTree):
+        return tree._children[t]
+    a = tree._arity_unchecked(t)
+    if a is OMEGA:
+        raise InfiniteLevel(f"node {t} has infinitely many successors")
+    return range(a)
 
 
 def canonicalize(
@@ -276,13 +289,7 @@ def level(tree: TreeShape, n: int) -> frozenset[Path]:
     _check_budget(tree, n)
     if isinstance(tree, ExplicitTree):
         return tree.level_nodes(n)
-    current: list[Path] = [()]
-    for _ in range(n):
-        nxt: list[Path] = []
-        for t in current:
-            nxt.extend(tree.children(t))
-        current = nxt
-    return frozenset(current)
+    return frozenset(t for t in walk_to_depth(tree, n) if len(t) == n)
 
 
 def walk_to_depth(tree: TreeShape, depth: int) -> Iterator[Path]:
@@ -293,7 +300,7 @@ def walk_to_depth(tree: TreeShape, depth: int) -> Iterator[Path]:
         t = stack.pop()
         yield t
         if len(t) < depth:
-            stack.extend(reversed(tree.children(t)))
+            stack.extend(t + (k,) for k in reversed(_child_indices(tree, t)))
 
 
 @dataclass(frozen=True)
@@ -314,26 +321,23 @@ class Front:
 
 def enumerate_front(tree: TreeShape, n: int) -> Front:
     """The level-n nodes together with the maximal nodes shorter than n."""
-    members = set(level(tree, n))
-    for m in range(n):
-        for t in level(tree, m):
-            if tree.is_maximal(t):
-                members.add(t)
-    return Front(tree, frozenset(members))
+    return Front(tree, frozenset(t for t in walk_to_depth(tree, n) if len(t) == n or not _child_indices(tree, t)))
 
 
 def is_front(tree: TreeShape, nodes: Iterable[Path]) -> bool:
     """Pairwise incompatible, and every branch (up to the budget) meets the set."""
-    members = frozenset(tuple(t) for t in nodes)
-    for t in members:
-        tree.require(t)
-    if not members:
+    ordered, prev = sorted({tuple(t) for t in nodes}), ()
+    for t in ordered:  # in order, so a rule tree checks a member only past the one before it
+        if not tree._contains_after(t, prev):
+            raise UnknownNode(f"no node {t} in tree")
+        prev = t
+    if not ordered:
         return False
     # in lexicographic order a member with an extension in the set is
     # immediately followed by one, so adjacent pairs decide incompatibility
-    ordered = sorted(members)
     if any(is_prefix(s, t) for s, t in zip(ordered, ordered[1:])):
         return False
+    members = frozenset(ordered)
     max_len = max(len(t) for t in members)
     # coverage walk, depth first in child order; a finite set can meet only
     # finitely many of an OMEGA node's subtrees
@@ -344,10 +348,10 @@ def is_front(tree: TreeShape, nodes: Iterable[Path]) -> bool:
             continue
         if len(t) == max_len:
             return False
-        arity = tree.arity(t)
+        arity = tree._arity_unchecked(t)
         if arity == 0 or arity is OMEGA:
             return False
-        stack.extend(reversed(tree.children(t)))
+        stack.extend(t + (k,) for k in reversed(_child_indices(tree, t)))
     return True
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -345,3 +346,24 @@ def test_geometric_generator_spec_runs_and_a_bad_ratio_exits_1(tmp_path, capsys)
     spec.write_text(json.dumps({"version": 1, "representation": "generator", "generator": "geometric_omega(1)"}))
     assert main(["classify", "--tree", str(spec)]) == 1
     assert "geometric ratio" in capsys.readouterr().err
+
+
+def test_answers_past_the_int_to_str_digit_limit_print_exactly(tmp_path, capsys):
+    # a 4-level chain whose child 0 has mass 10^-1500 at every level: the
+    # mass of 0.0.0.0 has a 6,001-digit denominator, past CPython's 4,300
+    tiny = Fraction(1, 10**1500)
+    table = {(0,) * i: [tiny, 1 - tiny] for i in range(4)}
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_spec(EdgeFamily.from_table(table)))
+    spec = str(path)
+    power = "1" + "0" * 6000
+
+    assert main(["measure", "--tree", spec, "--node", "0.0.0.0"]) == 0
+    assert capsys.readouterr().out == f"1/{power}\n"
+    assert main(["embed", "--tree", spec, "--node", "0.0.0.0"]) == 0
+    assert capsys.readouterr().out == f"[0, 1/{power}]\n"
+    values = _values_file(tmp_path, {"1": "1", "0.1": "1", "0.0.1": "1", "0.0.0.1": "1", "0.0.0.0": "0"})
+    assert main(["expect", "--tree", spec, "--depth", "4", "--values", values]) == 0
+    assert capsys.readouterr().out == f"{'9' * 6000}/{power}\n"
+    assert main(["expect", "--tree", spec, "--depth", "4", "--values", values, "--node", "0.0.0"]) == 0
+    assert capsys.readouterr().out == f"{'9' * 1500}/1{'0' * 1500}\n"

@@ -4,8 +4,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptree import (
+    EdgeFamily,
+    FiniteDist,
     SpecSyntaxError,
     SpecValidationError,
     UnknownGenerator,
@@ -13,6 +16,7 @@ from ptree import (
     geometric_omega,
     uniform_binary,
 )
+from ptree.dists import as_fraction
 from ptree.specio import parse_spec, serialize_spec
 
 from corpus import random_family, random_tree
@@ -186,3 +190,79 @@ def test_non_canonical_key_is_rejected(alias):
         parse_spec(text)
     assert info.value.path == alias
     assert "canonical" in info.value.reason
+
+
+@pytest.mark.parametrize("probs", [[1, 0], [True, False], ["1/2", 1]], ids=["integers", "booleans", "mixed"])
+def test_json_integers_and_booleans_are_not_fraction_strings(probs):
+    # JSON numbers must not slip past a fast path for the canonical strings
+    text = json.dumps({"version": 1, "representation": "explicit", "nodes": {
+        "": {"arity": 2, "probs": probs}, "0": {"arity": 0}, "1": {"arity": 0}}})
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(text)
+    assert info.value.path == "" and "fraction string" in info.value.reason
+
+
+def test_a_bad_entry_is_named_after_good_ones():
+    text = json.dumps({"version": 1, "representation": "explicit", "nodes": {
+        "": {"arity": 3, "probs": ["1/2", "1/4", "1/0"]},
+        "0": {"arity": 0}, "1": {"arity": 0}, "2": {"arity": 0}}})
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(text)
+    assert info.value.path == "" and info.value.reason == "not an exact fraction: '1/0'"
+
+
+_INT = st.integers(-(10**30), 10**30).map(str)
+_FRACTION_STRINGS = st.one_of(
+    _INT,
+    st.builds("{}/{}".format, _INT, st.integers(0, 10**30)),  # canonical, x/0 included
+    st.builds("+{}".format, st.integers(0, 10**6)),
+    st.builds("{}/{}".format, _INT, _INT),  # a signed denominator
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t", "\n"]), _INT, st.sampled_from(["", " ", "\n"])),
+    st.builds("{}_{}/{}".format, st.integers(0, 99), st.integers(0, 999), st.integers(1, 99)),
+    st.builds("{}.{}".format, _INT, st.integers(0, 10**6)),
+    st.builds("{}e{}".format, st.sampled_from(["1", "2.5", "-.5", "3.", "0"]), st.integers(-30, 30)),
+    st.builds("{} / {}".format, st.integers(0, 9), st.integers(1, 9)),
+    st.text(alphabet="0123456789+-/._ ", max_size=10),
+    st.sampled_from(["", "-", "/", "1/", "/2", "--1", "1//2", "0x10", "\u0663", "\u0663/4", "1/\u0664", "nan", "inf"]),
+)
+
+
+def _outcome(convert, text):
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRACTION_STRINGS)
+def test_as_fraction_reads_every_string_as_fraction_does(text):
+    # the canonical fast path must accept, refuse and value exactly what
+    # Fraction(str) does on this interpreter; its grammar varies by version
+    assert _outcome(as_fraction, text) == _outcome(Fraction, text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_round_trip_explicit_families_with_zero_masses(rng):
+    # rows with zero masses and denominators up to 10^13, written in the
+    # canonical n/d form the fast path reads
+    tree = random_tree(rng, max_depth=4, max_arity=4)
+    rows = {}
+    for t in tree.nodes():
+        if not tree.is_maximal(t):
+            weights = [rng.choice([0, rng.randint(1, 10**12)]) for _ in tree.child_indices(t)]
+            weights[rng.randrange(len(weights))] += 1
+            rows[t] = FiniteDist([Fraction(w, sum(weights)) for w in weights])
+    fam = EdgeFamily(tree, rows)
+    back = parse_spec(serialize_spec(fam))
+    assert back == fam
+    assert all(back.dist(t).masses == d.masses for t, d in rows.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**20).filter(lambda r: 0 < r < 1))
+def test_round_trip_geometric_ratio_names(ratio):
+    fam = geometric_omega(8, ratio)
+    back = parse_spec(serialize_spec(fam))
+    assert back == fam and back.row.ratio == ratio and back.name == fam.name

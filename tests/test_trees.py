@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptree import (
     CyclicInput,
@@ -169,6 +171,34 @@ def test_is_front_deeper_than_the_recursion_limit():
     for tree in (ExplicitTree(children), uniform_binary(2000).tree):
         assert is_front(tree, comb)
         assert not is_front(tree, comb - {(0,) * 700 + (1,)})
+
+
+def test_comb_front_on_a_rule_tree_checks_each_member_past_its_shared_prefix():
+    # a rule tree has no cheaper membership test than calling the rule, so
+    # each member may cost only the rule calls past the member before it
+    depth = 1500
+    comb = {(0,) * i + (1,) for i in range(depth)} | {(0,) * depth}
+    tree = GeneratedTree(lambda t: 2, depth + 5)
+    start = time.perf_counter()
+    assert is_front(tree, comb)
+    assert time.perf_counter() - start < 1
+    assert not is_front(tree, comb - {(0,) * 700 + (1,)})
+    with pytest.raises(UnknownNode):
+        is_front(tree, comb | {(0,) * 700 + (2,)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.lists(st.integers(-1, 2), max_size=5).map(tuple), max_size=12))
+def test_is_front_on_a_rule_tree_agrees_with_the_shared_arity(nodes):
+    # the rule tree answers from prefix-by-prefix rule calls, the shared
+    # arity from the whole path, so the sorted pass must decide alike
+    def outcome(tree):
+        try:
+            return is_front(tree, nodes)
+        except (UnknownNode, DepthBudgetExceeded) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(GeneratedTree(lambda t: 2, 4)) == outcome(GeneratedTree(2, 4))
 
 
 def test_invalid_front_raises_on_every_call():
