@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Mapping, Union
 
 from .dists import FiniteDist, FractionLike, ONE, ZERO, as_fraction, show
 from .errors import HypothesisViolated, NotADistribution, NotALeaf, NotATrialTree, TooDeep, UnknownNode
-from .measures import EdgeFamily, node_mass
+from .measures import EdgeFamily
 from .paths import Path
 from .trees import complete_binary_tree
 
@@ -305,13 +305,14 @@ def cell_volume(trial_tree: DependentTrialTree, leaf: Path) -> Fraction:
     probability, failure edges the complement. Cross-checks the leaf mass."""
     leaf = tuple(leaf)
     n = trial_tree.trials
-    if len(leaf) != n or not trial_tree.family.tree.contains(leaf):
+    if len(leaf) != n or any(bit not in (0, 1) for bit in leaf):
         raise NotALeaf(f"{leaf} is not a depth-{n} leaf")
-    volume = ONE
-    for i, bit in enumerate(leaf):
-        p = trial_tree.success_prob(leaf[:i])
-        volume *= p if bit == 0 else 1 - p
-    mass = node_mass(trial_tree.family, leaf)
+    volume, num, den, i = ONE, 1, 1, 0  # the volume in Fractions, the leaf mass as num/den
+    for bit in leaf:  # down the heap: i is the heap index of the node above this edge
+        a, d = trial_tree._nums[i], trial_tree._dens[i]
+        volume *= Fraction(a, d) if bit == 0 else Fraction(d - a, d)
+        num, den, i = num * (d - a if bit else a), den * d, 2 * i + 1 + bit
+    mass = Fraction(num, den)
     if volume != mass:
         raise AssertionError(f"cell volume {show(volume)} disagrees with leaf mass {show(mass)}")
     return volume

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InexactValue, OversizedValue
+from .errors import InexactValue, NotADistribution, OversizedValue
 from .paths import OMEGA
 
 ONE = Fraction(1)
@@ -75,9 +75,11 @@ class FiniteDist:
         if isinstance(masses, (list, tuple)) or not isinstance(masses, Mapping):
             items = tuple(enumerate(map(as_fraction, masses)))
         else:
-            items = tuple((int(k), as_fraction(v)) for k, v in sorted(masses.items()))
-            if any(k < 0 for k, _ in items):
+            items = tuple(sorted(((int(k), as_fraction(v)) for k, v in masses.items()), key=itemgetter(0)))
+            if items and items[0][0] < 0:
                 raise ValueError("negative child index")
+            if any(a[0] == b[0] for a, b in zip(items, items[1:])):
+                raise ValueError("duplicate child index")
         self._items = items
         self._grid = None
 
@@ -93,55 +95,62 @@ class FiniteDist:
     def support(self):
         return self.indices
 
-    def mass(self, k: int) -> Fraction:
-        for j, m in self._items:
-            if j == k:
-                return m
-        raise ValueError(f"child index {k} not in distribution support {self.indices}")
-
-    def prefix_mass(self, k: int) -> Fraction:
-        q, _, _, _, runs = self.grid()
-        return Fraction(runs[bisect_left(self._items, k, key=itemgetter(0))], q)
-
-    def cell(self, k: int) -> tuple[int, int, int]:
-        """Child k's cell [b/q, (b + c)/q) in [0, 1], as unreduced integers (b, c, q)."""
-        q, _, _, _, runs = self.grid()
+    def _position(self, k: int) -> int:
+        """Where child k sits in the row; a ValueError when it is not there."""
         items = self._items
         i = k if k < len(items) and items[k][0] == k else bisect_left(items, k, key=itemgetter(0))
         if i == len(items) or items[i][0] != k:
             raise ValueError(f"child index {k} not in distribution support {self.indices}")
+        return i
+
+    def mass(self, k: int) -> Fraction:
+        return self._items[self._position(k)][1]
+
+    def prefix_mass(self, k: int) -> Fraction:
+        q, runs, _ = self.grid()
+        return Fraction(runs[bisect_left(self._items, k, key=itemgetter(0))], q)
+
+    def cell(self, k: int) -> tuple[int, int, int]:
+        """Child k's cell [b/q, (b + c)/q) in [0, 1], as unreduced integers (b, c, q)."""
+        q, runs, _ = self.grid()
+        i = self._position(k)
         return runs[i], runs[i + 1] - runs[i], q
+
+    def locate(self, un: int, ud: int) -> tuple[int, int, int, int]:
+        """The child k whose cell holds u = un/ud in [0, 1], and `cell(k)`; u = 1 is in the last positive cell."""
+        q, runs, stochastic = self.grid()
+        if not stochastic:
+            raise NotADistribution(f"the masses are not a probability distribution: {self.defect()}")
+        x = un * q // ud
+        i = bisect_right(runs, x) - 1 if x < q else bisect_left(runs, q) - 1
+        return self._items[i][0], runs[i], runs[i + 1] - runs[i], q
 
     @property
     def total(self) -> Fraction:
-        q, _, _, _, runs = self.grid()
+        q, runs, _ = self.grid()
         return Fraction(runs[-1], q)
 
-    def grid(self) -> tuple[int, list[int], list[tuple[int, int, int]], bool, list[int]]:
+    def grid(self) -> tuple[int, list[int], bool]:
         """The row over one integer denominator, built on first use.
 
-        Returns (q, lowers, cells, stochastic, runs): q is the lcm of the
-        row's denominators; cells holds (k, b, a) for each child of
-        positive mass, whose cell is [b/q, a/q), in index order; lowers
-        holds the b's for bisection; stochastic says whether every mass
-        is nonnegative and the masses sum to exactly one; runs[i] is q
-        times the mass of the first i entries.
+        Returns (q, runs, stochastic): q is the lcm of the row's
+        denominators; runs[i] is q times the mass of the first i entries,
+        so entry i's cell is [runs[i]/q, runs[i + 1]/q); stochastic says
+        whether every mass is nonnegative and the masses sum to exactly one.
         """
         if self._grid is None:
             q = math.lcm(*(m.denominator for _, m in self._items))
-            runs, cells, nonnegative = [0], [], True
-            for k, m in self._items:
-                run, c = runs[-1], m.numerator * (q // m.denominator)
+            runs, nonnegative = [0], True
+            for _, m in self._items:
+                c = m.numerator * (q // m.denominator)
                 nonnegative = nonnegative and c >= 0
-                if c > 0:
-                    cells.append((k, run, run + c))
-                runs.append(run + c)
-            self._grid = (q, [b for _, b, _ in cells], cells, nonnegative and runs[-1] == q, runs)
+                runs.append(runs[-1] + c)
+            self._grid = q, runs, nonnegative and runs[-1] == q
         return self._grid
 
     def defect(self) -> str | None:
         """Why the row is not a probability distribution; None when it is one."""
-        if self.grid()[3]:
+        if self.grid()[2]:
             return None
         for k, m in self._items:
             if not 0 <= m <= 1:
@@ -184,6 +193,29 @@ class _ClosedForm:
         return Fraction(b, q)
 
 
+def _geometric_index(rn: int, rd: int, vn: int, vd: int) -> tuple[int, int, int]:
+    """For r = rn/rd in (0, 1) and v = vn/vd in (0, 1]: the largest k with
+    r^k >= v, and r^k as (numerator, denominator).
+
+    This is the geometric child whose cell holds the relative point 1 - v,
+    since child k covers [1 - r^k, 1 - r^(k+1)). Squaring r until it drops
+    below v bounds k by a power of two; a greedy pass down the squares
+    then fixes its bits. That is O(log k) exact integer products, where a
+    scan over k would compute k powers.
+    """
+    squares = [(rn, rd)]  # squares[i] = r^(2^i) as (numerator, denominator)
+    while squares[-1][0] * vd >= vn * squares[-1][1]:
+        sn, sd = squares[-1]
+        squares.append((sn * sn, sd * sd))
+    k, pn, pd = 0, 1, 1  # invariant: r^k = pn / pd >= v
+    for i in range(len(squares) - 2, -1, -1):
+        sn, sd = squares[i]
+        qn, qd = pn * sn, pd * sd
+        if qn * vd >= vn * qd:
+            k, pn, pd = k + (1 << i), qn, qd
+    return k, pn, pd
+
+
 class Geometric(_ClosedForm):
     """Closed form over countably many children: child k has mass (1-r)·r^k."""
 
@@ -200,6 +232,14 @@ class Geometric(_ClosedForm):
         rn, rd = self.ratio.numerator, self.ratio.denominator
         pn, pd = rn**k, rd**k
         return (pd - pn) * rd, (rd - rn) * pn, pd * rd
+
+    def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:
+        """The child k whose cell holds u = un/ud in [0, 1], with `cell(k)`; None at u = 1."""
+        if un == ud:
+            return None
+        rn, rd = self.ratio.numerator, self.ratio.denominator
+        k, pn, pd = _geometric_index(rn, rd, ud - un, ud)
+        return k, (pd - pn) * rd, (rd - rn) * pn, pd * rd
 
     def positive_support(self):
         return OMEGA
@@ -227,6 +267,10 @@ class PointMass(_ClosedForm):
     def cell(self, k: int) -> tuple[int, int, int]:
         """Child k's cell: [0, 1] for the index, a point at 0 or 1 for every other child."""
         return int(k > self.index), int(k == self.index), 1
+
+    def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:
+        """The index, whose cell [0, 1] holds u = un/ud, with `cell(index)`; None at u = 1."""
+        return None if un == ud else (self.index, 0, 1, 1)
 
     def positive_support(self) -> tuple[int, ...]:
         return (self.index,)

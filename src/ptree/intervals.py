@@ -11,12 +11,11 @@ inverts the embedding off the countable endpoint set.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dists import ONE, FiniteDist, Geometric, PointMass, as_fraction, fraction_sum, show
+from .dists import ONE, Geometric, PointMass, as_fraction, fraction_sum, show
 from .errors import (
     MalformedClopen,
     NotASubtree,
@@ -78,29 +77,6 @@ def branch_window(family: EdgeFamily, x: Path, n: int) -> BranchWindow:
     return BranchWindow(prefix, iv.lower, iv.upper)
 
 
-def _geometric_index(rn: int, rd: int, vn: int, vd: int) -> tuple[int, int, int]:
-    """For r = rn/rd in (0, 1) and v = vn/vd in (0, 1]: the largest k with
-    r^k >= v, and r^k as (numerator, denominator).
-
-    This is the geometric child whose cell holds the relative point 1 - v,
-    since child k covers [1 - r^k, 1 - r^(k+1)). Squaring r until it drops
-    below v bounds k by a power of two; a greedy pass down the squares
-    then fixes its bits. That is O(log k) exact integer products, where a
-    scan over k would compute k powers.
-    """
-    squares = [(rn, rd)]  # squares[i] = r^(2^i) as (numerator, denominator)
-    while squares[-1][0] * vd >= vn * squares[-1][1]:
-        sn, sd = squares[-1]
-        squares.append((sn * sn, sd * sd))
-    k, pn, pd = 0, 1, 1  # invariant: r^k = pn / pd >= v
-    for i in range(len(squares) - 2, -1, -1):
-        sn, sd = squares[i]
-        qn, qd = pn * sn, pd * sd
-        if qn * vd >= vn * qd:
-            k, pn, pd = k + (1 << i), qn, qd
-    return k, pn, pd
-
-
 def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
     """Descend through child cells to the branch whose window contains y.
 
@@ -132,34 +108,16 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
         d = family._dist_unchecked(t)
         if d is None:
             break
-        if isinstance(d, FiniteDist):
-            q, lowers, cells, _, _ = d._grid  # built and checked by the accessor
-            # the cells tile [0, q], so the last one with b <= floor(u * q) holds u
-            x, rem = divmod(un * q, ud)
-            i = bisect_right(lowers, x) - 1
-            k, b, a = cells[i]
-            if (un + wn) * q > a * ud:  # the upper end spills past the cell
-                un, wn, ud = refine(un, wn, ud)
-                continue
-            if not wn and i and rem == 0 and x == b:
-                raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
-            un, wn, ud = un * q - b * ud, wn * q, (a - b) * ud
-        else:
-            vn = ud - un  # 1 - u = vn / ud
-            if vn == 0:
-                raise QPointError(f"{show(Fraction(*y))} is the limit endpoint of an infinite subdivision")
-            if isinstance(d, PointMass):
-                k = d.index  # its cell is all of [0, 1]
-            else:
-                rn, rd = d.ratio.numerator, d.ratio.denominator
-                k, pn, pd = _geometric_index(rn, rd, vn, ud)
-                if (vn - wn) * pd * rd < pn * rn * ud:  # the upper end passes 1 - r^(k+1)
-                    un, wn, ud = refine(un, wn, ud)
-                    continue
-                if not wn and k and vn * pd == pn * ud:
-                    raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
-                # (u - (1 - r^k)) / ((1 - r) r^k), with 1 - u = vn / ud and r^k = pn / pd
-                un, wn, ud = (pn * ud - vn * pd) * rd, wn * rd * pd, (rd - rn) * pn * ud
+        hit = d.locate(un, ud)  # the child whose cell [b/q, (b + c)/q) holds the lower end
+        if hit is None:
+            raise QPointError(f"{show(Fraction(*y))} is the limit endpoint of an infinite subdivision")
+        k, b, c, q = hit
+        if (un + wn) * q > (b + c) * ud:  # the upper end spills past the cell
+            un, wn, ud = refine(un, wn, ud)
+            continue
+        if not wn and b and un * q == b * ud:  # a point on the lower end of a cell past the first
+            raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
+        un, wn, ud = un * q - b * ud, wn * q, c * ud
         t = t + (k,)
     return t
 

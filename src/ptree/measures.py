@@ -31,6 +31,7 @@ from .trees import (
     TreeShape,
     _check_budget,
     _check_front,
+    _child_indices,
 )
 
 
@@ -101,7 +102,7 @@ class EdgeFamily:
                 d = self._dists.get(t)
             else:
                 d = self._dists(t) if self.tree._arity_unchecked(t) else None
-        if d.__class__ is FiniteDist and not d.grid()[3]:
+        if d.__class__ is FiniteDist and not d.grid()[2]:
             raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
         return d
 
@@ -192,14 +193,14 @@ def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> Valida
     else:
         check_depth = min(tree.depth_budget, 4) if depth is None else depth
         rows, stack = [], [()]
-        while stack:
+        while stack:  # from the root, so every t is a node: rows are read as `dist` gives them
             t = stack.pop()
-            if tree.is_maximal(t):
+            if not tree._arity_unchecked(t):
                 continue
-            d = family.dist(t)
+            d = family.row or family._dists(t)
             rows.append((t, d))
             if len(t) < check_depth and d.support is not OMEGA:
-                stack.extend(tree.children(t))
+                stack.extend(t + (k,) for k in _child_indices(tree, t))
     # closed forms have total 1 by construction
     violations = tuple((t, defect) for t, d in rows if isinstance(d, FiniteDist) and (defect := d.defect()))
     return ValidationReport(not violations, violations, check_depth)
@@ -436,10 +437,10 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     stack: list[Path] = [()]
     while stack:
         t = stack.pop()
-        if len(t) >= limit or tree.is_maximal(t):
+        if len(t) >= limit or not tree._arity_unchecked(t):
             children[t] = ()
             continue
-        d = family.dist(t)
+        d = family.row or family._dists(t)  # as `dist` gives it; t is a node reached from the root
         support = d.positive_support()
         if support is OMEGA:
             raise InfiniteLevel(f"node {t} has infinitely many positive successors")

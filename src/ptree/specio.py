@@ -70,13 +70,13 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
     if not isinstance(doc, dict):
         raise SpecValidationError("", "the document must be a JSON object")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or version is True:  # True == 1 in Python
         raise SpecValidationError("", f"unsupported version {version!r}")
     rep = doc.get("representation")
     budget = doc.get("depth_budget")
     if budget is None:
         budget = DEFAULT_DEPTH_BUDGET if default_budget is None else default_budget
-    elif not isinstance(budget, int) or budget < 0:
+    elif type(budget) is not int or budget < 0:
         raise SpecValidationError("", f"depth_budget must be a nonnegative integer, got {budget!r}")
 
     if rep == "generator":
@@ -100,7 +100,7 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
         if not isinstance(row, dict):
             raise SpecValidationError(key, "node rows must be objects")
         arity = row.get("arity")
-        if not isinstance(arity, int) or arity < 0:
+        if type(arity) is not int or arity < 0:
             raise SpecValidationError(key, f"arity must be a nonnegative integer, got {arity!r}")
         children[path] = tuple(range(arity))
         probs = row.get("probs", [])

@@ -429,7 +429,7 @@ def classify(tree: TreeShape, explore_depth: int | None = None) -> ClassifyRepor
     while stack:
         t = stack.pop()
         deepest = max(deepest, len(t))
-        a = tree.arity(t)
+        a = tree._arity_unchecked(t)  # the walk starts at the root, so t is a node
         if a is OMEGA:
             finitely_branching = False
             if len(t) < depth:
@@ -439,7 +439,7 @@ def classify(tree: TreeShape, explore_depth: int | None = None) -> ClassifyRepor
             max_depths.append(len(t))
             continue
         if len(t) < depth:
-            stack.extend(tree.children(t))
+            stack.extend(t + (k,) for k in range(a))
         else:
             deepest = depth
     well_pruned = all(d == deepest for d in max_depths)

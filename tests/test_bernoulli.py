@@ -218,6 +218,17 @@ def test_cell_volume_equals_leaf_mass():
             assert cell_volume(tt, leaf) == node_mass(tt.family, leaf)
 
 
+def test_cell_volume_reads_the_stored_probabilities_only():
+    tt = random_trial_tree(16, 1)
+    leaf = tuple(i % 2 for i in range(16))
+    expected = math.prod(tt.success_prob(leaf[:i]) if bit == 0 else 1 - tt.success_prob(leaf[:i]) for i, bit in enumerate(leaf))
+    assert cell_volume(tt, leaf) == expected
+    assert tt._family is None  # the 2^16-node family was never built
+    for bad in [(0,) * 15, (0,) * 15 + (2,), (0,) * 15 + (-1,)]:
+        with pytest.raises(NotALeaf):
+            cell_volume(tt, bad)
+
+
 def test_flip_success_convention():
     tt = DependentTrialTree.from_success_probs(
         2, {(): F(1, 4), (0,): F(1, 3), (1,): F(2, 3)}

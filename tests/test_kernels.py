@@ -36,6 +36,7 @@ from ptree import (
     FrontVariable,
     GeneratedTree,
     HypothesisViolated,
+    NotADistribution,
     PreconditionFrontMismatch,
     PTreeError,
     QPointError,
@@ -62,9 +63,9 @@ from ptree import (
     verify_encoding,
 )
 from ptree import bernoulli, encoding, intervals
-from ptree.dists import Geometric, fraction_sum
+from ptree.dists import Geometric, PointMass, fraction_sum
 from ptree.measures import _walk, positive_part
-from ptree.paths import compatible, is_prefix
+from ptree.paths import OMEGA, compatible, is_prefix
 
 from corpus import random_family, random_tree, random_variable
 from test_expectation import brute_conditional
@@ -612,6 +613,40 @@ def fraction_locate_branch(family, y, depth: int):
         lower, width = a, width * d.mass(k)
         t += (k,)
     return t
+
+
+ROWS = st.one_of(
+    # integer weights 0..3 put zero masses first, inside and last
+    st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(any).map(lambda w: FiniteDist([F(x, sum(w)) for x in w])),
+    st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=20).map(Geometric),
+    st.integers(0, 5).map(PointMass),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ROWS, st.lists(st.integers(0, 2**16), max_size=6), st.integers(1, 3))
+def test_locate_returns_the_cell_that_holds_the_point(row, points, scale):
+    if isinstance(row, FiniteDist):
+        ends = {row.prefix_mass(k) for k in row.indices} | {F(1)}
+    else:
+        ends = {row.prefix_mass(k) for k in range(12)}
+    for u in ends | {F(n, 2**16) for n in points} | {F(0), F(1)}:
+        un, ud = u.numerator * scale, u.denominator * scale  # descent passes unreduced ratios
+        hit = row.locate(un, ud)
+        if u == 1 and row.support is OMEGA:
+            assert hit is None  # the limit endpoint of infinitely many cells
+            continue
+        k, b, c, q = hit
+        assert (b, c, q) == row.cell(k)
+        if u == 1:
+            assert 0 < c and b + c == q  # the last cell of positive width
+        else:
+            assert b * ud <= un * q < (b + c) * ud
+
+
+def test_locate_refuses_a_row_that_is_not_a_distribution():
+    with pytest.raises(NotADistribution, match="masses sum to 1/2, not 1"):
+        FiniteDist(["1/2"]).locate(3, 4)
 
 
 def outcome(locate, family, y, depth):

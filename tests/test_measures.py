@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from ptree import (
     NotAFront,
     UnknownNode,
     below_mass,
+    classify,
     complete_binary_tree,
     dirac,
     enumerate_front,
@@ -463,3 +465,20 @@ def test_successor_quotient_lemma():
                 continue
             for k in tree.child_indices(t):
                 assert fam.dist(t).mass(k) == m.mass(t + (k,)) / m.mass(t)
+
+
+@pytest.mark.parametrize("walk", ["classify", "validate_edge_family", "positive_part"])
+def test_root_walks_on_a_deep_rule_tree_trust_membership(walk):
+    # requiring every node of a path re-walks its prefixes through the rule,
+    # which made these walks cubic in the depth: 1.7-2.6 s at depth 1,000
+    tree = GeneratedTree(lambda t: 1, 1005)
+    family = EdgeFamily(tree, lambda t: FiniteDist(["1"]))
+    start = time.perf_counter()
+    if walk == "classify":
+        result = classify(tree, 1000)
+        assert result.well_pruned and result.finitely_branching and result.perfect
+    elif walk == "validate_edge_family":
+        assert validate_edge_family(family, 1000).ok
+    else:
+        assert positive_part(family, 1000)[0].tree.height == 1000
+    assert time.perf_counter() - start < 0.5

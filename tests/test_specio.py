@@ -202,6 +202,27 @@ def test_json_integers_and_booleans_are_not_fraction_strings(probs):
     assert info.value.path == "" and "fraction string" in info.value.reason
 
 
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        ("version", "unsupported version True"),
+        ("depth_budget", "depth_budget must be a nonnegative integer, got True"),
+        ("arity", "arity must be a nonnegative integer, got True"),
+    ],
+)
+def test_json_booleans_are_not_integers(field, reason):
+    # isinstance(True, int) holds, so a bare isinstance test let `true` through as 1
+    doc = {"version": 1, "representation": "explicit", "depth_budget": 3,
+           "nodes": {"": {"arity": 1, "probs": ["1"]}, "0": {"arity": 0}}}
+    if field == "arity":
+        doc["nodes"][""]["arity"] = True
+    else:
+        doc[field] = True
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(json.dumps(doc))
+    assert info.value.path == "" and info.value.reason == reason
+
+
 def test_a_bad_entry_is_named_after_good_ones():
     text = json.dumps({"version": 1, "representation": "explicit", "nodes": {
         "": {"arity": 3, "probs": ["1/2", "1/4", "1/0"]},

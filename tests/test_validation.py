@@ -170,6 +170,18 @@ def test_row_form_matches_fraction_sums(row):
         assert d.defect() is None
 
 
+def test_mapping_keys_are_ordered_as_child_indices():
+    # string keys sort as text ("10" < "9"); the row must sort by index
+    d = FiniteDist({"10": "1/4", "9": "3/4"})
+    assert d.items() == ((9, F(3, 4)), (10, F(1, 4)))
+    assert d.cell(9) == (0, 3, 4) and d.mass(10) == F(1, 4)
+
+
+def test_mapping_keys_that_name_one_index_twice_are_refused():
+    with pytest.raises(ValueError, match="duplicate child index"):
+        FiniteDist({"1": "1/2", "01": "1/2"})
+
+
 def test_validate_reports_the_first_defect_of_each_row():
     fam = EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/3", "1/3"], (1,): ["3/2", "-1/2"]})
     assert validate_edge_family(fam).violations == (
