@@ -30,6 +30,9 @@ MAX_EXPONENT = 10_000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what str(Fraction) writes; int() reads it
 SHOWN_BITS = 1_024
+# The most bits r^k may take in a geometric cell: child k of r = rn/rd is
+# refused once k · bits(rd) passes it (2^20 bits, 128 KiB per integer).
+MAX_POWER_BITS = 1 << 20
 
 
 def as_fraction(value: FractionLike) -> Fraction:
@@ -118,7 +121,7 @@ class FiniteDist:
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int]:
         """The child k whose cell holds u = un/ud in [0, 1], and `cell(k)`; u = 1 is in the last positive cell."""
-        q, runs, stochastic = self.grid()
+        q, runs, stochastic = self._grid or self.grid()
         if not stochastic:
             raise NotADistribution(f"the masses are not a probability distribution: {self.defect()}")
         x = un * q // ud
@@ -193,52 +196,67 @@ class _ClosedForm:
         return Fraction(b, q)
 
 
-def _geometric_index(rn: int, rd: int, vn: int, vd: int) -> tuple[int, int, int]:
+def _geometric_index(rn: int, rd: int, vn: int, vd: int, inv_log: float, kmax: int) -> tuple[int, int, int]:
     """For r = rn/rd in (0, 1) and v = vn/vd in (0, 1]: the largest k with
     r^k >= v, and r^k as (numerator, denominator).
 
     This is the geometric child whose cell holds the relative point 1 - v,
-    since child k covers [1 - r^k, 1 - r^(k+1)). Squaring r until it drops
-    below v bounds k by a power of two; a greedy pass down the squares
-    then fixes its bits. That is O(log k) exact integer products, where a
-    scan over k would compute k powers.
+    since child k covers [1 - r^k, 1 - r^(k+1)). Inversion estimates
+    k = log v / log r in floats (inv_log = 1/log r), capped at kmax; exact
+    steps then move k down while r^k < v and up while r^(k+1) >= v. Any
+    estimate gives the same answer, and a sound one costs two comparisons.
+    A k past kmax raises OversizedValue before r^k is built.
     """
-    squares = [(rn, rd)]  # squares[i] = r^(2^i) as (numerator, denominator)
-    while squares[-1][0] * vd >= vn * squares[-1][1]:
-        sn, sd = squares[-1]
-        squares.append((sn * sn, sd * sd))
-    k, pn, pd = 0, 1, 1  # invariant: r^k = pn / pd >= v
-    for i in range(len(squares) - 2, -1, -1):
-        sn, sd = squares[i]
-        qn, qd = pn * sn, pd * sd
-        if qn * vd >= vn * qd:
-            k, pn, pd = k + (1 << i), qn, qd
+    if rn * vd < vn * rd:  # r < v: child 0, half of all points when r = 1/2
+        return 0, 1, 1
+    x = (vd - vn) / vd  # 1 - v: near v = 1, log(vn) - log(vd) cancels and log1p does not
+    est = (math.log1p(-x) if x < 0.5 else math.log(vn) - math.log(vd)) * inv_log
+    if not est < kmax:  # past the limit; or nan, for r within 10^-300 of 1, where (1 - v)/(1 - r) bounds k from below
+        est = kmax if est == est else min(kmax, math.exp(min(700.0, math.log((vd - vn) * rd) - math.log(vd * (rd - rn)))))
+    k = int(est)
+    pn, pd = rn**k, rd**k
+    while pn * vd < vn * pd:  # r^k < v: step down
+        k, pn, pd = k - 1, pn // rn, pd // rd
+    while (qn := pn * rn) * vd >= vn * (qd := pd * rd):  # r^(k+1) >= v: step up
+        k, pn, pd = _power_index(k + 1, kmax), qn, qd
     return k, pn, pd
 
 
-class Geometric(_ClosedForm):
-    """Closed form over countably many children: child k has mass (1-r)·r^k."""
+def _power_index(k: int, kmax: int) -> int:
+    """k, when r^k fits: k <= kmax = MAX_POWER_BITS // bits(rd); OversizedValue otherwise."""
+    if k > kmax:
+        raise OversizedValue(f"geometric children past {kmax} are refused: child k needs k · bits(denominator of r) <= {MAX_POWER_BITS:,}")
+    return k
 
-    __slots__ = ("ratio",)
+
+class Geometric(_ClosedForm):
+    """Closed form over countably many children: child k has mass (1-r)·r^k, for k within MAX_POWER_BITS."""
+
+    __slots__ = ("ratio", "_rn", "_rd", "_inv_log", "_kmax")
 
     def __init__(self, ratio: FractionLike):
         r = as_fraction(ratio)
         if not 0 < r < 1:
             raise ValueError("geometric ratio must lie strictly between 0 and 1")
         self.ratio = r
+        self._rn, self._rd = rn, rd = r.numerator, r.denominator
+        # log r: log1p near 1, where log(rn) - log(rd) rounds to 0; none within 10^-300 of 1
+        log_r = math.log1p(-(rd - rn) / rd) if 2 * rn > rd else math.log(rn) - math.log(rd)
+        self._inv_log = 1 / log_r if log_r < -1e-300 else math.nan
+        self._kmax = MAX_POWER_BITS // rd.bit_length()
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Child k's cell [1 - r^k, 1 - r^(k+1)) as (b, c, q) over q = rd^(k+1), for r = rn/rd."""
-        rn, rd = self.ratio.numerator, self.ratio.denominator
-        pn, pd = rn**k, rd**k
+        rn, rd = self._rn, self._rd
+        pn, pd = rn ** _power_index(k, self._kmax), rd**k
         return (pd - pn) * rd, (rd - rn) * pn, pd * rd
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:
         """The child k whose cell holds u = un/ud in [0, 1], with `cell(k)`; None at u = 1."""
         if un == ud:
             return None
-        rn, rd = self.ratio.numerator, self.ratio.denominator
-        k, pn, pd = _geometric_index(rn, rd, ud - un, ud)
+        rn, rd = self._rn, self._rd
+        k, pn, pd = _geometric_index(rn, rd, ud - un, ud, self._inv_log, self._kmax)
         return k, (pd - pn) * rd, (rd - rn) * pn, pd * rd
 
     def positive_support(self):

@@ -103,9 +103,10 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
     spills, can sit on a shared endpoint and raise QPointError.
     """
     y = un, ud  # named in QPointError messages
+    dist = family._dist_unchecked  # bound once, read at every step
     t: Path = ()
     while len(t) < depth:
-        d = family._dist_unchecked(t)
+        d = dist(t)
         if d is None:
             break
         hit = d.locate(un, ud)  # the child whose cell [b/q, (b + c)/q) holds the lower end

@@ -25,13 +25,13 @@ from .errors import (
 from .paths import OMEGA, Path, is_prefix
 from .trees import (
     DEFAULT_DEPTH_BUDGET,
+    Arity,
     ExplicitTree,
     Front,
     GeneratedTree,
     TreeShape,
     _check_budget,
     _check_front,
-    _child_indices,
 )
 
 
@@ -58,7 +58,7 @@ class EdgeFamily:
         self.row = None
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
-            if not arity or dists.support != (OMEGA if arity is OMEGA else tuple(range(arity))):
+            if not arity or _support_mismatch(dists, arity):
                 raise ValueError(f"the shared row {dists!r} needs a generated tree of matching shared arity")
             self.row, self._dists = dists, None
         elif isinstance(dists, Mapping):
@@ -102,7 +102,7 @@ class EdgeFamily:
                 d = self._dists.get(t)
             else:
                 d = self._dists(t) if self.tree._arity_unchecked(t) else None
-        if d.__class__ is FiniteDist and not d.grid()[2]:
+        if d.__class__ is FiniteDist and not (d._grid or d.grid())[2]:
             raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
         return d
 
@@ -146,6 +146,13 @@ class EdgeFamily:
         return f"EdgeFamily({kind}, {self.tree!r})"
 
 
+def _support_mismatch(d: Dist, arity: Arity) -> str | None:
+    """Why a generated node of this arity cannot take the row d; None when d's support is its child set."""
+    if d.support != (OMEGA if arity is OMEGA else tuple(range(arity))):
+        return f"the row {d!r} is not over the node's children 0..{'OMEGA' if arity is OMEGA else arity - 1}"
+    return None
+
+
 def _budget(depth_budget: int | None) -> int:
     return DEFAULT_DEPTH_BUDGET if depth_budget is None else depth_budget
 
@@ -177,7 +184,7 @@ class ValidationReport:
 
 
 def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> ValidationReport:
-    """Check that every per-node distribution is a probability distribution.
+    """Check that every per-node distribution is a probability distribution over the node's children.
 
     Explicit families are checked node by node. Generated families are
     checked on all nodes up to a shallow depth (closed forms certify their
@@ -187,22 +194,22 @@ def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> Valida
     if depth is not None:
         depth = depth if tree.depth_budget is None else min(tree.depth_budget, depth)
         _check_budget(tree, depth)
-    if family.is_explicit:
+    if family.is_explicit:  # the constructor matched every row to its node's children
         check_depth = None
-        rows = [(t, family.dist(t)) for t in tree.nodes() if not tree.is_maximal(t)]
+        defects = [(t, family.dist(t).defect()) for t in tree.nodes() if not tree.is_maximal(t)]
     else:
         check_depth = min(tree.depth_budget, 4) if depth is None else depth
-        rows, stack = [], [()]
+        defects, stack = [], [()]
         while stack:  # from the root, so every t is a node: rows are read as `dist` gives them
             t = stack.pop()
-            if not tree._arity_unchecked(t):
+            if not (a := tree._arity_unchecked(t)):
                 continue
             d = family.row or family._dists(t)
-            rows.append((t, d))
-            if len(t) < check_depth and d.support is not OMEGA:
-                stack.extend(t + (k,) for k in _child_indices(tree, t))
-    # closed forms have total 1 by construction
-    violations = tuple((t, defect) for t, d in rows if isinstance(d, FiniteDist) and (defect := d.defect()))
+            # closed forms have total 1 by construction
+            defects.append((t, _support_mismatch(d, a) or (isinstance(d, FiniteDist) and d.defect())))
+            if len(t) < check_depth and a is not OMEGA:
+                stack.extend(t + (k,) for k in range(a))
+    violations = tuple((t, defect) for t, defect in defects if defect)
     return ValidationReport(not violations, violations, check_depth)
 
 
@@ -417,7 +424,8 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     part of a canonical family may be sparse. A generated family whose
     shared row is positive on its whole support comes back unchanged; any
     other must have finite positive support at every node (point masses)
-    and is materialized up to `depth`.
+    and is materialized up to `depth`; a row that is not over its node's
+    children raises NotADistribution.
     """
     tree = family.tree
     if family.is_explicit:
@@ -437,10 +445,12 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     stack: list[Path] = [()]
     while stack:
         t = stack.pop()
-        if len(t) >= limit or not tree._arity_unchecked(t):
+        if len(t) >= limit or not (a := tree._arity_unchecked(t)):
             children[t] = ()
             continue
         d = family.row or family._dists(t)  # as `dist` gives it; t is a node reached from the root
+        if mismatch := _support_mismatch(d, a):
+            raise NotADistribution(f"at node {t}, {mismatch}")
         support = d.positive_support()
         if support is OMEGA:
             raise InfiniteLevel(f"node {t} has infinitely many positive successors")

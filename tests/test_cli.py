@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ptree
 from ptree import EdgeFamily, uniform_binary
 from ptree.cli import build_parser, main
 from ptree.specio import serialize_spec
@@ -367,3 +372,23 @@ def test_answers_past_the_int_to_str_digit_limit_print_exactly(tmp_path, capsys)
     assert capsys.readouterr().out == f"{'9' * 6000}/{power}\n"
     assert main(["expect", "--tree", spec, "--depth", "4", "--values", values, "--node", "0.0.0"]) == 0
     assert capsys.readouterr().out == f"{'9' * 1500}/1{'0' * 1500}\n"
+
+
+def test_a_draw_past_the_geometric_power_limit_exits_1_promptly(tmp_path):
+    # ratio 1 - 2^-64 puts a draw in a child near 2^64, whose r^k cannot be
+    # built; before the size limit this ran until killed, so it runs in a
+    # child process under a time bound
+    spec = tmp_path / "near1.json"
+    spec.write_text(json.dumps({
+        "version": 1, "representation": "generator", "depth_budget": 8,
+        "generator": "geometric_omega(18446744073709551615/18446744073709551616)",
+    }))
+    src = str(Path(ptree.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from ptree.cli import main; sys.exit(main())",
+         "sample", "--tree", str(spec), "--seed", "1", "--count", "1", "--depth", "1"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert run.returncode == 1 and not run.stdout
+    assert run.stderr.startswith("error: geometric children past 16131 are refused")

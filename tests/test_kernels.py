@@ -10,7 +10,8 @@ helper, a `Fraction` walk over every leaf history for success-count
 pmfs, two `randint` calls and one `Fraction` per node for random trial
 trees, and, for descent, a walk over absolute `Fraction` cell ends that
 scans each finite row's cells and the child indices of closed-form nodes,
-and, for the order check, a test of every pair of encoded nodes. Results
+for the geometric child index, a squaring search over exact powers of the
+ratio, and, for the order check, a test of every pair of encoded nodes. Results
 must be identical fractions and verdicts. The sampler's interval descent is
 checked by enumeration instead: every string of 2-bit chunks, weighted by
 its probability, must give each branch exactly its `node_mass`.
@@ -37,6 +38,7 @@ from ptree import (
     GeneratedTree,
     HypothesisViolated,
     NotADistribution,
+    OversizedValue,
     PreconditionFrontMismatch,
     PTreeError,
     QPointError,
@@ -63,7 +65,7 @@ from ptree import (
     verify_encoding,
 )
 from ptree import bernoulli, encoding, intervals
-from ptree.dists import Geometric, PointMass, fraction_sum
+from ptree.dists import Geometric, PointMass, _geometric_index, fraction_sum
 from ptree.measures import _walk, positive_part
 from ptree.paths import OMEGA, compatible, is_prefix
 
@@ -647,6 +649,62 @@ def test_locate_returns_the_cell_that_holds_the_point(row, points, scale):
 def test_locate_refuses_a_row_that_is_not_a_distribution():
     with pytest.raises(NotADistribution, match="masses sum to 1/2, not 1"):
         FiniteDist(["1/2"]).locate(3, 4)
+
+
+def squaring_index(rn, rd, vn, vd, kmax):
+    """The largest k with r^k >= v and r^k as (numerator, denominator), or
+    None once k is known to pass kmax: squaring r until it drops below v
+    bounds k by a power of two, and a greedy pass down the squares fixes
+    its bits."""
+    squares = [(rn, rd)]  # squares[i] = r^(2^i)
+    while squares[-1][0] * vd >= vn * squares[-1][1]:
+        if 1 << (len(squares) - 1) > kmax:
+            return None
+        sn, sd = squares[-1]
+        squares.append((sn * sn, sd * sd))
+    k, pn, pd = 0, 1, 1  # invariant: r^k = pn / pd >= v
+    for i in range(len(squares) - 2, -1, -1):
+        sn, sd = squares[i]
+        qn, qd = pn * sn, pd * sd
+        if qn * vd >= vn * qd:
+            k, pn, pd = k + (1 << i), qn, qd
+    return (k, pn, pd) if k <= kmax else None
+
+
+GEOMETRIC_RATIOS = [F(1, 2), F(9, 10), F(99, 100), F(1, 10**6), F(1, 2**64), 1 - F(1, 2**20)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(GEOMETRIC_RATIOS),
+    st.sampled_from(["random", "in cell j", "r^j", "below r^j", "above r^j"]),
+    st.integers(0, 400),
+    st.integers(1, 2**64),
+    st.integers(1, 3),
+    st.integers(0, 500),
+    # the float estimate sets only how many exact steps run: skewed, zero
+    # and missing (nan, as within 10^-300 of 1) estimates give the same answer
+    st.sampled_from([1.0, 1.0, 1.0, 0.0, 0.5, 2.0, math.nan]),
+)
+def test_geometric_index_matches_the_squaring_search(r, kind, j, n, scale, kmax, skew):
+    rn, rd = r.numerator, r.denominator
+    pn, pd = rn**j, rd**j
+    if kind == "random":
+        vn, vd = n, 2**64
+    elif kind == "in cell j":  # r^j · w for w = r + (1 - r)·n/2^64 in (r, 1]: inside child j
+        vn, vd = pn * (rn * 2**64 + (rd - rn) * n), pd * rd * 2**64
+    else:
+        vn, vd = pn * scale + {"r^j": 0, "below r^j": -1, "above r^j": 1}[kind], pd * scale
+    vn, vd = vn * scale, vd * scale  # descent passes unreduced ratios
+    if not 0 < vn <= vd:
+        return
+    inv_log = Geometric(r)._inv_log * skew
+    expected = squaring_index(rn, rd, vn, vd, kmax)
+    if expected is None:  # past the size limit: refused before r^k is built
+        with pytest.raises(OversizedValue):
+            _geometric_index(rn, rd, vn, vd, inv_log, kmax)
+    else:
+        assert _geometric_index(rn, rd, vn, vd, inv_log, kmax) == expected
 
 
 def outcome(locate, family, y, depth):

@@ -265,6 +265,25 @@ def test_a_shared_row_must_match_the_shared_arity(tree, row):
         EdgeFamily(tree, row)
 
 
+def two_children_on_a_unary_tree():
+    # a rule row over children 0 and 1 on a tree where every node has one child
+    return EdgeFamily(GeneratedTree(lambda t: 1, 5), lambda t: FiniteDist(["1/2", "1/2"]))
+
+
+def test_validation_reports_a_rule_row_that_is_not_over_the_node_children():
+    report = validate_edge_family(two_children_on_a_unary_tree(), 3)
+    assert not report.ok
+    assert [t for t, _ in report.violations] == [(), (0,), (0, 0), (0, 0, 0)]
+    assert "not over the node's children 0..0" in report.violations[0][1]
+    omega_rows = EdgeFamily(GeneratedTree(lambda t: 2, 5), lambda t: Geometric("1/2"))
+    assert [t for t, _ in validate_edge_family(omega_rows, 1).violations] == [(), (1,), (0,)]
+
+
+def test_positive_part_refuses_a_rule_row_with_foreign_children():
+    with pytest.raises(NotADistribution, match=r"at node \(\), the row .* is not over the node's children 0..0"):
+        positive_part(two_children_on_a_unary_tree(), 3)
+
+
 def test_shared_row_families_compare_by_row_and_budget():
     half = FiniteDist(["1/2", "1/2"])
     a = EdgeFamily(GeneratedTree(2, 8), FiniteDist(["1/2", "1/2"]))

@@ -59,7 +59,7 @@ from ptree import (
 )
 from ptree import encoding
 from ptree.cli import main
-from ptree.dists import as_fraction, show
+from ptree.dists import MAX_POWER_BITS, Geometric, as_fraction, show
 
 from corpus import random_family, random_tree
 
@@ -306,6 +306,23 @@ def test_a_family_name_abbreviates_a_long_ratio():
     fam = geometric_omega(8, F(1, 10**5000))
     assert fam.name.startswith("geometric_omega(~2^-16609 (") and len(fam.name) < 80
     assert node_mass(fam, (0,)) == 1 - F(1, 10**5000)
+
+
+def test_a_geometric_child_past_the_power_limit_is_refused():
+    half = Geometric(F(1, 2))
+    kmax = MAX_POWER_BITS // 2  # r = 1/2: k · bits(2) <= MAX_POWER_BITS
+    assert half.cell(kmax) == ((2**kmax - 1) * 2, 1, 2 ** (kmax + 1))  # [1 - 2^-kmax, 1 - 2^-(kmax+1))
+    for call in (lambda: half.cell(kmax + 1), lambda: node_interval(geometric_omega(2), (10**9,))):
+        with pytest.raises(OversizedValue, match=f"geometric children past {kmax} are refused") as info:
+            call()
+        assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("e", [1000, 3000])  # 1/log r is finite at 2^-1000, out of float range at 2^-3000
+def test_geometric_locate_next_to_one(e):
+    row = Geometric(1 - F(1, 2**e))
+    assert row.locate(1, 2 ** (e + 1)) == (0,) + row.cell(0)  # v = 1 - 2^-(e+1) > r: child 0
+    assert row.locate(1, 2 ** (e - 1))[0] == 2  # r^2 >= 1 - 2^-(e-1) > r^3
 
 
 def test_show_abbreviates_past_its_bit_length_only():
