@@ -163,10 +163,6 @@ class FiniteDist:
     def positive_support(self) -> tuple[int, ...]:
         return tuple(j for j, m in self._items if m > 0)
 
-    def restrict(self, indices: Iterable[int]) -> "FiniteDist":
-        keep = set(indices)
-        return FiniteDist({j: m for j, m in self._items if j in keep})
-
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return self._items
 

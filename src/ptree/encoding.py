@@ -14,17 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .dists import FiniteDist, fraction_sum
+from .dists import ONE, ZERO, fraction_sum
 from .errors import DepthBudgetExceeded, EncodingMismatch, InfiniteLevel, UnknownNode
 from .intervals import Interval
-from .measures import (
-    EdgeFamily,
-    GeneralPair,
-    InductiveMeasure,
-    _walk,
-    family_from_pair,
-    split_measure,
-)
+from .measures import EdgeFamily, InductiveMeasure, _walk
 from .paths import OMEGA, Path, compatible, is_prefix
 from .trees import ExplicitTree, TreeShape, _check_budget, walk_to_depth
 
@@ -105,15 +98,20 @@ def embed_branch(enc: BinaryEncoding, x: Path) -> Path:
     return enc.map_node(x)
 
 
-def _uniform_fillers(measure: InductiveMeasure, null_nodes: frozenset[Path]) -> dict[Path, FiniteDist]:
-    tree = measure.tree
-    fillers: dict[Path, FiniteDist] = {}
-    for t in null_nodes:
-        idx = tree.child_indices(t)  # type: ignore[union-attr]
-        if idx:
-            share = Fraction(1, len(idx))
-            fillers[t] = FiniteDist({k: share for k in idx})
-    return fillers
+def _image_cells(measure: InductiveMeasure) -> dict[Path, tuple[Fraction, Fraction]]:
+    """Each image node's cell as (lower end, width), read from the pushed measure.
+
+    A child's cell starts where its previous sibling's ends and is as wide
+    as its mass, so below a zero-mass node every cell is that node's lower
+    end, whatever filler an image family would put there.
+    """
+    cells = {(): (ZERO, ONE)}
+    free: dict[Path, Fraction] = {}  # where the next child's cell starts, by parent
+    for s, m in sorted(measure.items())[1:]:  # the root first, then parents before children
+        p = s[:-1]
+        lo = free.get(p, cells[p][0])
+        free[p], cells[s] = lo + m, (lo, m)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -135,10 +133,11 @@ def verify_encoding(family: EdgeFamily, depth: int) -> EncodingReport:
     """Check the embedding's preservation laws on all nodes up to `depth`.
 
     Verifies that the pushed-forward masses satisfy the inductive law,
-    that an image family realizing them assigns every image node the same
-    interval as its source node, and that the map preserves extension and
-    preserves/reflects incompatibility; the image must consist of
-    splitting and maximal nodes with maximal nodes coming from the source.
+    that the cells they fix on the image tree give every image node the
+    same interval as its source node, and that the map preserves
+    extension and preserves/reflects incompatibility; the image must
+    consist of splitting and maximal nodes with maximal nodes coming from
+    the source.
     """
     return _verify_encoding(family, binary_encode(family.tree, depth))
 
@@ -155,18 +154,12 @@ def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
 
     inductive_ok = intervals_ok = measure is not None
     if measure is not None:
-        image_tree = measure.tree
-        positive, null = split_measure(measure)
-        pair = GeneralPair(image_tree, positive, _uniform_fillers(measure, frozenset(
-            t for t in null if not image_tree.is_maximal(t)
-        )))
-        image_family = family_from_pair(pair)
-        img_cells = _walk(image_family, enc.h.values())
+        cells = _image_cells(measure)
         for t, s in enc.h.items():
-            (a, w, q), (b, v, r) = src_cells[t], img_cells[s]
-            if a * r != b * q or w * r != v * q:  # the same cell, compared unreduced
+            (a, w, q), (b, m) = src_cells[t], cells[s]
+            if a * b.denominator != b.numerator * q or w * m.denominator != m.numerator * q:
                 intervals_ok = False
-                src, img = Interval(Fraction(a, q), Fraction(a + w, q)), Interval(Fraction(b, r), Fraction(b + v, r))
+                src, img = Interval(Fraction(a, q), Fraction(a + w, q)), Interval(b, b + m)
                 failures.append(f"interval mismatch at {t}: {src} vs {img} at image {s}")
 
     # Extension is transitive, and two incompatible nodes extend two

@@ -88,29 +88,32 @@ def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Option
     return memo[t]
 
 
-def relative_expect(
-    family: EdgeFamily, variable: FrontVariable, t: Path, *, any_front: bool = False
-) -> Fraction:
-    """Expectation of the variable among the front members extending t.
-
-    Requires that no maximal node shorter than the front level sits above
-    t: every member extending t must lie at the full level, so the
-    conditional weights form a probability distribution. With `any_front`
-    the front may be arbitrary and that precondition is dropped.
-    """
+def _checked_conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> tuple:
+    """`_conditional` at a node of the tree that some front member extends."""
     _check_front(family.tree, variable.front, "the variable's front")
     t = family.tree.require(tuple(t))
     entry = _conditional(family, variable, t)
     if entry is None:
         raise NodeNotBelowFront(f"node {t} has no extension in the variable's front")
-    if not any_front and entry[1] != (n := max(map(len, variable.values))):
+    return t, entry
+
+
+def relative_expect(family: EdgeFamily, variable: FrontVariable, t: Path) -> Fraction:
+    """Expectation of the variable among the front members extending t.
+
+    Requires that no maximal node shorter than the front level sits above
+    t: every member extending t must lie at the full level, so the
+    conditional weights form a probability distribution.
+    """
+    t, (e, shallowest, _) = _checked_conditional(family, variable, t)
+    if shallowest != (n := max(map(len, variable.values))):
         raise PreconditionFrontMismatch(f"a maximal node shorter than level {n} lies above {t}")
-    return entry[0]
+    return e
 
 
 def relative_expect_front(family: EdgeFamily, variable: FrontVariable, t: Path) -> Fraction:
     """Front-general variant: condition on t over an arbitrary front."""
-    return relative_expect(family, variable, t, any_front=True)
+    return _checked_conditional(family, variable, t)[1][0]
 
 
 @dataclass(frozen=True)

@@ -253,9 +253,8 @@ def atom_gaps(family: EdgeFamily) -> tuple[Interval, ...]:
     """
     if not isinstance(family.tree, ExplicitTree):
         raise RequiresExplicitFiniteTree("atom gaps are defined for explicit finite trees")
-    measure = induced_measure(family)
-    cells = _walk(family, (t for t in family.tree.max_nodes() if measure.mass(t) > 0))
-    return tuple(Interval(Fraction(lo, q), Fraction(lo + w, q)) for lo, w, q in cells.values())
+    cells = _walk(family, family.tree.max_nodes()).values()
+    return tuple(Interval(Fraction(lo, q), Fraction(lo + w, q)) for lo, w, q in cells if w)
 
 
 _SAMPLE_BITS = 128

@@ -94,14 +94,19 @@ class EdgeFamily:
         """Distribution at a node known to be valid; None when it is maximal.
 
         Every walk reads its rows here: a finite row that is not a
-        probability distribution raises NotADistribution.
+        probability distribution, or a rule row that is not over the node's
+        children, raises NotADistribution.
         """
         d = self.row
         if d is None:
             if isinstance(self._dists, dict):
                 d = self._dists.get(t)
+            elif not (a := self.tree._arity_unchecked(t)):
+                return None
             else:
-                d = self._dists(t) if self.tree._arity_unchecked(t) else None
+                d = self._dists(t)
+                if mismatch := _support_mismatch(d, a):
+                    raise NotADistribution(f"at node {t}, {mismatch}")
         if d.__class__ is FiniteDist and not (d._grid or d.grid())[2]:
             raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
         return d
@@ -423,42 +428,40 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     The restricted tree keeps the original child indices, so the positive
     part of a canonical family may be sparse. A generated family whose
     shared row is positive on its whole support comes back unchanged; any
-    other must have finite positive support at every node (point masses)
-    and is materialized up to `depth`; a row that is not over its node's
-    children raises NotADistribution.
+    other is walked from the root, an explicit one to its height and a
+    generated one up to `depth`, and must have finite positive support at
+    every node (point masses). Rows are read as every walk reads them, so
+    one that is not a distribution over its node's children raises
+    NotADistribution.
     """
     tree = family.tree
-    if family.is_explicit:
-        positive, null = split_measure(induced_measure(family))
-        sub = positive.tree
-        dists = {t: family.dist(t).restrict(sub.child_indices(t)) for t in sub.nodes() if not sub.is_maximal(t)}
-        return EdgeFamily(sub, dists), NullNodeSet(family, null)
-
     row = family.row
     if row is not None and row.positive_support() == row.support:
         return family, NullNodeSet(family, None)
 
-    limit = tree.depth_budget if depth is None else depth
-    _check_budget(tree, limit)
+    explicit = family.is_explicit
+    if explicit:
+        limit = tree.height
+    else:
+        limit = tree.depth_budget if depth is None else depth
+        _check_budget(tree, limit)
     children: dict[Path, tuple[int, ...]] = {}
     dists: dict[Path, FiniteDist] = {}
     stack: list[Path] = [()]
     while stack:
         t = stack.pop()
-        if len(t) >= limit or not (a := tree._arity_unchecked(t)):
+        d = family._dist_unchecked(t) if len(t) < limit else None
+        if d is None:
             children[t] = ()
             continue
-        d = family.row or family._dists(t)  # as `dist` gives it; t is a node reached from the root
-        if mismatch := _support_mismatch(d, a):
-            raise NotADistribution(f"at node {t}, {mismatch}")
         support = d.positive_support()
         if support is OMEGA:
             raise InfiniteLevel(f"node {t} has infinitely many positive successors")
         children[t] = tuple(support)
         dists[t] = FiniteDist({k: d.mass(k) for k in support})
         stack.extend(t + (k,) for k in support)
-    sub_tree = ExplicitTree(children, tree.depth_budget)
-    return EdgeFamily(sub_tree, dists), NullNodeSet(family, None)
+    null = frozenset(t for t in tree.nodes() if t not in children) if explicit else None
+    return EdgeFamily(ExplicitTree(children, tree.depth_budget), dists), NullNodeSet(family, null)
 
 
 class GeneralPair:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptree import (
     DepthBudgetExceeded,
@@ -10,14 +11,17 @@ from ptree import (
     EncodingMismatch,
     ExplicitTree,
     FiniteDist,
+    GeneralPair,
     InfiniteLevel,
     binary_encode,
     complete_binary_tree,
     embed_branch,
     encoded_measure,
+    family_from_pair,
     geometric_omega,
     node_interval,
     node_mass,
+    split_measure,
     uniform_binary,
     verify_encoding,
 )
@@ -236,3 +240,28 @@ def test_cli_encode_verify_failure_exits_1(monkeypatch, tmp_path, capsys):
     assert "2 -> 1.0" in out
     assert "verification: FAILED" in out
     assert any(o.startswith("  " + line) for o in out), out
+
+
+def uniform_filler_image_family(measure):
+    """An image family realizing the pushed measure: mass quotients, uniform rows below zero-mass nodes."""
+    image = measure.tree
+    positive, null = split_measure(measure)
+    fillers = {}
+    for t in null:
+        if idx := image.child_indices(t):
+            fillers[t] = FiniteDist({k: F(1, len(idx)) for k in idx})
+    return family_from_pair(GeneralPair(image, positive, fillers))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_image_cells_match_a_uniform_filler_image_family(rng):
+    # zero masses leave null regions in the image, where only the filler fixes the cells of an image family
+    tree = random_tree(rng, max_depth=4, max_arity=4)
+    fam = random_family(rng, tree, allow_zero=True)
+    measure = encoded_measure(fam, binary_encode(tree, tree.height))
+    image_family = uniform_filler_image_family(measure)
+    cells = encoding._image_cells(measure)
+    assert cells.keys() == set(measure.tree.nodes())
+    for s, (lo, width) in cells.items():
+        assert node_interval(image_family, s) == (lo, lo + width)

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptree import (
     EdgeFamily,
@@ -29,11 +30,14 @@ from ptree import (
     front_mass,
     geometric_omega,
     induced_measure,
+    locate_branch,
     node_mass,
     pair_from_family,
     positive_equivalent,
     positive_equivalent_measures,
     positive_part,
+    sample_branches,
+    split_measure,
     uniform_binary,
     validate_edge_family,
 )
@@ -247,6 +251,28 @@ def test_positive_part_of_a_shared_row_with_a_zero_edge_is_materialized():
     assert (0, 1) in null and (0, 0) not in null
 
 
+def positive_part_from_the_split_measure(fam):
+    """The positive part of an explicit family, split off its induced measure."""
+    positive, null = split_measure(induced_measure(fam))
+    sub = positive.tree
+    rows = {
+        t: FiniteDist({k: fam.dist(t).mass(k) for k in sub.child_indices(t)})
+        for t in sub.nodes()
+        if not sub.is_maximal(t)
+    }
+    return EdgeFamily(sub, rows), null
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_positive_part_of_an_explicit_family_matches_its_split_measure(rng):
+    fam = random_family(rng, random_tree(rng, max_depth=4, max_arity=4), allow_zero=True)
+    pos, null = positive_part(fam)
+    expected, expected_null = positive_part_from_the_split_measure(fam)
+    assert pos == expected
+    assert set(null) == expected_null
+
+
 @pytest.mark.parametrize(
     "tree, row",
     [
@@ -282,6 +308,28 @@ def test_validation_reports_a_rule_row_that_is_not_over_the_node_children():
 def test_positive_part_refuses_a_rule_row_with_foreign_children():
     with pytest.raises(NotADistribution, match=r"at node \(\), the row .* is not over the node's children 0..0"):
         positive_part(two_children_on_a_unary_tree(), 3)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda fam: sample_branches(fam, 1, 4, 3),
+        lambda fam: locate_branch(fam, "1/3", 2),
+        lambda fam: node_mass(fam, (0, 0)),
+    ],
+    ids=["sample_branches", "locate_branch", "node_mass"],
+)
+def test_every_walk_refuses_a_rule_row_with_foreign_children(query):
+    # each used to answer from the row: draws such as (1, 1, 0) that the tree does not contain, (0, 1), 1/4
+    with pytest.raises(NotADistribution, match=r"at node \(\), the row .* is not over the node's children 0..0"):
+        query(two_children_on_a_unary_tree())
+
+
+def test_positive_part_refuses_a_rule_row_that_is_not_a_distribution():
+    # it used to return a truncated family built from the row's positive entries
+    fam = EdgeFamily(GeneratedTree(2, 5), lambda t: FiniteDist(["1/3", "1/3"]))
+    with pytest.raises(NotADistribution, match=r"the masses at node \(\) are not a probability distribution"):
+        positive_part(fam, 2)
 
 
 def test_shared_row_families_compare_by_row_and_budget():
