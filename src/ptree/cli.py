@@ -29,7 +29,7 @@ from .intervals import (
 )
 from .measures import EdgeFamily, front_mass, induced_measure, node_mass
 from .paths import format_path, parse_path
-from .specio import _parse_fraction, parse_spec
+from .specio import _family_from_document, _parse_fraction
 from .trees import DEFAULT_DEPTH_BUDGET, classify, enumerate_front
 
 ENV_BUDGET = "PTREE_DEPTH_BUDGET"
@@ -52,13 +52,23 @@ def _default_budget() -> int:
     return value
 
 
-def _load_family(path: str) -> EdgeFamily:
+def _read_json(path: str) -> object:
+    """The JSON document in a file; a file that cannot be read, decoded or parsed raises a PTreeError naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            return json.loads(handle.read().decode("utf-8"))  # decoded whole, so the error's offset is the file's
     except OSError as exc:
         raise PTreeError(f"cannot read {path}: {exc}") from None
-    return parse_spec(text, default_budget=_default_budget())
+    except UnicodeDecodeError as exc:
+        raise PTreeError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise PTreeError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise PTreeError(f"{path}: arrays or objects nested too deeply") from None
+
+
+def _load_family(path: str) -> EdgeFamily:
+    return _family_from_document(_read_json(path), default_budget=_default_budget())
 
 
 def _exact(x: Fraction | int) -> str:
@@ -153,13 +163,7 @@ def _cmd_front(args) -> int:
 def _cmd_expect(args) -> int:
     family = _load_family(args.tree)
     front = enumerate_front(family.tree, args.depth)
-    try:
-        with open(args.values, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise PTreeError(f"cannot read {args.values}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise PTreeError(f"{args.values}: line {exc.lineno}: {exc.msg}") from None
+    raw = _read_json(args.values)
     if not isinstance(raw, dict):
         raise PTreeError(f"{args.values}: expected a JSON object mapping front paths to values")
     values = {parse_path(k): _parse_fraction(v, k) for k, v in raw.items()}

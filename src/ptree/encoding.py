@@ -73,11 +73,11 @@ def encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> InductiveMeasure
     source successors whose images extend them; the result satisfies the
     inductive law.
     """
-    return _encoded_measure(family, enc)[0]
+    return InductiveMeasure(enc.image, _pushed_masses(family, enc)[0])
 
 
-def _encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> tuple[InductiveMeasure, dict[Path, tuple[int, int, int]]]:
-    """`encoded_measure`, and the source nodes' cells it was summed from."""
+def _pushed_masses(family: EdgeFamily, enc: BinaryEncoding) -> tuple[dict[Path, Fraction], dict[Path, tuple[int, int, int]]]:
+    """`encoded_measure`'s masses, unchecked, and the source nodes' cells they were summed from."""
     if enc.source is not family.tree and enc.source != family.tree:
         raise EncodingMismatch("the encoding was built from a different tree")
     source_cells = _walk(family, enc.h)
@@ -90,7 +90,7 @@ def _encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> tuple[Inductive
         # the longest preimage below s; unique because deeper preimages collapse chains
         t = enc.preimages[anchor][-1]
         masses[s] = fraction_sum(source_cells[c][1:] for c in family.tree.children(t) if c in enc.h and is_prefix(s, enc.h[c]))
-    return InductiveMeasure(enc.image, masses), source_cells
+    return masses, source_cells
 
 
 def embed_branch(enc: BinaryEncoding, x: Path) -> Path:
@@ -146,8 +146,9 @@ def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
     """`verify_encoding` on an encoding already built from the family's tree."""
     failures: list[str] = []
 
+    masses, src_cells = _pushed_masses(family, enc)  # a bad source row raises, as in every walk
     try:
-        measure, src_cells = _encoded_measure(family, enc)
+        measure = InductiveMeasure(enc.image, masses)
     except ValueError as exc:
         failures.append(f"pushed measure violates the inductive law: {exc}")
         measure = None

@@ -153,7 +153,9 @@ class EdgeFamily:
 
 def _support_mismatch(d: Dist, arity: Arity) -> str | None:
     """Why a generated node of this arity cannot take the row d; None when d's support is its child set."""
-    if d.support != (OMEGA if arity is OMEGA else tuple(range(arity))):
+    # a finite row's indices are sorted and distinct, so n of them ending at n - 1 are 0..n-1; no length equals OMEGA
+    fits = (len(d._items) == arity and d._items[-1][0] == arity - 1) if isinstance(d, FiniteDist) else d.support is arity
+    if not fits:
         return f"the row {d!r} is not over the node's children 0..{'OMEGA' if arity is OMEGA else arity - 1}"
     return None
 
@@ -364,10 +366,19 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
     return InductiveMeasure._trusted(tree, masses, record_depth)
 
 
+def _total_mass(measure: InductiveMeasure, nodes: Iterable[Path]) -> Fraction:
+    """The summed masses of nodes; one the measure has not materialized raises as `measure.mass` does."""
+    try:
+        return fraction_sum(map(Fraction.as_integer_ratio, map(measure._masses.__getitem__, nodes)))
+    except KeyError as missing:
+        measure.mass(*missing.args)  # raises UnknownNode or DepthBudgetExceeded
+        raise
+
+
 def front_mass(measure: InductiveMeasure, front: Front) -> Fraction:
     """Total mass of a front; exactly one for any valid inductive measure."""
     _check_front(measure.tree, front, "the given node set")
-    return fraction_sum(measure.mass(s).as_integer_ratio() for s in front.nodes)
+    return _total_mass(measure, front.nodes)
 
 
 def below_mass(measure: InductiveMeasure, t: Path, front: Front) -> Fraction:
@@ -377,7 +388,7 @@ def below_mass(measure: InductiveMeasure, t: Path, front: Front) -> Fraction:
     members = [s for s in front.nodes if is_prefix(t, s)]
     if not members:
         raise NodeNotBelowFront(f"node {t} has no extension in the front")
-    return fraction_sum(measure.mass(s).as_integer_ratio() for s in members)
+    return _total_mass(measure, members)
 
 
 class NullNodeSet:

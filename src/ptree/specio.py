@@ -67,6 +67,13 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, line=exc.lineno) from None
+    except RecursionError:
+        raise SpecSyntaxError("arrays or objects nested too deeply") from None
+    return _family_from_document(doc, default_budget)
+
+
+def _family_from_document(doc: Any, default_budget: int | None = None) -> EdgeFamily:
+    """`parse_spec` on a document already read from JSON."""
     if not isinstance(doc, dict):
         raise SpecValidationError("", "the document must be a JSON object")
     version = doc.get("version")

@@ -9,6 +9,8 @@ infinite set fail with InfiniteLevel instead of truncating silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import le
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -36,7 +38,7 @@ class ExplicitTree:
     (positive parts, encoded images) may keep sparse child-index sets.
     """
 
-    __slots__ = ("_children", "depth_budget", "_height")
+    __slots__ = ("_children", "depth_budget", "_height", "_index")
 
     def __init__(self, children: Mapping[Path, Sequence[int]], depth_budget: int | None = None):
         child_map: dict[Path, tuple[int, ...]] = {}
@@ -62,6 +64,7 @@ class ExplicitTree:
         self._children = child_map
         self.depth_budget = depth_budget
         self._height = max(len(t) for t in child_map)
+        self._index = None
 
     @classmethod
     def from_arities(cls, arities: Mapping[Path, int], depth_budget: int | None = None) -> "ExplicitTree":
@@ -90,9 +93,6 @@ class ExplicitTree:
 
     def contains(self, t: Path) -> bool:
         return tuple(t) in self._children
-
-    def _contains_after(self, t: Path, prev: Path) -> bool:
-        return t in self._children
 
     def require(self, t: Path) -> Path:
         t = tuple(t)
@@ -130,6 +130,21 @@ class ExplicitTree:
 
     def child_map(self) -> Mapping[Path, tuple[int, ...]]:
         return dict(self._children)
+
+    def _preorder(self) -> tuple[dict[Path, int], list[int], list[int]]:
+        """Built on first use: each node's preorder position and, by position, one past its subtree's
+        last position and its count of maximal nodes. Child tuples are sorted, so preorder is lexicographic
+        order, and s is a proper prefix of t exactly when position[s] < position[t] < end[position[s]]."""
+        if self._index is None:
+            order = sorted(self._children)  # the tree's own key tuples, not copies
+            end, ancestors = [len(order)] * len(order), []
+            for i, t in enumerate(order):  # a stack, not recursion: trees may be deeper than the recursion limit
+                while len(ancestors) > len(t):  # the nodes still open at i are t's ancestors, one per depth
+                    end[ancestors.pop()] = i
+                ancestors.append(i)
+            maximal = list(accumulate((e == p + 1 for p, e in enumerate(end)), initial=0))  # a run of one is a maximal node
+            self._index = dict(zip(order, range(len(order)))), end, [maximal[e] - maximal[p] for p, e in enumerate(end)]
+        return self._index
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ExplicitTree) and self._children == other._children
@@ -326,6 +341,16 @@ def enumerate_front(tree: TreeShape, n: int) -> Front:
 
 def is_front(tree: TreeShape, nodes: Iterable[Path]) -> bool:
     """Pairwise incompatible, and every branch (up to the budget) meets the set."""
+    if isinstance(tree, ExplicitTree):
+        position, end, leaves = tree._preorder()
+        members = list(map(tuple, nodes))
+        try:
+            ranks = sorted(set(map(position.__getitem__, members)))
+        except KeyError:
+            raise UnknownNode(f"no node {min(t for t in members if t not in position)} in tree") from None
+        # an extension of a member in the set would come next, inside the member's run; members
+        # with disjoint runs cover every maximal node exactly when their counts add up to the root's
+        return all(map(le, map(end.__getitem__, ranks), ranks[1:])) and sum(map(leaves.__getitem__, ranks)) == leaves[0]
     ordered, prev = sorted({tuple(t) for t in nodes}), ()
     for t in ordered:  # in order, so a rule tree checks a member only past the one before it
         if not tree._contains_after(t, prev):

@@ -244,6 +244,21 @@ def test_expect_malformed_values_file_exits_1(binary_spec, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"[" * 200_000 + b"]" * 200_000, b"\xff\xfe{}"], ids=["deep", "undecodable"])
+@pytest.mark.parametrize("role", ["tree", "values"])
+def test_unparsable_input_file_exits_1_naming_it(binary_spec, tmp_path, capsys, role, content):
+    # JSON nested past the parser's recursion limit, and bytes that are not UTF-8
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if role == "tree":
+        argv = ["measure", "--tree", str(bad), "--node", "0"]
+    else:
+        argv = ["expect", "--tree", binary_spec, "--depth", "2", "--values", str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {bad}: ")
+
+
 def test_non_canonical_path_keys_exit_1(binary_spec, tmp_path, capsys):
     # "00" used to name node 0 as well: the later row silently replaced the
     # earlier one, and `measure --node 0.0` printed 1/20 instead of 1/6

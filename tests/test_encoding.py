@@ -13,6 +13,7 @@ from ptree import (
     FiniteDist,
     GeneralPair,
     InfiniteLevel,
+    NotADistribution,
     binary_encode,
     complete_binary_tree,
     embed_branch,
@@ -228,6 +229,12 @@ def test_verify_encoding_reports_each_failure(monkeypatch, case):
     assert not report.ok
     assert getattr(report, flag) is False
     assert any(f.startswith(line) for f in report.failures), report.failures
+
+
+def test_verify_encoding_refuses_a_source_row_that_is_not_a_distribution():
+    # the report judges the pushed measure; a bad source row fails as every walk does
+    with pytest.raises(NotADistribution, match="masses sum to 2/3"):
+        verify_encoding(EdgeFamily.from_table({(): ["1/3", "1/3"]}), 1)
 
 
 def test_cli_encode_verify_failure_exits_1(monkeypatch, tmp_path, capsys):

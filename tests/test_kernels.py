@@ -3,7 +3,8 @@ the exact-sum helper, the trial-tree builder and pmf kernel, descent and
 the encoding's order check.
 
 Every oracle here is a brute-force restatement of a definition that shares
-no code with the library: pairwise prefix tests for fronts, products and
+no code with the library: pairwise prefix tests for fronts, and a sorted
+pass with a coverage walk against the explicit-tree preorder index, products and
 prefix folds of checked `family.dist` lookups for weights, masses, cells
 and relative expectations, a running `Fraction` sum for the exact-sum
 helper, a `Fraction` walk over every leaf history for success-count
@@ -85,6 +86,24 @@ def brute_is_front(tree, nodes) -> bool:
     return all(any(is_prefix(s, leaf) for s in members) for leaf in tree.max_nodes())
 
 
+def walk_is_front(tree, nodes) -> bool:
+    """A sorted membership pass, neighbour prefix tests, then a depth-first walk that must end at members."""
+    ordered = sorted({tuple(t) for t in nodes})
+    for t in ordered:
+        if not tree.contains(t):
+            raise UnknownNode(f"no node {t} in tree")
+    if not ordered or any(is_prefix(s, t) for s, t in zip(ordered, ordered[1:])):
+        return False
+    members, stack = frozenset(ordered), [()]
+    while stack:
+        t = stack.pop()
+        if t not in members:
+            if tree.is_maximal(t):
+                return False
+            stack.extend(tree.children(t))
+    return True
+
+
 def brute_weight(family, start, end) -> F:
     w = F(1)
     for i in range(len(start), len(end)):
@@ -143,6 +162,48 @@ def test_is_front_matches_pairwise_oracle(rng):
         else:
             nodes.add(rng.choice(everything))
     assert is_front(tree, nodes) is brute_is_front(tree, nodes)
+
+
+def respaced(rng, tree) -> ExplicitTree:
+    """The same shape with each node's child indices spread to a random increasing set."""
+    renamed, children = {(): ()}, {}
+    for t in sorted(tree.nodes(), key=len):
+        kids = tree.child_indices(t)
+        idx = sorted(rng.sample(range(3 * len(kids) + 1), len(kids)))
+        children[renamed[t]] = tuple(idx)
+        renamed.update((t + (k,), renamed[t] + (j,)) for k, j in zip(kids, idx))
+    return ExplicitTree(children)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RANDOMS, st.sampled_from(["front", "missing", "extension", "non-node"]))
+def test_indexed_is_front_matches_the_walk_and_the_pairwise_oracle(rng, case):
+    tree = random_tree(rng, max_depth=4, max_arity=3)
+    if rng.random() < 0.5:  # sparse child indices, as positive parts and encoded images keep
+        tree = respaced(rng, tree)
+    nodes = random_front(rng, tree, rng.randint(0, 5))
+    if case == "missing":
+        nodes.discard(rng.choice(sorted(nodes)))
+    elif case == "extension" and (inner := sorted(t for t in nodes if not tree.is_maximal(t))):
+        s = rng.choice(inner)
+        nodes.add(rng.choice([t for t in tree.nodes() if len(t) > len(s) and t[: len(s)] == s]))
+    elif case == "non-node":
+        for _ in range(rng.randint(1, 3)):
+            t = rng.choice(sorted(tree.nodes()))
+            nodes.add(t + (0 if tree.is_maximal(t) else rng.choice([-1, 10]),))  # respaced indices stay below 10
+
+    def outcome(check, given):
+        try:
+            return check(tree, given)
+        except UnknownNode as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(walk_is_front, nodes)
+    assert outcome(is_front, nodes) == expected
+    # any iterable of sequences, in any order, with repeats
+    assert outcome(is_front, iter([list(t) for t in sorted(nodes, reverse=True) * 2])) == expected
+    if case != "non-node":
+        assert expected is brute_is_front(tree, nodes)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptree import (
+    DepthBudgetExceeded,
     EdgeFamily,
     ExplicitTree,
     FiniteDist,
@@ -189,6 +190,16 @@ def test_front_mass_is_one_and_below_mass():
         below_mass(m, (0, 0, 0), Front(fam.tree, frozenset({()})))
 
 
+def test_front_mass_past_the_materialized_depth_raises():
+    fam = uniform_binary(4)
+    shallow = induced_measure(fam, 1)
+    front = enumerate_front(fam.tree, 2)
+    with pytest.raises(DepthBudgetExceeded, match="beyond the materialized depth 1"):
+        front_mass(shallow, front)
+    with pytest.raises(DepthBudgetExceeded, match="beyond the materialized depth 1"):
+        below_mass(shallow, (1,), front)
+
+
 def test_front_mass_rejects_non_front():
     fam = uniform_height(2)
     m = induced_measure(fam)
@@ -303,6 +314,8 @@ def test_validation_reports_a_rule_row_that_is_not_over_the_node_children():
     assert "not over the node's children 0..0" in report.violations[0][1]
     omega_rows = EdgeFamily(GeneratedTree(lambda t: 2, 5), lambda t: Geometric("1/2"))
     assert [t for t, _ in validate_edge_family(omega_rows, 1).violations] == [(), (1,), (0,)]
+    sparse_rows = EdgeFamily(GeneratedTree(lambda t: 2, 5), lambda t: FiniteDist({0: "1/2", 2: "1/2"}))
+    assert [t for t, _ in validate_edge_family(sparse_rows, 1).violations] == [(), (1,), (0,)]
 
 
 def test_positive_part_refuses_a_rule_row_with_foreign_children():

@@ -65,6 +65,11 @@ def test_syntax_error_carries_line():
     assert info.value.line == 2
 
 
+def test_nesting_too_deep_for_the_parser_is_a_syntax_error():
+    with pytest.raises(SpecSyntaxError, match="nested too deeply"):
+        parse_spec("[" * 200_000 + "]" * 200_000)
+
+
 def test_validation_errors():
     bad_sum = """
     {"version": 1, "representation": "explicit",
