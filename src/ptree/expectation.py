@@ -51,7 +51,12 @@ class FrontVariable:
 def expect(measure: InductiveMeasure, variable: FrontVariable) -> Fraction:
     """Expectation of the variable under the front restriction of the measure."""
     _check_front(measure.tree, variable.front, "the variable's front")
-    terms = ((variable(s), measure.mass(s)) for s in variable.front.nodes)
+    masses = measure._masses
+    try:
+        terms = [(v, masses[s]) for s, v in variable.values.items()]
+    except KeyError as missing:
+        measure.mass(*missing.args)  # raises UnknownNode or DepthBudgetExceeded
+        raise
     return fraction_sum((v.numerator * m.numerator, v.denominator * m.denominator) for v, m in terms)
 
 

@@ -176,11 +176,11 @@ def subtree_mass_bound(
             raise NotASubtree(
                 f"subtree leaf {t} is not maximal in the host tree (depth {depth} queried)"
             )
-    values: list[Fraction] = []
-    for m in range(depth + 1):
-        front = {t for t in members if len(t) == m}
-        front |= {t for t in leaves if len(t) < m}
-        values.append(fraction_sum((w, q) for _, w, q in _walk(family, front).values()))
+    cells = _walk(family, (t for t in members if len(t) <= depth))  # one walk; level m's front is read off it
+    values = [
+        fraction_sum((w, q) for t, (_, w, q) in cells.items() if len(t) == m or (len(t) < m and t in leaves))
+        for m in range(depth + 1)
+    ]
     nonincreasing = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
     return SubtreeMassReport(tuple(values), nonincreasing)
 
@@ -220,8 +220,9 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
     branch mass is at most s^depth, s the row's largest edge mass. A rule
     family gives no verdict and no bound.
     """
-    epsilon = as_fraction(epsilon)
     tree = family.tree
+    _check_budget(tree, depth)
+    epsilon = as_fraction(epsilon)
     if isinstance(tree, ExplicitTree):
         measure = induced_measure(family)
         best = max((t for t in tree.max_nodes() if measure.mass(t) > 0), key=measure.mass, default=None)
@@ -240,7 +241,7 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
         k = row.index if isinstance(row, PointMass) else max(row.support, key=row.mass)
         sup = row.mass(k)
         if sup == 1:
-            return FreenessReport(depth, epsilon, ATOM_FOUND, ONE, (k,) * min(depth, tree.depth_budget))
+            return FreenessReport(depth, epsilon, ATOM_FOUND, ONE, (k,) * depth)
     bound = sup**depth
     return FreenessReport(depth, epsilon, FREE_CERTIFIED if bound <= epsilon else INCONCLUSIVE, bound)
 

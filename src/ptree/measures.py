@@ -480,10 +480,12 @@ class GeneralPair:
 
     Together with the host tree this is exactly the data needed to rebuild
     an edge family: quotients of consecutive masses on the positive part,
-    the fillers below zero-mass nodes.
+    the fillers below zero-mass nodes. The constructor builds that family's
+    row at every non-maximal host node, once, and building them is the
+    check: each must be a distribution over its node's host children.
     """
 
-    __slots__ = ("host_tree", "positive", "fillers")
+    __slots__ = ("host_tree", "positive", "fillers", "_rows")
 
     def __init__(
         self,
@@ -493,36 +495,37 @@ class GeneralPair:
     ):
         if not isinstance(host_tree, ExplicitTree):
             raise MalformedPair("pairs are supported over explicit host trees only")
+        if not isinstance(positive.tree, ExplicitTree):
+            raise MalformedPair("the positive part must live on an explicit tree")
         self.host_tree = host_tree
         self.positive = positive
         self.fillers = {tuple(t): d for t, d in fillers.items()}
-        self._validate()
-
-    def _validate(self) -> None:
-        host = self.host_tree
-        pos_tree = self.positive.tree
-        if not isinstance(pos_tree, ExplicitTree):
-            raise MalformedPair("the positive part must live on an explicit tree")
-        for t in pos_tree.nodes():
-            if not host.contains(t):
+        host, pos = host_tree._children, positive.tree._children
+        for t in pos:  # pos is prefix-closed, so once its nodes are host nodes its children are host children
+            if t not in host:
                 raise MalformedPair(f"positive node {t} is not in the host tree")
-            if not set(pos_tree.child_indices(t)) <= set(host.child_indices(t)):
-                raise MalformedPair(f"positive children of {t} are not host children")
-            if self.positive.mass(t) <= 0:
+            if positive.mass(t) <= 0:
                 raise MalformedPair(f"positive part carries mass 0 at {t}")
-        pos_nodes = set(pos_tree.nodes())
-        null_interior = {
-            t for t in host.nodes() if t not in pos_nodes and not host.is_maximal(t)
-        }
-        if set(self.fillers) != null_interior:
-            raise MalformedPair("fillers must cover exactly the non-maximal null nodes")
-        for t, d in self.fillers.items():
-            if not isinstance(d, FiniteDist):
-                raise MalformedPair(f"filler at {t} must be a finite distribution")
-            if d.indices != host.child_indices(t):
-                raise MalformedPair(f"filler at {t} does not match the host child set")
+        self._rows: dict[Path, FiniteDist] = {}
+        for t, kids in host.items():
+            if not kids:
+                continue
+            if t in pos:
+                m, what = positive.mass(t), f"the row at positive node {t}"
+                d = FiniteDist({k: self.induced_mass(t + (k,)) / m for k in kids})
+            else:
+                d, what = self.fillers.get(t), f"filler at {t}"
+                if d is None:
+                    raise MalformedPair("fillers must cover exactly the non-maximal null nodes")
+                if not isinstance(d, FiniteDist):
+                    raise MalformedPair(f"{what} must be a finite distribution")
+                if d.indices != kids:
+                    raise MalformedPair(f"{what} does not match the host child set")
             if (defect := d.defect()) is not None:
-                raise MalformedPair(f"filler at {t} is not a distribution: {defect}")
+                raise MalformedPair(f"{what} is not a distribution: {defect}")
+            self._rows[t] = d
+        if any(self._rows.get(t) is not d for t, d in self.fillers.items()):  # one at a positive or maximal node
+            raise MalformedPair("fillers must cover exactly the non-maximal null nodes")
 
     def induced_mass(self, t: Path) -> Fraction:
         """Mass of t in the measure this pair represents (zero off the positive part)."""
@@ -561,32 +564,20 @@ def split_measure(measure: InductiveMeasure) -> tuple[InductiveMeasure, frozense
 
 def family_from_pair(pair: GeneralPair) -> EdgeFamily:
     """Rebuild the edge family: mass quotients on positive nodes, fillers elsewhere."""
-    host = pair.host_tree
-    pos_nodes = set(pair.positive.tree.nodes())
-    dists: dict[Path, FiniteDist] = {}
-    for t in host.nodes():
-        if host.is_maximal(t):
-            continue
-        if t in pos_nodes:
-            parent_mass = pair.positive.mass(t)
-            dists[t] = FiniteDist(
-                {k: pair.induced_mass(t + (k,)) / parent_mass for k in host.child_indices(t)}
-            )
-        else:
-            dists[t] = pair.fillers[t]
-    return EdgeFamily(host, dists)
+    return EdgeFamily(pair.host_tree, pair._rows)
 
 
 def pair_from_family(family: EdgeFamily) -> GeneralPair:
-    """Split a family into its positive measure and the original null fillers."""
+    """Split a family into its positive measure and the original null fillers.
+
+    Only the positive part is materialized; the null rows are read through
+    the row gate, so one that is not a distribution raises NotADistribution.
+    """
     if not family.is_explicit:
         raise InfiniteLevel("splitting a generated family into a pair is not supported")
-    measure = induced_measure(family)
-    positive, null = split_measure(measure)
-    fillers = {
-        t: family.dist(t) for t in null if not family.tree.is_maximal(t)
-    }
-    return GeneralPair(family.tree, positive, fillers)
+    positive, null = positive_part(family)
+    fillers = {t: d for t in null if (d := family._dist_unchecked(t)) is not None}
+    return GeneralPair(family.tree, induced_measure(positive), fillers)
 
 
 def positive_equivalent(a: EdgeFamily, b: EdgeFamily) -> bool:

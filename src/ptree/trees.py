@@ -64,6 +64,8 @@ class ExplicitTree:
         self._children = child_map
         self.depth_budget = depth_budget
         self._height = max(len(t) for t in child_map)
+        if depth_budget is not None and self._height > depth_budget:
+            raise MalformedTree(max(child_map, key=len), f"lies deeper than the depth budget {depth_budget}")
         self._index = None
 
     @classmethod

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from ptree import (
+    DepthBudgetExceeded,
     Front,
     FrontVariable,
     NodeNotBelowFront,
@@ -67,6 +68,13 @@ def test_expect_indicator_equals_below_mass():
         {t: (1 if is_prefix((0,), t) else 0) for t in level(fam.tree, 3)},
     )
     assert expect(induced_measure(fam, 3), X) == F(1, 2)
+
+
+def test_expect_past_the_materialized_depth_raises():
+    fam = uniform_binary(8)
+    X = ones_counter(fam.tree, 2)
+    with pytest.raises(DepthBudgetExceeded, match="beyond the materialized depth 1"):
+        expect(induced_measure(fam, 1), X)
 
 
 def test_relative_expect_examples():

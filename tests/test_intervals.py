@@ -347,6 +347,14 @@ def test_freeness_of_a_rule_family_is_inconclusive_without_a_bound():
     assert report.verdict == INCONCLUSIVE and report.level_mass_bound is None
 
 
+@pytest.mark.parametrize("depth, error", [(-1, NegativeDepth), (100, DepthBudgetExceeded)])
+def test_freeness_checks_its_depth(depth, error):
+    explicit = EdgeFamily.from_table({(): ["1/2", "1/2"]}, depth_budget=8)
+    for fam in (uniform_binary(8), dirac(5, 8), explicit):
+        with pytest.raises(error):
+            freeness_report(fam, depth, F(1, 4))
+
+
 def test_freeness_refuses_a_shared_row_that_is_not_a_distribution():
     fam = EdgeFamily(GeneratedTree(2, depth_budget=16), FiniteDist(["1/3", "1/3"]))
     with pytest.raises(NotADistribution, match=r"node \(\)"):

@@ -45,7 +45,7 @@ from ptree import (
 
 from ptree.paths import OMEGA
 
-from corpus import random_family, random_tree
+from corpus import random_dist, random_family, random_tree
 
 
 def uniform_height(h):
@@ -490,6 +490,126 @@ def test_malformed_pair_rejected():
         GeneralPair(host, positive, {})  # missing filler at (1,)
     with pytest.raises(MalformedPair):
         GeneralPair(host, positive, {(1,): FiniteDist([F(1, 4), F(1, 4)])})  # bad sum
+
+
+def test_a_positive_leaf_interior_in_the_host_is_refused():
+    # the root's mass quotients sum to 0: no family has this pair's masses
+    host = ExplicitTree({(): (0, 1), (0,): (), (1,): ()})
+    root_only = InductiveMeasure(ExplicitTree({(): ()}), {(): 1})
+    with pytest.raises(MalformedPair, match=r"row at positive node \(\) is not a distribution: masses sum to 0"):
+        GeneralPair(host, root_only, {})
+
+
+def family_rows_of_checked_pair(host, positive, fillers):
+    """Oracle: the pair check as a structural pass, then the rows rebuilt in a second loop."""
+    pos_tree = positive.tree
+    for t in pos_tree.nodes():
+        if not host.contains(t):
+            raise MalformedPair(f"positive node {t} is not in the host tree")
+        if not set(pos_tree.child_indices(t)) <= set(host.child_indices(t)):
+            raise MalformedPair(f"positive children of {t} are not host children")
+        if positive.mass(t) <= 0:
+            raise MalformedPair(f"positive part carries mass 0 at {t}")
+    pos_nodes = set(pos_tree.nodes())
+    if set(fillers) != {t for t in host.nodes() if t not in pos_nodes and not host.is_maximal(t)}:
+        raise MalformedPair("fillers must cover exactly the non-maximal null nodes")
+    for t, d in fillers.items():
+        if not isinstance(d, FiniteDist) or d.indices != host.child_indices(t) or d.defect() is not None:
+            raise MalformedPair(f"bad filler at {t}")
+    rows = {}
+    for t in host.nodes():
+        if host.is_maximal(t):
+            continue
+        if t in pos_nodes:
+            kids = host.child_indices(t)
+            rows[t] = FiniteDist({k: positive._masses.get(t + (k,), 0) / positive.mass(t) for k in kids})
+        else:
+            rows[t] = fillers[t]
+    return EdgeFamily(host, rows)
+
+
+def pair_of_split_measure(fam):
+    """Oracle: materialize the whole family, split its measure, take the null rows as fillers."""
+    positive, null = split_measure(induced_measure(fam))
+    return positive, {t: fam.dist(t) for t in null if not fam.tree.is_maximal(t)}
+
+
+def bad_row(rng, row):
+    """A row over the same children that is not a distribution: a wrong total or a negative entry."""
+    masses = list(row.masses)
+    if len(masses) > 1 and rng.random() < 0.5:
+        masses[0], masses[-1] = masses[0] + F(3, 2), masses[-1] - F(3, 2)
+    else:
+        masses[0] += F(1, 7)
+    return FiniteDist(masses)
+
+
+def outcome(build):
+    """(positive tree, positive masses, fillers, rebuilt family), or the type of the error raised."""
+    try:
+        positive, fillers, family = build()
+    except Exception as exc:
+        return type(exc)
+    return positive.tree, positive, fillers, family
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_pair_from_family_matches_the_split_measure_route(rng):
+    tree = random_tree(rng, max_depth=4, max_arity=3)
+    fam = random_family(rng, tree, allow_zero=True)
+    if rng.random() < 0.3:  # one corrupted row, in the positive part or the null region
+        rows = fam.dist_table()
+        t = rng.choice(sorted(rows))
+        fam = EdgeFamily(tree, {**rows, t: bad_row(rng, rows[t])})
+
+    def old():
+        positive, fillers = pair_of_split_measure(fam)
+        return positive, fillers, family_rows_of_checked_pair(tree, positive, fillers)
+
+    def new():
+        pair = pair_from_family(fam)
+        return pair.positive, pair.fillers, family_from_pair(pair)
+
+    expected = outcome(old)
+    assert outcome(new) == expected
+    assert expected is NotADistribution or expected[3] == fam
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_general_pair_matches_the_structural_check(rng):
+    tree = random_tree(rng, max_depth=4, max_arity=3)
+    positive, fillers = pair_of_split_measure(random_family(rng, tree, allow_zero=True))
+    fillers = {t: random_dist(rng, len(d.masses), allow_zero=True) for t, d in fillers.items()}
+    pos_children = positive.tree.child_map()
+    spoil = rng.choice(["none", "none", "row", "indices", "drop", "extra", "zero-leaf"])
+    if spoil in ("row", "indices", "drop") and fillers:
+        t = rng.choice(sorted(fillers))
+        if spoil == "drop":
+            del fillers[t]
+        else:
+            d = fillers[t]
+            fillers[t] = bad_row(rng, d) if spoil == "row" else FiniteDist(list(d.masses) + [0])
+    elif spoil == "extra":  # a filler at a positive node, or at a maximal one
+        t = rng.choice(sorted(positive.tree.nodes()))
+        fillers[t] = FiniteDist(["1"] * len(tree.child_indices(t)) or ["1"])
+    elif spoil == "zero-leaf":  # a null child of a positive node joins the positive part with mass 0
+        options = [t + (k,) for t in pos_children for k in tree.child_indices(t) if k not in pos_children[t]]
+        if options:
+            u = rng.choice(options)
+            pos_children[u[:-1]] += (u[-1],)
+            pos_children[u] = ()
+            positive = InductiveMeasure(ExplicitTree(pos_children), {**dict(positive.items()), u: 0})
+
+    def old():
+        return positive, fillers, family_rows_of_checked_pair(tree, positive, fillers)
+
+    def new():
+        pair = GeneralPair(tree, positive, fillers)
+        return pair.positive, pair.fillers, family_from_pair(pair)
+
+    assert outcome(new) == outcome(old)
 
 
 def test_equivalence_reflexive_and_null_insensitive():

@@ -258,6 +258,19 @@ def test_spec_errors_carry_the_key_and_the_reason(nodes, key, reason):
     assert (info.value.path, info.value.reason) == (key, reason)
 
 
+def test_an_explicit_tree_taller_than_its_budget_is_refused():
+    # such a tree answers queries past its budget but refuses them at the budget
+    with pytest.raises(MalformedTree) as info:
+        ExplicitTree({(): (0,), (0,): (0, 1), (0, 0): (), (0, 1): ()}, depth_budget=1)
+    assert len(info.value.node) == 2 and info.value.reason == "lies deeper than the depth budget 1"
+    nodes = {"": {"arity": 1, "probs": ["1"]}, "0": {"arity": 2, "probs": ["1/2", "1/2"]}, "0.0": {"arity": 0}, "0.1": {"arity": 0}}
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(json.dumps({"version": 1, "representation": "explicit", "depth_budget": 1, "nodes": nodes}))
+    assert (info.value.path, info.value.reason) == ("0.0", "lies deeper than the depth budget 1")
+    fits = parse_spec(json.dumps({"version": 1, "representation": "explicit", "depth_budget": 2, "nodes": nodes}))
+    assert fits.tree.height == fits.tree.depth_budget == 2
+
+
 @pytest.mark.parametrize(
     "call",
     [
