@@ -19,7 +19,7 @@ from .errors import DepthBudgetExceeded, EncodingMismatch, InfiniteLevel, Unknow
 from .intervals import Interval
 from .measures import EdgeFamily, InductiveMeasure, _walk
 from .paths import OMEGA, Path, compatible, is_prefix
-from .trees import ExplicitTree, TreeShape, _check_budget, walk_to_depth
+from .trees import ExplicitTree, TreeShape, walk_to_depth
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class BinaryEncoding:
 
 def binary_encode(tree: TreeShape, depth: int) -> BinaryEncoding:
     """Compute the embedding on all nodes up to `depth`."""
-    _check_budget(tree, depth)
     h: dict[Path, Path] = {(): ()}
     for t in walk_to_depth(tree, depth):
         if len(t) >= depth or (arity := tree._arity_unchecked(t)) == 0:
@@ -89,7 +88,8 @@ def _pushed_masses(family: EdgeFamily, enc: BinaryEncoding) -> tuple[dict[Path, 
         anchor = next(s[:n] for n in range(len(s) - 1, -1, -1) if s[:n] in enc.preimages)
         # the longest preimage below s; unique because deeper preimages collapse chains
         t = enc.preimages[anchor][-1]
-        masses[s] = fraction_sum(source_cells[c][1:] for c in family.tree.children(t) if c in enc.h and is_prefix(s, enc.h[c]))
+        kids = (t + (k,) for k in family.tree._child_indices(t))
+        masses[s] = fraction_sum(source_cells[c][1:] for c in kids if c in enc.h and is_prefix(s, enc.h[c]))
     return masses, source_cells
 
 
@@ -186,7 +186,7 @@ def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
 
     image_shape_ok = True
     for s in enc.image.nodes():
-        if len(enc.image.child_indices(s)) == 1:
+        if len(enc.image._child_indices(s)) == 1:
             image_shape_ok = False
             failures.append(f"image node {s} has a single child")
     for s in enc.image.max_nodes():

@@ -87,7 +87,7 @@ def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Option
         elif u in values:
             memo[u] = (values[u], len(u), len(u))
         else:
-            kids = family.tree.children(u)
+            kids = [u + (k,) for k in family.tree._child_indices(u)]
             stack.append((u, kids))
             stack.extend((c, None) for c in kids if c not in memo)
     return memo[t]
@@ -180,7 +180,7 @@ def tower_check(family: EdgeFamily, variable: FrontVariable, m: int, n: int, k: 
             raise PreconditionFrontMismatch(f"a maximal node shorter than level {k} lies above {t}")
         inner = [t]
         for _ in range(n - m):
-            inner = [c for s in inner for c in tree.children(s)]
+            inner = [s + (c,) for s in inner for c in tree._child_indices(s)]
         cases.append(_tower_case(family, variable, t, inner))
     return TowerReport(tuple(cases))
 

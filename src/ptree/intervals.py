@@ -24,7 +24,7 @@ from .errors import (
 )
 from .measures import EdgeFamily, _walk, induced_measure
 from .paths import Path
-from .trees import ClopenSelection, ExplicitTree, _check_budget
+from .trees import ClopenSelection, ExplicitTree, _check_budget, enumerate_front
 
 
 class Interval(NamedTuple):
@@ -69,7 +69,7 @@ def branch_window(family: EdgeFamily, x: Path, n: int) -> BranchWindow:
     _check_budget(family.tree, n)
     if n < len(x):
         prefix = x[:n]
-    elif family.tree.is_maximal(x) or n == len(x):
+    elif family.tree._arity_unchecked(x) == 0 or n == len(x):
         prefix = x
     else:
         raise ValueError(f"branch prefix {x} is shorter than depth {n} and not maximal")
@@ -133,7 +133,7 @@ def clopen_mass(family: EdgeFamily, selection: ClopenSelection) -> Fraction:
             raise MalformedClopen(f"selected node {s} is not in the tree")
         if len(s) > n:
             raise MalformedClopen(f"selected node {s} lies beyond front level {n}")
-        if len(s) < n and not family.tree.is_maximal(s):
+        if len(s) < n and family.tree._arity_unchecked(s) != 0:
             raise MalformedClopen(f"selected node {s} is neither at level {n} nor maximal")
     total = fraction_sum((w, q) for _, w, q in _walk(family, selection.selected).values())
     return 1 - total if selection.complemented else total
@@ -172,7 +172,7 @@ def subtree_mass_bound(
             raise NotASubtree(f"node {t} is not in the host tree")
     leaves = members - {t[:-1] for t in members if t}
     for t in leaves:
-        if len(t) < depth and not family.tree.is_maximal(t):
+        if len(t) < depth and family.tree._arity_unchecked(t) != 0:
             raise NotASubtree(
                 f"subtree leaf {t} is not maximal in the host tree (depth {depth} queried)"
             )
@@ -228,8 +228,7 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
         best = max((t for t in tree.max_nodes() if measure.mass(t) > 0), key=measure.mass, default=None)
         # total leaf mass is one, so an explicit tree always has an atom
         d = min(depth, tree.height)
-        front = set(tree.level_nodes(d)) | {t for t in tree.max_nodes() if len(t) < d}
-        bound = max(measure.mass(t) for t in front)
+        bound = max(measure.mass(t) for t in enumerate_front(tree, d).nodes)
         return FreenessReport(depth, epsilon, ATOM_FOUND, bound, best)
 
     if family.row is None:

@@ -202,8 +202,8 @@ def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> Valida
         depth = depth if tree.depth_budget is None else min(tree.depth_budget, depth)
         _check_budget(tree, depth)
     if family.is_explicit:  # the constructor matched every row to its node's children
-        check_depth = None
-        defects = [(t, family.dist(t).defect()) for t in tree.nodes() if not tree.is_maximal(t)]
+        check_depth, rows = None, family._dists  # keyed by exactly the non-maximal nodes
+        defects = [(t, rows[t].defect()) for t in tree.nodes() if t in rows]
     else:
         check_depth = min(tree.depth_budget, 4) if depth is None else depth
         defects, stack = [], [()]
@@ -288,6 +288,7 @@ class InductiveMeasure:
         return measure
 
     def _validate(self) -> None:
+        tree = self.tree
         if self._masses.get((), None) != 1:
             raise ValueError("root mass must be exactly 1")
         for t, m in self._masses.items():
@@ -295,13 +296,13 @@ class InductiveMeasure:
                 raise ValueError(f"mass at {t} is {show(m)}, outside [0, 1]")
             if self.depth is not None and len(t) > self.depth:
                 raise ValueError(f"mass at {t} lies beyond the materialized depth {self.depth}")
-            self.tree.require(t)
-        for t, m in self._masses.items():
+            tree.require(t)
+        for t, m in self._masses.items():  # every t is now a node
             if self.depth is not None and len(t) >= self.depth:
                 continue
-            if self.tree.is_maximal(t):
+            kids = [t + (k,) for k in tree._child_indices(t)]
+            if not kids:
                 continue
-            kids = self.tree.children(t)
             missing = [c for c in kids if c not in self._masses]
             if missing:
                 raise ValueError(f"successors of {t} are not all materialized: {missing[0]}")
@@ -497,22 +498,25 @@ class GeneralPair:
             raise MalformedPair("pairs are supported over explicit host trees only")
         if not isinstance(positive.tree, ExplicitTree):
             raise MalformedPair("the positive part must live on an explicit tree")
+        if positive.depth is not None and positive.depth < positive.tree.height:
+            raise MalformedPair(f"a pair needs the whole positive measure, not one materialized to depth {positive.depth}")
         self.host_tree = host_tree
         self.positive = positive
         self.fillers = {tuple(t): d for t, d in fillers.items()}
-        host, pos = host_tree._children, positive.tree._children
+        # a whole measure has a mass at every node of its tree
+        host, pos, masses = host_tree._children, positive.tree._children, positive._masses
         for t in pos:  # pos is prefix-closed, so once its nodes are host nodes its children are host children
             if t not in host:
                 raise MalformedPair(f"positive node {t} is not in the host tree")
-            if positive.mass(t) <= 0:
+            if masses[t] <= 0:
                 raise MalformedPair(f"positive part carries mass 0 at {t}")
         self._rows: dict[Path, FiniteDist] = {}
         for t, kids in host.items():
             if not kids:
                 continue
             if t in pos:
-                m, what = positive.mass(t), f"the row at positive node {t}"
-                d = FiniteDist({k: self.induced_mass(t + (k,)) / m for k in kids})
+                m, what = masses[t], f"the row at positive node {t}"
+                d = FiniteDist({k: masses.get(t + (k,), ZERO) / m for k in kids})
             else:
                 d, what = self.fillers.get(t), f"filler at {t}"
                 if d is None:
@@ -553,12 +557,12 @@ def split_measure(measure: InductiveMeasure) -> tuple[InductiveMeasure, frozense
     tree = measure.tree
     if not isinstance(tree, ExplicitTree):
         raise InfiniteLevel("splitting a measure requires an explicit tree")
-    keep = {t for t, m in measure.items() if m > 0}
+    keep = {t: m for t, m in measure.items() if m > 0}
     null = frozenset(t for t in tree.nodes() if t not in keep)
-    children = {t: tuple(k for k in tree.child_indices(t) if t + (k,) in keep) for t in keep}
+    children = {t: tuple(k for k in tree._child_indices(t) if t + (k,) in keep) for t in keep}
     sub_tree = ExplicitTree(children, tree.depth_budget)
     # the restriction obeys the law wherever the measure does
-    positive = InductiveMeasure._trusted(sub_tree, {t: measure.mass(t) for t in keep}, measure.depth)
+    positive = InductiveMeasure._trusted(sub_tree, keep, measure.depth)
     return positive, null
 
 

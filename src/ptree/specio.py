@@ -148,13 +148,14 @@ def serialize_spec(family: EdgeFamily) -> str:
         return json.dumps(doc, indent=2) + "\n"
 
     nodes: dict[str, dict] = {}
+    rows = family.dist_table()
     for t in sorted(family.tree.nodes()):
-        idx = family.tree.child_indices(t)
+        idx = family.tree._child_indices(t)
         if idx != tuple(range(len(idx))):
             raise ValueError(f"node {t} has a sparse child set; the format stores canonical trees")
         row: dict[str, Any] = {"arity": len(idx)}
         if idx:
-            row["probs"] = [str(p) for p in family.dist(t).masses]
+            row["probs"] = [str(p) for p in rows[t].masses]
         nodes[format_path(t)] = row
     doc = {"version": FORMAT_VERSION, "representation": "explicit", "nodes": nodes}
     if family.tree.depth_budget is not None:

@@ -31,7 +31,37 @@ Arity = Union[int, type(OMEGA)]
 DEFAULT_DEPTH_BUDGET = 32
 
 
-class ExplicitTree:
+class _Tree:
+    """The checked node accessors, written once over three primitives each tree kind gives:
+    `contains`, and `_arity_unchecked` and `_child_indices` for a node known to be in the tree.
+
+    A path is checked where it enters a public call; library code reads the
+    nodes it produced or already checked through the primitives.
+    """
+
+    __slots__ = ()
+
+    def require(self, t: Path) -> Path:
+        t = tuple(t)
+        if not self.contains(t):
+            raise UnknownNode(f"no node {t} in tree")
+        return t
+
+    def arity(self, t: Path) -> Arity:
+        return self._arity_unchecked(self.require(t))
+
+    def child_indices(self, t: Path) -> tuple[int, ...]:
+        return tuple(self._child_indices(self.require(t)))
+
+    def children(self, t: Path) -> tuple[Path, ...]:
+        t = self.require(t)
+        return tuple(t + (k,) for k in self._child_indices(t))
+
+    def is_maximal(self, t: Path) -> bool:
+        return self._arity_unchecked(self.require(t)) == 0
+
+
+class ExplicitTree(_Tree):
     """A finite prefix-closed tree, stored as a child-index map and checked once, here.
 
     Canonical trees have children 0..arity-1 at every node; restrictions
@@ -39,6 +69,7 @@ class ExplicitTree:
     """
 
     __slots__ = ("_children", "depth_budget", "_height", "_index")
+    is_explicit = True
 
     def __init__(self, children: Mapping[Path, Sequence[int]], depth_budget: int | None = None):
         child_map: dict[Path, tuple[int, ...]] = {}
@@ -85,10 +116,6 @@ class ExplicitTree:
         return cls(children, depth_budget)
 
     @property
-    def is_explicit(self) -> bool:
-        return True
-
-    @property
     def height(self) -> int:
         """Depth of the deepest node; the root-only tree has height 0."""
         return self._height
@@ -96,27 +123,11 @@ class ExplicitTree:
     def contains(self, t: Path) -> bool:
         return tuple(t) in self._children
 
-    def require(self, t: Path) -> Path:
-        t = tuple(t)
-        if t not in self._children:
-            raise UnknownNode(f"no node {t} in tree")
-        return t
-
-    def arity(self, t: Path) -> Arity:
-        return len(self._children[self.require(t)])
-
     def _arity_unchecked(self, t: Path) -> Arity:
         return len(self._children[t])
 
-    def child_indices(self, t: Path) -> tuple[int, ...]:
-        return self._children[self.require(t)]
-
-    def children(self, t: Path) -> tuple[Path, ...]:
-        t = self.require(t)
-        return tuple(t + (k,) for k in self._children[t])
-
-    def is_maximal(self, t: Path) -> bool:
-        return not self._children[self.require(t)]
+    def _child_indices(self, t: Path) -> tuple[int, ...]:
+        return self._children[t]
 
     def nodes(self) -> Iterator[Path]:
         return iter(self._children)
@@ -158,7 +169,7 @@ class ExplicitTree:
         return f"ExplicitTree({self.node_count()} nodes, height {self.height})"
 
 
-class GeneratedTree:
+class GeneratedTree(_Tree):
     """A tree given by one arity shared by every node, or by an arity rule,
     explored only up to a depth budget.
 
@@ -169,6 +180,7 @@ class GeneratedTree:
     """
 
     __slots__ = ("shared_arity", "_rule", "depth_budget", "name")
+    is_explicit = False
 
     def __init__(self, arity: Arity | Callable[[Path], Arity], depth_budget: int, name: str | None = None):
         if depth_budget is None or depth_budget < 0:
@@ -179,10 +191,6 @@ class GeneratedTree:
             self.shared_arity, self._rule = _checked_arity(arity, "every node"), None
         self.depth_budget = depth_budget
         self.name = name
-
-    @property
-    def is_explicit(self) -> bool:
-        return False
 
     def _arity_unchecked(self, t: Path) -> Arity:
         """Arity of a node known to be in the tree."""
@@ -208,24 +216,11 @@ class GeneratedTree:
                 return False
         return True
 
-    def require(self, t: Path) -> Path:
-        t = tuple(t)
-        if not self.contains(t):
-            raise UnknownNode(f"no node {t} in tree")
-        return t
-
-    def arity(self, t: Path) -> Arity:
-        return self._arity_unchecked(self.require(t))
-
-    def child_indices(self, t: Path) -> tuple[int, ...]:
-        return tuple(_child_indices(self, self.require(t)))
-
-    def children(self, t: Path) -> tuple[Path, ...]:
-        t = tuple(t)
-        return tuple(t + (k,) for k in self.child_indices(t))
-
-    def is_maximal(self, t: Path) -> bool:
-        return self.arity(t) == 0
+    def _child_indices(self, t: Path) -> range:
+        a = self._arity_unchecked(t)
+        if a is OMEGA:
+            raise InfiniteLevel(f"node {t} has infinitely many successors")
+        return range(a)
 
     def __repr__(self) -> str:
         label = self.name or "custom"
@@ -242,16 +237,6 @@ def _checked_arity(a: Arity, where: object) -> Arity:
 
 
 TreeShape = Union[ExplicitTree, GeneratedTree]
-
-
-def _child_indices(tree: TreeShape, t: Path) -> Sequence[int]:
-    """The child indices of a node already known to be in the tree: walks from the root read these."""
-    if isinstance(tree, ExplicitTree):
-        return tree._children[t]
-    a = tree._arity_unchecked(t)
-    if a is OMEGA:
-        raise InfiniteLevel(f"node {t} has infinitely many successors")
-    return range(a)
 
 
 def canonicalize(
@@ -317,7 +302,7 @@ def walk_to_depth(tree: TreeShape, depth: int) -> Iterator[Path]:
         t = stack.pop()
         yield t
         if len(t) < depth:
-            stack.extend(t + (k,) for k in reversed(_child_indices(tree, t)))
+            stack.extend(t + (k,) for k in reversed(tree._child_indices(t)))
 
 
 @dataclass(frozen=True)
@@ -338,7 +323,7 @@ class Front:
 
 def enumerate_front(tree: TreeShape, n: int) -> Front:
     """The level-n nodes together with the maximal nodes shorter than n."""
-    return Front(tree, frozenset(t for t in walk_to_depth(tree, n) if len(t) == n or not _child_indices(tree, t)))
+    return Front(tree, frozenset(t for t in walk_to_depth(tree, n) if len(t) == n or not tree._child_indices(t)))
 
 
 def is_front(tree: TreeShape, nodes: Iterable[Path]) -> bool:
@@ -378,7 +363,7 @@ def is_front(tree: TreeShape, nodes: Iterable[Path]) -> bool:
         arity = tree._arity_unchecked(t)
         if arity == 0 or arity is OMEGA:
             return False
-        stack.extend(t + (k,) for k in reversed(_child_indices(tree, t)))
+        stack.extend(t + (k,) for k in reversed(tree._child_indices(t)))
     return True
 
 

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptree import (
+    DepthBudgetExceeded,
     DependentTrialTree,
     EdgeFamily,
     ExplicitTree,
@@ -38,6 +39,7 @@ from ptree import (
     FrontVariable,
     GeneratedTree,
     HypothesisViolated,
+    InfiniteLevel,
     NotADistribution,
     OversizedValue,
     PreconditionFrontMismatch,
@@ -888,3 +890,128 @@ def test_order_check_matches_pairwise_oracle(rng, move, count):
     with mock.patch.object(encoding, "binary_encode", lambda tree, depth: broken):
         report = verify_encoding(family, tree.height)
     assert report.order_ok is pairwise_order_ok(h)
+
+
+class SeparateExplicitAccessors:
+    """The node accessors `ExplicitTree` used to define for itself, over the tree's child map."""
+
+    def __init__(self, tree):
+        self._children = tree._children
+
+    def contains(self, t):
+        return tuple(t) in self._children
+
+    def require(self, t):
+        t = tuple(t)
+        if t not in self._children:
+            raise UnknownNode(f"no node {t} in tree")
+        return t
+
+    def arity(self, t):
+        return len(self._children[self.require(t)])
+
+    def child_indices(self, t):
+        return self._children[self.require(t)]
+
+    def children(self, t):
+        t = self.require(t)
+        return tuple(t + (k,) for k in self._children[t])
+
+    def is_maximal(self, t):
+        return not self._children[self.require(t)]
+
+
+class SeparateGeneratedAccessors:
+    """The node accessors `GeneratedTree` used to define for itself, over its shared arity or rule."""
+
+    def __init__(self, tree):
+        self.shared, self.rule, self.budget = tree.shared_arity, tree._rule, tree.depth_budget
+
+    def _arity(self, t):
+        if self.shared is not None:
+            return self.shared
+        a = self.rule(t)
+        if a is not OMEGA and a < 0:
+            raise ValueError(f"negative arity {a} at {t}")
+        return a
+
+    def contains(self, t):
+        t = tuple(t)
+        if len(t) > self.budget:
+            raise DepthBudgetExceeded(f"node {t} lies beyond the depth budget {self.budget}")
+        for j in range(len(t)):
+            a = self._arity(t[:j])
+            if t[j] < 0 or (a is not OMEGA and t[j] >= a):
+                return False
+        return True
+
+    def require(self, t):
+        t = tuple(t)
+        if not self.contains(t):
+            raise UnknownNode(f"no node {t} in tree")
+        return t
+
+    def arity(self, t):
+        return self._arity(self.require(t))
+
+    def child_indices(self, t):
+        a = self.arity(t)
+        if a is OMEGA:
+            raise InfiniteLevel(f"node {tuple(t)} has infinitely many successors")
+        return tuple(range(a))
+
+    def children(self, t):
+        t = tuple(t)
+        return tuple(t + (k,) for k in self.child_indices(t))
+
+    def is_maximal(self, t):
+        return self.arity(t) == 0
+
+
+def sparse_tree(rng, depth_budget):
+    """A random explicit tree whose child sets are sparse subsets of 0..5, as positive parts and images have."""
+    children, stack = {}, [()]
+    while stack:
+        t = stack.pop()
+        kids = () if len(t) >= 3 or rng.random() < 0.3 else tuple(sorted(rng.sample(range(6), rng.randint(1, 3))))
+        children[t] = kids
+        stack.extend(t + (k,) for k in kids)
+    return ExplicitTree(children, depth_budget)
+
+
+def accessor_outcome(accessor, t):
+    """What one accessor call gives: its value with its type, or its error's type and message."""
+    try:
+        value = accessor(t)
+    except (PTreeError, ValueError, KeyError) as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", type(value), value
+
+
+ACCESSORS = ("require", "contains", "arity", "child_indices", "children", "is_maximal")
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOMS, st.sampled_from(["sparse", "shared", "omega", "rule"]))
+def test_shared_accessors_match_the_separate_ones(rng, kind):
+    budget = rng.randint(1, 4)
+    if kind == "sparse":
+        tree = sparse_tree(rng, rng.choice([None, 3, 5]))
+        oracle = SeparateExplicitAccessors(tree)
+        nodes = sorted(tree.nodes())
+    else:
+        if kind == "rule":
+            arities = [rng.choice([0, 1, 2, 3, OMEGA]) for _ in range(5)]
+            tree = GeneratedTree(lambda t: arities[(7 * sum(t) + len(t)) % 5], budget)
+        else:
+            tree = GeneratedTree(OMEGA if kind == "omega" else rng.randint(0, 3), budget)
+        oracle = SeparateGeneratedAccessors(tree)
+        nodes = [tuple(rng.randrange(3) for _ in range(rng.randint(0, budget))) for _ in range(6)]
+    # nodes, their children and siblings past the last, non-nodes, negative
+    # indices, and paths past the height or the depth budget
+    queries = [()] + nodes + [t + (k,) for t in nodes for k in (-1, 0, 2, 6)]
+    queries += [(rng.randrange(-1, 7),) * rng.randint(1, 6) for _ in range(4)]
+    queries += [list(t) for t in nodes[:3]]  # any sequence is read as a path
+    for t in queries:
+        for name in ACCESSORS:
+            assert accessor_outcome(getattr(tree, name), t) == accessor_outcome(getattr(oracle, name), t), (name, t)

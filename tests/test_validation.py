@@ -4,10 +4,12 @@ Rows: `FiniteDist.defect` and the row gate in `EdgeFamily._dist_unchecked`,
 which every walk, descent, fold and `induced_measure` reads through.
 Tree shape: `ExplicitTree.__init__`. Values: `as_fraction`, which refuses
 floats, and strings too long or with too large an exponent to read.
-Depths: `_check_budget`.
+Depths: `_check_budget`. Nodes: a tree's `contains`, which `require` and the
+checked accessors call where a path enters.
 """
 
 import json
+import random
 import re
 from fractions import Fraction as F
 
@@ -38,6 +40,7 @@ from ptree import (
     branch_window,
     classify,
     clopen_mass,
+    complete_binary_tree,
     dominance_check,
     enumerate_front,
     freeness_report,
@@ -56,6 +59,7 @@ from ptree import (
     tower_check,
     uniform_binary,
     validate_edge_family,
+    verify_encoding,
 )
 from ptree import encoding
 from ptree.cli import main
@@ -195,6 +199,58 @@ def test_pair_rejects_a_filler_with_a_negative_mass():
     pair = pair_from_family(EdgeFamily.from_table({(): ["1", "0"], (1,): ["1/2", "1/2"]}))
     with pytest.raises(MalformedPair, match=r"filler at \(1,\) is not a distribution: child 0 has mass 3/2"):
         GeneralPair(pair.host_tree, pair.positive, {(1,): FiniteDist(["3/2", "-1/2"])})
+
+
+def test_pair_refuses_a_partial_positive_measure():
+    tree = complete_binary_tree(2)
+    partial = InductiveMeasure(tree, {(): 1, (0,): F(1, 2), (1,): F(1, 2)}, depth=1)
+    with pytest.raises(MalformedPair, match="a pair needs the whole positive measure, not one materialized to depth 1"):
+        GeneralPair(tree, partial, {})
+
+
+@pytest.fixture
+def node_checks(monkeypatch):
+    """Count the trees' node checks: calls of `contains` or `require`, one that calls the other counted once."""
+    count, active = [0], [False]
+
+    def spy(fn):
+        def counted(self, t):
+            if active[0]:
+                return fn(self, t)
+            count[0] += 1
+            active[0] = True
+            try:
+                return fn(self, t)
+            finally:
+                active[0] = False
+
+        return counted
+
+    for cls in {*ExplicitTree.__mro__, *GeneratedTree.__mro__}:
+        for name in ("contains", "require"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, spy(vars(cls)[name]))
+    return count
+
+
+def test_library_code_checks_each_node_once(node_checks):
+    tree = complete_binary_tree(10)
+    fam = EdgeFamily(tree, {t: FiniteDist(["1/3", "2/3"]) for t in tree.nodes() if len(t) < 10})
+    variable = FrontVariable(enumerate_front(tree, 10), {t: len(t) + sum(t) for t in tree.level_nodes(10)})
+    node_checks[0] = 0
+    relative_expect(fam, variable, ())  # the fold below the root reads 1,023 produced nodes
+    assert node_checks[0] == 1
+    node_checks[0] = 0
+    assert tower_check(fam, variable, 0, 5, 10).equal
+    assert node_checks[0] == 32  # the walk's 32 ends; the level-5 nodes are produced, not checked
+    node_checks[0] = 0
+    branch_window(uniform_binary(64), (0, 1) * 32, 64)
+    assert node_checks[0] == 2  # the prefix, and the walk's end
+    source = random_family(random.Random(3), random_tree(random.Random(3), max_depth=4, max_arity=4))
+    enc = encoding.binary_encode(source.tree, source.tree.height)
+    node_checks[0] = 0
+    assert verify_encoding(source, source.tree.height).ok
+    assert node_checks[0] == len(enc.h) + enc.image.node_count()
 
 
 def test_internal_measures_skip_the_law_check(monkeypatch):
