@@ -227,8 +227,7 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
         measure = induced_measure(family)
         best = max((t for t in tree.max_nodes() if measure.mass(t) > 0), key=measure.mass, default=None)
         # total leaf mass is one, so an explicit tree always has an atom
-        d = min(depth, tree.height)
-        bound = max(measure.mass(t) for t in enumerate_front(tree, d).nodes)
+        bound = max(measure.mass(t) for t in enumerate_front(tree, depth).nodes)
         return FreenessReport(depth, epsilon, ATOM_FOUND, bound, best)
 
     if family.row is None:

@@ -70,6 +70,9 @@ class ExplicitTree(_Tree):
 
     __slots__ = ("_children", "depth_budget", "_height", "_index")
     is_explicit = True
+    # bound here too, not only inherited: perfbench/spans.py traces a class's own public members
+    require, arity, child_indices = _Tree.require, _Tree.arity, _Tree.child_indices
+    children, is_maximal = _Tree.children, _Tree.is_maximal
 
     def __init__(self, children: Mapping[Path, Sequence[int]], depth_budget: int | None = None):
         child_map: dict[Path, tuple[int, ...]] = {}
@@ -181,6 +184,9 @@ class GeneratedTree(_Tree):
 
     __slots__ = ("shared_arity", "_rule", "depth_budget", "name")
     is_explicit = False
+    # bound here too, not only inherited: perfbench/spans.py traces a class's own public members
+    require, arity, child_indices = _Tree.require, _Tree.arity, _Tree.child_indices
+    children, is_maximal = _Tree.children, _Tree.is_maximal
 
     def __init__(self, arity: Arity | Callable[[Path], Arity], depth_budget: int, name: str | None = None):
         if depth_budget is None or depth_budget < 0:
