@@ -55,6 +55,10 @@ def show(x: Fraction) -> str:
     return str(x) if max(n, d) <= SHOWN_BITS else f"{'-' * (x < 0)}~2^{n - d} ({n}-bit/{d}-bit fraction)"
 
 
+def _not_a_child(k: int, support: object) -> ValueError:
+    return ValueError(f"child index {k} not in distribution support {support}")
+
+
 def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     """The sum of n/d over (n, d) pairs, d > 0: numerators added per d, then over one lcm, one gcd."""
     groups: dict[int, int] = {}
@@ -84,7 +88,17 @@ class FiniteDist:
             if any(a[0] == b[0] for a, b in zip(items, items[1:])):
                 raise ValueError("duplicate child index")
         self._items = items
-        self._grid = None
+        # (q, runs, stochastic): q is the lcm of the row's denominators;
+        # runs[i] is q times the mass of the first i entries, so entry i's
+        # cell is [runs[i]/q, runs[i + 1]/q); stochastic says whether every
+        # mass is nonnegative and the masses sum to exactly one.
+        q = math.lcm(*(m.denominator for _, m in items))
+        runs, nonnegative = [0], True
+        for _, m in items:
+            c = m.numerator * (q // m.denominator)
+            nonnegative = nonnegative and c >= 0
+            runs.append(runs[-1] + c)
+        self._grid = q, runs, nonnegative and runs[-1] == q
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -103,25 +117,25 @@ class FiniteDist:
         items = self._items
         i = k if k < len(items) and items[k][0] == k else bisect_left(items, k, key=itemgetter(0))
         if i == len(items) or items[i][0] != k:
-            raise ValueError(f"child index {k} not in distribution support {self.indices}")
+            raise _not_a_child(k, self.indices)
         return i
 
     def mass(self, k: int) -> Fraction:
         return self._items[self._position(k)][1]
 
     def prefix_mass(self, k: int) -> Fraction:
-        q, runs, _ = self.grid()
+        q, runs, _ = self._grid
         return Fraction(runs[bisect_left(self._items, k, key=itemgetter(0))], q)
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Child k's cell [b/q, (b + c)/q) in [0, 1], as unreduced integers (b, c, q)."""
-        q, runs, _ = self.grid()
+        q, runs, _ = self._grid
         i = self._position(k)
         return runs[i], runs[i + 1] - runs[i], q
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int]:
         """The child k whose cell holds u = un/ud in [0, 1], and `cell(k)`; u = 1 is in the last positive cell."""
-        q, runs, stochastic = self._grid or self.grid()
+        q, runs, stochastic = self._grid
         if not stochastic:
             raise NotADistribution(f"the masses are not a probability distribution: {self.defect()}")
         x = un * q // ud
@@ -130,30 +144,12 @@ class FiniteDist:
 
     @property
     def total(self) -> Fraction:
-        q, runs, _ = self.grid()
+        q, runs, _ = self._grid
         return Fraction(runs[-1], q)
-
-    def grid(self) -> tuple[int, list[int], bool]:
-        """The row over one integer denominator, built on first use.
-
-        Returns (q, runs, stochastic): q is the lcm of the row's
-        denominators; runs[i] is q times the mass of the first i entries,
-        so entry i's cell is [runs[i]/q, runs[i + 1]/q); stochastic says
-        whether every mass is nonnegative and the masses sum to exactly one.
-        """
-        if self._grid is None:
-            q = math.lcm(*(m.denominator for _, m in self._items))
-            runs, nonnegative = [0], True
-            for _, m in self._items:
-                c = m.numerator * (q // m.denominator)
-                nonnegative = nonnegative and c >= 0
-                runs.append(runs[-1] + c)
-            self._grid = q, runs, nonnegative and runs[-1] == q
-        return self._grid
 
     def defect(self) -> str | None:
         """Why the row is not a probability distribution; None when it is one."""
-        if self.grid()[2]:
+        if self._grid[2]:
             return None
         for k, m in self._items:
             if not 0 <= m <= 1:
@@ -219,9 +215,14 @@ def _geometric_index(rn: int, rd: int, vn: int, vd: int, inv_log: float, kmax: i
 
 
 def _power_index(k: int, kmax: int) -> int:
-    """k, when r^k fits: k <= kmax = MAX_POWER_BITS // bits(rd); OversizedValue otherwise."""
+    """k, when it is a child and r^k fits: 0 <= k <= kmax = MAX_POWER_BITS // bits(rd).
+
+    A negative k raises ValueError, one past kmax OversizedValue.
+    """
     if k > kmax:
         raise OversizedValue(f"geometric children past {kmax} are refused: child k needs k · bits(denominator of r) <= {MAX_POWER_BITS:,}")
+    if k < 0:
+        raise _not_a_child(k, OMEGA)
     return k
 
 
@@ -280,6 +281,8 @@ class PointMass(_ClosedForm):
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Child k's cell: [0, 1] for the index, a point at 0 or 1 for every other child."""
+        if k < 0:
+            raise _not_a_child(k, OMEGA)
         return int(k > self.index), int(k == self.index), 1
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:

@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 from .dists import FractionLike, as_fraction, fraction_sum
 from .errors import NodeNotBelowFront, NotAFront, PreconditionFrontMismatch
-from .measures import EdgeFamily, InductiveMeasure, _walk
+from .measures import EdgeFamily, InductiveMeasure, _materialized_masses, _walk
 from .paths import Path, is_prefix
 from .trees import Front, _check_front, level
 
@@ -51,12 +51,8 @@ class FrontVariable:
 def expect(measure: InductiveMeasure, variable: FrontVariable) -> Fraction:
     """Expectation of the variable under the front restriction of the measure."""
     _check_front(measure.tree, variable.front, "the variable's front")
-    masses = measure._masses
-    try:
-        terms = [(v, masses[s]) for s, v in variable.values.items()]
-    except KeyError as missing:
-        measure.mass(*missing.args)  # raises UnknownNode or DepthBudgetExceeded
-        raise
+    values = variable.values
+    terms = zip(values.values(), _materialized_masses(measure, values))
     return fraction_sum((v.numerator * m.numerator, v.denominator * m.denominator) for v, m in terms)
 
 

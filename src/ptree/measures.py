@@ -75,6 +75,8 @@ class EdgeFamily:
                     raise ValueError(f"distribution at {t} does not match the child set")
             self._dists = table  # always a dict: `isinstance(_, dict)` is the cheap test
         else:
+            if not isinstance(tree, GeneratedTree):
+                raise ValueError("distribution rules require a generated tree")
             self._dists = dists
 
     @property
@@ -107,7 +109,7 @@ class EdgeFamily:
                 d = self._dists(t)
                 if mismatch := _support_mismatch(d, a):
                     raise NotADistribution(f"at node {t}, {mismatch}")
-        if d.__class__ is FiniteDist and not (d._grid or d.grid())[2]:
+        if d.__class__ is FiniteDist and not d._grid[2]:
             raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
         return d
 
@@ -115,6 +117,9 @@ class EdgeFamily:
         """Mass of the edge from t to child k; the row must be a distribution."""
         t = tuple(t)
         self.dist(t)  # t is a node, and not a maximal one
+        tree = self.tree  # k is checked as a child index only: t + (k,) may lie past the depth budget
+        if k < 0 or (tree._arity_unchecked(t) is not OMEGA and k not in tree._child_indices(t)):
+            raise UnknownNode(f"no node {t + (k,)} in tree")
         return self._dist_unchecked(t).mass(k)
 
     def dist_table(self) -> Mapping[Path, Dist]:
@@ -367,13 +372,18 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
     return InductiveMeasure._trusted(tree, masses, record_depth)
 
 
-def _total_mass(measure: InductiveMeasure, nodes: Iterable[Path]) -> Fraction:
-    """The summed masses of nodes; one the measure has not materialized raises as `measure.mass` does."""
+def _materialized_masses(measure: InductiveMeasure, nodes: Iterable[Path]) -> list[Fraction]:
+    """The masses of nodes; one the measure has not materialized raises as `measure.mass` does."""
     try:
-        return fraction_sum(map(Fraction.as_integer_ratio, map(measure._masses.__getitem__, nodes)))
+        return list(map(measure._masses.__getitem__, nodes))
     except KeyError as missing:
         measure.mass(*missing.args)  # raises UnknownNode or DepthBudgetExceeded
         raise
+
+
+def _total_mass(measure: InductiveMeasure, nodes: Iterable[Path]) -> Fraction:
+    """The summed masses of nodes, read as `_materialized_masses` reads them."""
+    return fraction_sum(map(Fraction.as_integer_ratio, _materialized_masses(measure, nodes)))
 
 
 def front_mass(measure: InductiveMeasure, front: Front) -> Fraction:
@@ -393,48 +403,34 @@ def below_mass(measure: InductiveMeasure, t: Path, front: Front) -> Fraction:
 
 
 class NullNodeSet:
-    """The set of zero-mass nodes of a family, as a membership test.
+    """The zero-mass nodes of a generated family, as a membership test.
 
-    For explicit families the set is finite and iterable; for generated
-    families only membership is computable, and iteration fails rather
-    than silently truncating.
+    Only membership is computable: iteration and length fail rather than
+    silently truncating. An explicit family's null set is a frozenset.
     """
 
-    __slots__ = ("_family", "_materialized")
+    __slots__ = ("_family",)
 
-    def __init__(self, family: EdgeFamily, materialized: frozenset[Path] | None = None):
+    def __init__(self, family: EdgeFamily):
         self._family = family
-        self._materialized = materialized
 
     def __contains__(self, t: Path) -> bool:
         return node_mass(self._family, tuple(t)) == 0
 
     def __iter__(self) -> Iterator[Path]:
-        if self._materialized is None:
-            raise InfiniteLevel("null node set of a generated family is not enumerable")
-        return iter(self._materialized)
+        raise InfiniteLevel("null node set of a generated family is not enumerable")
 
     def __len__(self) -> int:
-        if self._materialized is None:
-            raise InfiniteLevel("null node set of a generated family is not enumerable")
-        return len(self._materialized)
+        raise InfiniteLevel("null node set of a generated family is not enumerable")
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, NullNodeSet):
-            return self._materialized == other._materialized and self._family == other._family
-        if isinstance(other, (set, frozenset)):
-            if self._materialized is None:
-                return NotImplemented
-            return self._materialized == other
-        return NotImplemented
+        return self._family == other._family if isinstance(other, NullNodeSet) else NotImplemented
 
     def __repr__(self) -> str:
-        if self._materialized is not None:
-            return f"NullNodeSet({set(self._materialized) or '{}'})"
         return "NullNodeSet(<generated>)"
 
 
-def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFamily, NullNodeSet]:
+def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFamily, frozenset[Path] | NullNodeSet]:
     """Restrict the family to nodes of positive induced mass.
 
     The restricted tree keeps the original child indices, so the positive
@@ -444,12 +440,13 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     generated one up to `depth`, and must have finite positive support at
     every node (point masses). Rows are read as every walk reads them, so
     one that is not a distribution over its node's children raises
-    NotADistribution.
+    NotADistribution. An explicit family's null nodes come back as a
+    frozenset, a generated family's as a NullNodeSet.
     """
     tree = family.tree
     row = family.row
     if row is not None and row.positive_support() == row.support:
-        return family, NullNodeSet(family, None)
+        return family, NullNodeSet(family)
 
     explicit = family.is_explicit
     if explicit:
@@ -472,8 +469,8 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
         children[t] = tuple(support)
         dists[t] = FiniteDist({k: d.mass(k) for k in support})
         stack.extend(t + (k,) for k in support)
-    null = frozenset(t for t in tree.nodes() if t not in children) if explicit else None
-    return EdgeFamily(ExplicitTree(children, tree.depth_budget), dists), NullNodeSet(family, null)
+    null = frozenset(t for t in tree.nodes() if t not in children) if explicit else NullNodeSet(family)
+    return EdgeFamily(ExplicitTree(children, tree.depth_budget), dists), null
 
 
 class GeneralPair:

@@ -1,6 +1,6 @@
 """Differential property tests for the front check, the path-walk kernel,
-the exact-sum helper, the trial-tree builder and pmf kernel, descent and
-the encoding's order check.
+the exact-sum helper, the trial-tree builder and pmf kernel, descent, the
+encoding's order check and finite rows' accessors.
 
 Every oracle here is a brute-force restatement of a definition that shares
 no code with the library: pairwise prefix tests for fronts, and a sorted
@@ -12,12 +12,15 @@ pmfs, two `randint` calls and one `Fraction` per node for random trial
 trees, and, for descent, a walk over absolute `Fraction` cell ends that
 scans each finite row's cells and the child indices of closed-form nodes,
 for the geometric child index, a squaring search over exact powers of the
-ratio, and, for the order check, a test of every pair of encoded nodes. Results
+ratio, for the order check, a test of every pair of encoded nodes, and, for
+finite rows, the accessors as written when a row's integer grid was built
+on first use (only the library's `show` is shared, for messages). Results
 must be identical fractions and verdicts. The sampler's interval descent is
 checked by enumeration instead: every string of 2-bit chunks, weighted by
 its probability, must give each branch exactly its `node_mass`.
 """
 
+import bisect
 import dataclasses
 import math
 import random
@@ -68,7 +71,7 @@ from ptree import (
     verify_encoding,
 )
 from ptree import bernoulli, encoding, intervals
-from ptree.dists import Geometric, PointMass, _geometric_index, fraction_sum
+from ptree.dists import Geometric, PointMass, _geometric_index, fraction_sum, show
 from ptree.measures import _walk, positive_part
 from ptree.paths import OMEGA, compatible, is_prefix
 
@@ -304,6 +307,112 @@ def test_fraction_sum_matches_a_running_fraction_sum(terms):
 
 def test_fraction_sum_of_nothing_is_zero():
     assert fraction_sum([]) == 0 and fraction_sum(iter(())) == F(0)
+
+
+class LazyGridRow:
+    """Oracle: a finite row's accessors as written when the integer grid was built on first use."""
+
+    def __init__(self, items):
+        self._items, self._grid = tuple(items), None
+        self.indices = tuple(k for k, _ in self._items)
+
+    def grid(self):
+        if self._grid is None:
+            q = math.lcm(*(m.denominator for _, m in self._items))
+            runs, nonnegative = [0], True
+            for _, m in self._items:
+                c = m.numerator * (q // m.denominator)
+                nonnegative = nonnegative and c >= 0
+                runs.append(runs[-1] + c)
+            self._grid = q, runs, nonnegative and runs[-1] == q
+        return self._grid
+
+    def _position(self, k):
+        items = self._items
+        i = k if k < len(items) and items[k][0] == k else bisect.bisect_left(items, k, key=lambda e: e[0])
+        if i == len(items) or items[i][0] != k:
+            raise ValueError(f"child index {k} not in distribution support {self.indices}")
+        return i
+
+    def mass(self, k):
+        return self._items[self._position(k)][1]
+
+    def prefix_mass(self, k):
+        q, runs, _ = self.grid()
+        return F(runs[bisect.bisect_left(self._items, k, key=lambda e: e[0])], q)
+
+    def cell(self, k):
+        q, runs, _ = self.grid()
+        i = self._position(k)
+        return runs[i], runs[i + 1] - runs[i], q
+
+    def locate(self, un, ud):
+        q, runs, stochastic = self._grid or self.grid()
+        if not stochastic:
+            raise NotADistribution(f"the masses are not a probability distribution: {self.defect()}")
+        x = un * q // ud
+        i = bisect.bisect_right(runs, x) - 1 if x < q else bisect.bisect_left(runs, q) - 1
+        return self._items[i][0], runs[i], runs[i + 1] - runs[i], q
+
+    @property
+    def total(self):
+        q, runs, _ = self.grid()
+        return F(runs[-1], q)
+
+    def defect(self):
+        if self.grid()[2]:
+            return None
+        for k, m in self._items:
+            if not 0 <= m <= 1:
+                return f"child {k} has mass {show(m)} outside [0, 1]"
+        return f"masses sum to {show(self.total)}, not 1"
+
+    def gate(self):
+        """The row gate's verdict at the root: None, or its NotADistribution message."""
+        return None if self.grid()[2] else f"the masses at node () are not a probability distribution: {self.defect()}"
+
+
+def result_of(call, *args):
+    """What a call gives: its value, or its error's type and message."""
+    try:
+        return call(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+def unit_fractions(bits):
+    """Fractions in [0, 1] with numerators and denominators up to 2^bits."""
+    return st.builds(lambda n, d: F(n % (d + 1), d), st.integers(0, 2**bits), st.integers(1, 2**bits))
+
+
+MASS = st.one_of(st.just(F(0)), st.builds(F, st.integers(-12, 24), st.integers(1, 12)), unit_fractions(100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), MASS), max_size=6),
+    st.booleans(),
+    st.lists(st.integers(-2, 20), max_size=6),
+    st.lists(unit_fractions(40), max_size=4),
+)
+def test_finite_rows_built_with_their_grid_match_the_lazy_grid(gaps_masses, normalize, ks, points):
+    # sparse indices, zeros, negative masses and sums other than one; normalized, rows that are distributions
+    indices = list(accumulate(gap for gap, _ in gaps_masses))
+    masses = [m for _, m in gaps_masses]
+    if normalize and (total := sum(map(abs, masses))):
+        masses = [abs(m) / total for m in masses]
+    row, oracle = FiniteDist(dict(zip(indices, masses))), LazyGridRow(zip(indices, masses))
+    for k in ks + indices:
+        for query in ("cell", "mass", "prefix_mass"):
+            assert result_of(getattr(row, query), k) == result_of(getattr(oracle, query), k)
+    for u in points + [F(0), F(1)]:
+        assert result_of(row.locate, u.numerator, u.denominator) == result_of(oracle.locate, u.numerator, u.denominator)
+    assert row.total == oracle.total and row.defect() == oracle.defect()
+    if indices:  # a table row sits at a non-maximal node
+        tree = ExplicitTree({(): indices, **{(k,): () for k in indices}})
+        fam = EdgeFamily(tree, {(): row})
+        verdict = oracle.gate()
+        assert result_of(fam._dist_unchecked, ()) == (row if verdict is None else (NotADistribution, verdict))
 
 
 @FAST

@@ -21,6 +21,7 @@ from ptree import (
     NodeNotBelowFront,
     NotADistribution,
     NotAFront,
+    NullNodeSet,
     UnknownNode,
     below_mass,
     classify,
@@ -282,6 +283,30 @@ def test_positive_part_of_an_explicit_family_matches_its_split_measure(rng):
     expected, expected_null = positive_part_from_the_split_measure(fam)
     assert pos == expected
     assert set(null) == expected_null
+    assert isinstance(null, frozenset)
+
+
+def test_an_explicit_null_set_answers_a_non_node_with_false():
+    fam = EdgeFamily.from_table({(): ["1", "0"], (1,): ["1/2", "1/2"]})
+    null = positive_part(fam)[1]
+    assert null == {(1,), (1, 0), (1, 1)}
+    assert (7, 7) not in null and (0, 0) not in null  # neither is a node; no walk is made
+
+
+def test_a_generated_null_set_answers_membership_only():
+    fam = dirac(2, depth_budget=6)
+    null = positive_part(fam, depth=2)[1]
+    assert isinstance(null, NullNodeSet) and repr(null) == "NullNodeSet(<generated>)"
+    assert (0,) in null and (2, 2) not in null and (2, 2, 1) in null
+    with pytest.raises(UnknownNode):
+        (-1,) in null
+    for refused in (len, iter):
+        with pytest.raises(InfiniteLevel, match="not enumerable"):
+            refused(null)
+    assert null == positive_part(dirac(2, depth_budget=6), depth=1)[1]  # equal families, equal sets
+    assert null != positive_part(dirac(3, depth_budget=6), depth=2)[1]
+    assert null != set() and null != frozenset()
+    assert positive_part(geometric_omega(8))[1] == NullNodeSet(geometric_omega(8))
 
 
 @pytest.mark.parametrize(
@@ -378,6 +403,37 @@ def test_edge_prob_refuses_a_row_that_is_not_a_distribution():
     assert EdgeFamily.from_table({(): ["1/3", "2/3"]}).edge_prob((), 1) == F(2, 3)
     with pytest.raises(UnknownNode):
         fam.edge_prob((0,), 0)
+
+
+@pytest.mark.parametrize(
+    "fam, t, k",
+    [
+        (geometric_omega(8), (), -1),
+        (dirac(2, 8), (), -1),
+        (uniform_binary(8), (), 5),
+        (uniform_binary(8), (1,), -1),
+        (EdgeFamily.from_table({(): ["1/2", "1/2"]}), (), 2),
+        (EdgeFamily(GeneratedTree(lambda t: 3, 8), lambda t: FiniteDist(["1/3"] * 3)), (0,), 3),
+    ],
+    ids=["geometric-negative", "dirac-negative", "binary-past-arity", "binary-negative", "table", "rule"],
+)
+def test_edge_prob_refuses_a_child_index_the_node_does_not_have(fam, t, k):
+    with pytest.raises(UnknownNode, match=re.escape(f"no node {t + (k,)} in tree")):
+        fam.edge_prob(t, k)
+
+
+def test_edge_prob_does_not_check_the_child_against_the_depth_budget():
+    assert uniform_binary(8).edge_prob((0,) * 8, 1) == F(1, 2)
+    assert dirac(2, 8).edge_prob((), 3) == 0 and dirac(2, 8).edge_prob((), 2) == 1
+
+
+def test_a_rule_family_on_an_explicit_tree_is_refused():
+    # it used to be built, and then positive_part, validate_edge_family and pair_from_family failed on it
+    with pytest.raises(ValueError, match="distribution rules require a generated tree"):
+        EdgeFamily(complete_binary_tree(2), lambda t: FiniteDist(["1/2", "1/2"]))
+    rule = EdgeFamily(GeneratedTree(2, 4), lambda t: FiniteDist(["1/2", "1/2"]))
+    for fam in (rule, uniform_binary(4), figure_family()):
+        assert fam.is_explicit == fam.tree.is_explicit
 
 
 def test_positive_part_idempotent():

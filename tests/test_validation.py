@@ -63,7 +63,7 @@ from ptree import (
 )
 from ptree import encoding
 from ptree.cli import main
-from ptree.dists import MAX_POWER_BITS, Geometric, as_fraction, show
+from ptree.dists import MAX_POWER_BITS, Geometric, PointMass, as_fraction, show
 
 from corpus import random_family, random_tree
 
@@ -385,6 +385,17 @@ def test_a_geometric_child_past_the_power_limit_is_refused():
         with pytest.raises(OversizedValue, match=f"geometric children past {kmax} are refused") as info:
             call()
         assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("row", [Geometric("1/2"), PointMass(2)], ids=repr)
+@pytest.mark.parametrize("query", ["cell", "mass", "prefix_mass"])
+def test_a_closed_form_refuses_a_negative_child(row, query):
+    # Geometric used to answer cell(-1) in floats; PointMass gave child -1 mass 0
+    with pytest.raises(ValueError, match=re.escape("child index -1 not in distribution support OMEGA")) as info:
+        getattr(row, query)(-1)
+    assert not isinstance(info.value, PTreeError)  # the ValueError a finite row raises for a non-child
+    with pytest.raises(ValueError, match=re.escape("child index -1 not in distribution support (0, 1)")):
+        FiniteDist(["1/2", "1/2"]).cell(-1)
 
 
 @pytest.mark.parametrize("e", [1000, 3000])  # 1/log r is finite at 2^-1000, out of float range at 2^-3000
