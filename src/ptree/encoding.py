@@ -42,54 +42,53 @@ class BinaryEncoding:
 
 
 def binary_encode(tree: TreeShape, depth: int) -> BinaryEncoding:
-    """Compute the embedding on all nodes up to `depth`."""
+    """Compute the embedding on all nodes up to `depth`, and its image tree gadget by gadget.
+
+    Below a node's image u, each inner node u·1^k (k < arity - 1) splits into (0, 1);
+    every other image is a leaf until its own node's gadget splits it.
+    """
     h: dict[Path, Path] = {(): ()}
-    for t in walk_to_depth(tree, depth):
+    preimages: dict[Path, tuple[Path, ...]] = {(): ((),)}
+    splits: dict[Path, tuple[int, ...]] = {}
+    for t in walk_to_depth(tree, depth):  # parents before children, so each chain's preimages in depth order
         if len(t) >= depth or (arity := tree._arity_unchecked(t)) == 0:
             continue
         if arity is OMEGA:
             raise InfiniteLevel(f"node {t} has infinitely many successors")
-        for k in range(arity):  # an only child collapses; the last child keeps the all-ones run
-            h[t + (k,)] = h[t] if arity == 1 else h[t] + (1,) * k + (0,) * (k < arity - 1)
+        for k in range(arity):
+            s = h[t] + (1,) * k
+            if k < arity - 1:
+                splits[s] = (0, 1)
+                s += (0,)
+            h[t + (k,)] = s
+            preimages[s] = preimages.get(s, ()) + (t + (k,),)
 
-    preimages: dict[Path, list[Path]] = {}
-    for t, s in h.items():
-        preimages.setdefault(s, []).append(t)
-    children: dict[Path, set[int]] = {(): set()}
-    for s in preimages:
-        for i in range(len(s)):
-            children.setdefault(s[:i], set()).add(s[i])
-        children.setdefault(s, set())
-    image = ExplicitTree({s: tuple(sorted(ks)) for s, ks in children.items()})
-    frozen = {s: tuple(sorted(ts, key=len)) for s, ts in preimages.items()}
-    return BinaryEncoding(tree, depth, dict(h), image, frozen)
+    image = ExplicitTree({**dict.fromkeys(preimages, ()), **splits})
+    return BinaryEncoding(tree, depth, h, image, preimages)
 
 
 def encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> InductiveMeasure:
     """Push node masses through the embedding onto the image tree.
 
-    Image nodes that are not themselves images take the total mass of the
-    source successors whose images extend them; the result satisfies the
-    inductive law.
+    Image nodes that are not themselves images take the total mass of
+    their image children; the result satisfies the inductive law.
     """
     return InductiveMeasure(enc.image, _pushed_masses(family, enc)[0])
 
 
 def _pushed_masses(family: EdgeFamily, enc: BinaryEncoding) -> tuple[dict[Path, Fraction], dict[Path, tuple[int, int, int]]]:
-    """`encoded_measure`'s masses, unchecked, and the source nodes' cells they were summed from."""
+    """`encoded_measure`'s masses, unchecked, and the source nodes' cells they were pushed from."""
     if enc.source is not family.tree and enc.source != family.tree:
         raise EncodingMismatch("the encoding was built from a different tree")
     source_cells = _walk(family, enc.h)
+    image, preimages = enc.image, enc.preimages
     masses: dict[Path, Fraction] = {}
-    for s in enc.image.nodes():
-        if s in enc.preimages:
-            masses[s] = Fraction(*source_cells[enc.preimages[s][0]][1:])
-            continue
-        anchor = next(s[:n] for n in range(len(s) - 1, -1, -1) if s[:n] in enc.preimages)
-        # the longest preimage below s; unique because deeper preimages collapse chains
-        t = enc.preimages[anchor][-1]
-        kids = (t + (k,) for k in family.tree._child_indices(t))
-        masses[s] = fraction_sum(source_cells[c][1:] for c in kids if c in enc.h and is_prefix(s, enc.h[c]))
+    # bottom up: a source node's image takes its shallowest preimage's width, an inner gadget node its children's sum
+    for s in sorted(image.nodes(), reverse=True):
+        if s in preimages:
+            masses[s] = Fraction(*source_cells[preimages[s][0]][1:])
+        else:
+            masses[s] = fraction_sum(masses[s + (k,)].as_integer_ratio() for k in image._child_indices(s))
     return masses, source_cells
 
 

@@ -571,14 +571,14 @@ def family_from_pair(pair: GeneralPair) -> EdgeFamily:
 def pair_from_family(family: EdgeFamily) -> GeneralPair:
     """Split a family into its positive measure and the original null fillers.
 
-    Only the positive part is materialized; the null rows are read through
+    The induced measure's walk reads every row, null ones included, through
     the row gate, so one that is not a distribution raises NotADistribution.
     """
     if not family.is_explicit:
         raise InfiniteLevel("splitting a generated family into a pair is not supported")
-    positive, null = positive_part(family)
-    fillers = {t: d for t in null if (d := family._dist_unchecked(t)) is not None}
-    return GeneralPair(family.tree, induced_measure(positive), fillers)
+    positive, null = split_measure(induced_measure(family))
+    rows = family._dists
+    return GeneralPair(family.tree, positive, {t: rows[t] for t in null if t in rows})
 
 
 def positive_equivalent(a: EdgeFamily, b: EdgeFamily) -> bool:

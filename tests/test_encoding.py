@@ -14,6 +14,7 @@ from ptree import (
     GeneralPair,
     InfiniteLevel,
     NotADistribution,
+    UnknownNode,
     binary_encode,
     complete_binary_tree,
     embed_branch,
@@ -70,6 +71,14 @@ def test_embed_branch_examples():
     assert embed_branch(enc, (2,)) == (1, 1)
     assert embed_branch(enc, (2, 2)) == (1, 1, 1, 1)
     assert embed_branch(enc, ()) == ()
+
+
+def test_map_node_refuses_nodes_past_the_encoded_depth_and_nodes_never_encoded():
+    enc = binary_encode(ExplicitTree.from_arities({(): 3, (2,): 2}), 1)
+    with pytest.raises(DepthBudgetExceeded, match=r"^node \(2, 0\) lies beyond the encoded depth 1$"):
+        enc.map_node((2, 0))
+    with pytest.raises(UnknownNode, match=r"^node \(5,\) was not encoded$"):
+        enc.map_node([5])
 
 
 def test_encoded_measure_tail_sum():

@@ -12,8 +12,10 @@ pmfs, two `randint` calls and one `Fraction` per node for random trial
 trees, and, for descent, a walk over absolute `Fraction` cell ends that
 scans each finite row's cells and the child indices of closed-form nodes,
 for the geometric child index, a squaring search over exact powers of the
-ratio, for the order check, a test of every pair of encoded nodes, and, for
-finite rows, the accessors as written when a row's integer grid was built
+ratio, for the order check, a test of every pair of encoded nodes, for the
+encoding's image tree, every prefix of every image path, and for its pushed
+masses, a longest-prefix search for the source node behind each image node
+inside a gadget, and, for finite rows, the accessors as written when a row's integer grid was built
 on first use (only the library's `show` is shared, for messages). Results
 must be identical fractions and verdicts. The sampler's interval descent is
 checked by enumeration instead: every string of 2-bit chunks, weighted by
@@ -49,10 +51,12 @@ from ptree import (
     PTreeError,
     QPointError,
     UnknownNode,
+    binary_encode,
     binomial_pmf,
     complete_binary_tree,
     dirac,
     dominance_check,
+    encoded_measure,
     enumerate_front,
     flip_success_convention,
     geometric_omega,
@@ -999,6 +1003,64 @@ def test_order_check_matches_pairwise_oracle(rng, move, count):
     with mock.patch.object(encoding, "binary_encode", lambda tree, depth: broken):
         report = verify_encoding(family, tree.height)
     assert report.order_ok is pairwise_order_ok(h)
+
+
+def chain_tree(rng, max_depth=5, max_nodes=60):
+    """A random canonical tree of arities up to 5 where arity-one chains are common."""
+    children, stack = {}, [()]
+    while stack:
+        t = stack.pop()
+        leaf = len(t) >= max_depth or len(children) + len(stack) > max_nodes or (t and rng.random() < 0.25)
+        children[t] = () if leaf else tuple(range(rng.choice([1, 1, 1, 2, 3, 4, 5])))
+        stack.extend(t + (k,) for k in children[t])
+    return ExplicitTree(children)
+
+
+def prefix_scan_encoding(tree, depth):
+    """h by the child rule, then the image tree from every prefix of every image path."""
+    h, stack = {(): ()}, [()]
+    while stack:
+        t = stack.pop()
+        if len(t) < depth and not tree.is_maximal(t):
+            a = tree.arity(t)
+            for k in range(a):
+                h[t + (k,)] = h[t] if a == 1 else h[t] + (1,) * k + (0,) * (k < a - 1)
+                stack.append(t + (k,))
+    preimages, children = {}, {(): set()}
+    for t in sorted(h, key=len):
+        preimages.setdefault(h[t], []).append(t)
+    for s in preimages:
+        for i in range(len(s)):
+            children.setdefault(s[:i], set()).add(s[i])
+        children.setdefault(s, set())
+    image = ExplicitTree({s: tuple(sorted(ks)) for s, ks in children.items()})
+    return h, image, {s: tuple(ts) for s, ts in preimages.items()}
+
+
+def longest_prefix_masses(family, h, image, preimages):
+    """An image of a source node takes its shallowest preimage's mass; any other image node the
+    masses of those children of its longest preimage prefix whose images extend it."""
+    masses = {}
+    for s in image.nodes():
+        if s in preimages:
+            masses[s] = brute_weight(family, (), preimages[s][0])
+            continue
+        anchor = next(s[:n] for n in range(len(s) - 1, -1, -1) if s[:n] in preimages)
+        kids = family.tree.children(preimages[anchor][-1])
+        masses[s] = sum((brute_weight(family, (), c) for c in kids if c in h and is_prefix(s, h[c])), F(0))
+    return masses
+
+
+@FAST
+@given(RANDOMS)
+def test_gadget_encoding_matches_the_prefix_scan_and_longest_prefix_search(rng):
+    tree = chain_tree(rng)
+    family = random_family(rng, tree, allow_zero=True)
+    for depth in range(tree.height + 1):
+        enc = binary_encode(tree, depth)
+        h, image, preimages = prefix_scan_encoding(tree, depth)
+        assert (enc.h, enc.image, enc.preimages) == (h, image, preimages)
+        assert dict(encoded_measure(family, enc).items()) == longest_prefix_masses(family, h, image, preimages)
 
 
 class SeparateExplicitAccessors:

@@ -548,6 +548,34 @@ def test_malformed_pair_rejected():
         GeneralPair(host, positive, {(1,): FiniteDist([F(1, 4), F(1, 4)])})  # bad sum
 
 
+_HALVES = InductiveMeasure(complete_binary_tree(1), {(): 1, (0,): F(1, 2), (1,): F(1, 2)})
+_LEFT_HALVES = InductiveMeasure(
+    ExplicitTree({(): (0,), (0,): (0, 1), (0, 0): (), (0, 1): ()}), {(): 1, (0,): 1, (0, 0): F(1, 2), (0, 1): F(1, 2)}
+)
+
+
+@pytest.mark.parametrize(
+    "host, positive, fillers, message",
+    [
+        (GeneratedTree(2, 3), _HALVES, {}, "pairs are supported over explicit host trees only"),
+        (complete_binary_tree(1), induced_measure(uniform_binary(3), 1), {}, "the positive part must live on an explicit tree"),
+        (ExplicitTree({(): (0,), (0,): ()}), _HALVES, {}, r"positive node \(1,\) is not in the host tree"),
+        (complete_binary_tree(2), _LEFT_HALVES, {(1,): Geometric(F(1, 2))}, r"filler at \(1,\) must be a finite distribution"),
+    ],
+    ids=["generated-host", "generated-positive", "positive-node-off-the-host", "closed-form-filler"],
+)
+def test_general_pair_refusals_name_what_is_wrong(host, positive, fillers, message):
+    with pytest.raises(MalformedPair, match=f"^{message}$"):
+        GeneralPair(host, positive, fillers)
+
+
+def test_splitting_generated_input_is_refused():
+    with pytest.raises(InfiniteLevel, match="^splitting a measure requires an explicit tree$"):
+        split_measure(induced_measure(uniform_binary(3), 2))
+    with pytest.raises(InfiniteLevel, match="^splitting a generated family into a pair is not supported$"):
+        pair_from_family(uniform_binary(3))
+
+
 def test_a_positive_leaf_interior_in_the_host_is_refused():
     # the root's mass quotients sum to 0: no family has this pair's masses
     host = ExplicitTree({(): (0, 1), (0,): (), (1,): ()})
@@ -721,6 +749,19 @@ def test_successor_quotient_lemma():
                 continue
             for k in tree.child_indices(t):
                 assert fam.dist(t).mass(k) == m.mass(t + (k,)) / m.mass(t)
+
+
+def test_root_walks_stop_at_the_maximal_nodes_of_a_rule_family():
+    # the rule's row fits only nodes with two children: reading it at a depth-2 leaf would be a mismatch
+    family = EdgeFamily(GeneratedTree(lambda t: 2 if len(t) < 2 else 0, 5), lambda t: FiniteDist(["1/3", "2/3"]))
+    masses = {(): 1, (0,): F(1, 3), (1,): F(2, 3), (0, 0): F(1, 9), (0, 1): F(2, 9), (1, 0): F(2, 9), (1, 1): F(4, 9)}
+    assert dict(induced_measure(family, 3).items()) == masses
+    report = validate_edge_family(family)
+    assert (report.ok, report.violations, report.checked_depth) == (True, (), 4)
+    positive, null = positive_part(family)
+    assert positive.tree == complete_binary_tree(2)
+    assert positive.dist_table() == {t: FiniteDist(["1/3", "2/3"]) for t in [(), (0,), (1,)]}
+    assert (1, 1) not in null
 
 
 @pytest.mark.parametrize("walk", ["classify", "validate_edge_family", "positive_part"])
