@@ -40,6 +40,7 @@ from .errors import (
     MalformedPath,
     MalformedTree,
     MultipleRoots,
+    NegativeCount,
     NegativeDepth,
     NodeNotBelowFront,
     NotADistribution,

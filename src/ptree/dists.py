@@ -88,17 +88,20 @@ class FiniteDist:
             if any(a[0] == b[0] for a, b in zip(items, items[1:])):
                 raise ValueError("duplicate child index")
         self._items = items
-        # (q, runs, stochastic): q is the lcm of the row's denominators;
-        # runs[i] is q times the mass of the first i entries, so entry i's
-        # cell is [runs[i]/q, runs[i + 1]/q); stochastic says whether every
-        # mass is nonnegative and the masses sum to exactly one.
-        q = math.lcm(*(m.denominator for _, m in items))
-        runs, nonnegative = [0], True
+        # (q, runs, cells): q is the lcm of the row's denominators; runs[i] is q times the mass of the
+        # first i entries, so entry i's cell is [runs[i]/q, runs[i + 1]/q). cells is None unless the masses
+        # are nonnegative and sum to exactly one; then it holds each child's cell (b, c, q), by child index:
+        # a tuple on a canonical row (sorted, distinct, nonnegative indices ending at n - 1), a dict on a sparse one.
+        q = math.lcm(*[m.denominator for _, m in items])  # a list unpacks faster than a generator
+        runs, cells, b, nonnegative = [0], [], 0, True
         for _, m in items:
             c = m.numerator * (q // m.denominator)
             nonnegative = nonnegative and c >= 0
-            runs.append(runs[-1] + c)
-        self._grid = q, runs, nonnegative and runs[-1] == q
+            cells.append((b, c, q))
+            runs.append(b := b + c)
+        stochastic = nonnegative and b == q  # a distribution has an entry, so items[-1] exists
+        canonical = stochastic and items[-1][0] == len(items) - 1
+        self._grid = q, runs, tuple(cells) if canonical else dict(zip(map(itemgetter(0), items), cells)) if stochastic else None
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -108,9 +111,7 @@ class FiniteDist:
     def masses(self) -> tuple[Fraction, ...]:
         return tuple(m for _, m in self._items)
 
-    @property
-    def support(self):
-        return self.indices
+    support = indices
 
     def _position(self, k: int) -> int:
         """Where child k sits in the row; a ValueError when it is not there."""
@@ -121,7 +122,8 @@ class FiniteDist:
         return i
 
     def mass(self, k: int) -> Fraction:
-        return self._items[self._position(k)][1]
+        items = self._items
+        return items[k if 0 <= k < len(items) and items[k][0] == k else self._position(k)][1]
 
     def prefix_mass(self, k: int) -> Fraction:
         q, runs, _ = self._grid
@@ -135,8 +137,8 @@ class FiniteDist:
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int]:
         """The child k whose cell holds u = un/ud in [0, 1], and `cell(k)`; u = 1 is in the last positive cell."""
-        q, runs, stochastic = self._grid
-        if not stochastic:
+        q, runs, cells = self._grid
+        if cells is None:
             raise NotADistribution(f"the masses are not a probability distribution: {self.defect()}")
         x = un * q // ud
         i = bisect_right(runs, x) - 1 if x < q else bisect_left(runs, q) - 1
@@ -149,7 +151,7 @@ class FiniteDist:
 
     def defect(self) -> str | None:
         """Why the row is not a probability distribution; None when it is one."""
-        if self._grid[2]:
+        if self._grid[2] is not None:
             return None
         for k, m in self._items:
             if not 0 <= m <= 1:

@@ -36,9 +36,9 @@ class BinaryEncoding:
         t = tuple(t)
         if t in self.h:
             return self.h[t]
-        if len(t) > self.depth:
-            raise DepthBudgetExceeded(f"node {t} lies beyond the encoded depth {self.depth}")
-        raise UnknownNode(f"node {t} was not encoded")
+        if not self.source.contains(t):
+            raise UnknownNode(f"node {t} was not encoded")
+        raise DepthBudgetExceeded(f"node {t} lies beyond the encoded depth {self.depth}")  # h holds every node up to it
 
 
 def binary_encode(tree: TreeShape, depth: int) -> BinaryEncoding:

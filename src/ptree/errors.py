@@ -36,6 +36,10 @@ class NegativeDepth(PTreeError, ValueError):
     """A depth or level argument is negative."""
 
 
+class NegativeCount(PTreeError, ValueError):
+    """A count argument, such as the number of draws, is negative."""
+
+
 class InfiniteLevel(PTreeError):
     """An operation would have to enumerate an infinite set of nodes."""
 

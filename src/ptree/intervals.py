@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 from .dists import ONE, Geometric, PointMass, as_fraction, fraction_sum, show
 from .errors import (
     MalformedClopen,
+    NegativeCount,
     NotASubtree,
     QPointError,
     RequiresExplicitFiniteTree,
@@ -103,10 +104,10 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
     spills, can sit on a shared endpoint and raise QPointError.
     """
     y = un, ud  # named in QPointError messages
-    dist = family._dist_unchecked  # bound once, read at every step
+    shared = family._dist_unchecked(()) if family.row is not None and depth else None  # through the row gate once
     t: Path = ()
     while len(t) < depth:
-        d = dist(t)
+        d = shared or family._dist_unchecked(t)
         if d is None:
             break
         hit = d.locate(un, ud)  # the child whose cell [b/q, (b + c)/q) holds the lower end
@@ -135,7 +136,7 @@ def clopen_mass(family: EdgeFamily, selection: ClopenSelection) -> Fraction:
             raise MalformedClopen(f"selected node {s} lies beyond front level {n}")
         if len(s) < n and family.tree._arity_unchecked(s) != 0:
             raise MalformedClopen(f"selected node {s} is neither at level {n} nor maximal")
-    total = fraction_sum((w, q) for _, w, q in _walk(family, selection.selected).values())
+    total = fraction_sum((w, q) for _, w, q in _walk(family, selection.selected, require=tuple).values())  # checked above
     return 1 - total if selection.complemented else total
 
 
@@ -268,6 +269,8 @@ def sample_branches(family: EdgeFamily, seed: int, count: int, depth: int) -> li
     never stop on a shared cell endpoint.
     """
     _check_budget(family.tree, depth)
+    if count < 0:
+        raise NegativeCount(f"sample count {count} is negative")
     getrandbits = random.Random(seed).getrandbits
 
     def refine(un: int, wn: int, ud: int) -> tuple[int, int, int]:

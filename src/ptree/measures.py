@@ -109,7 +109,7 @@ class EdgeFamily:
                 d = self._dists(t)
                 if mismatch := _support_mismatch(d, a):
                     raise NotADistribution(f"at node {t}, {mismatch}")
-        if d.__class__ is FiniteDist and not d._grid[2]:
+        if d.__class__ is FiniteDist and d._grid[2] is None:
             raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
         return d
 
@@ -225,29 +225,31 @@ def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> Valida
     return ValidationReport(not violations, violations, check_depth)
 
 
-def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = ()) -> dict[Path, tuple[int, int, int]]:
+def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), require=None) -> dict[Path, tuple[int, int, int]]:
     """Each end's cell [l/q, (l + w)/q) within start's cell scaled to [0, 1], as integers (l, w, q).
 
-    The path-walk kernel: each end is validated once with `require` and
-    must extend `start`; the distributions on the way are then read
-    unchecked, and each step multiplies in the row's integer cell, with no
-    gcd. w/q is the end's weight below `start`. Ends are visited in
-    lexicographic order, so a prefix shared by several ends is folded
-    once: one step per distinct node.
+    The path-walk kernel: each end is validated once, by `require` (the
+    tree's by default), and must extend `start`. Each step multiplies in a
+    row's integer cell, with no gcd: from its cell table, from a shared closed
+    form's `cell`, or through the row gate. w/q is the end's weight below
+    `start`. Ends are visited in lexicographic order, so a prefix shared by
+    several ends is folded once: one step per distinct node.
     """
-    tree = family.tree
+    row, rows = family.row, family._dists if family.is_explicit else None
+    shared, closed = (row._grid[2], None) if row.__class__ is FiniteDist else (None, row and row.cell)  # None: a refused row
     base = len(start)
     out: dict[Path, tuple[int, int, int]] = {}
     prev = start
     cells = [(0, 1, 1)]  # cells[j]: the cell of prev[: base + j]
-    for s in sorted({tree.require(tuple(e)) for e in ends}):
+    for s in sorted(set(map(require or family.tree.require, map(tuple, ends)))):
         j, common = base, min(len(prev), len(s))
         while j < common and prev[j] == s[j]:
             j += 1
         del cells[j - base + 1 :]
         lo, w, q = cells[-1]
         for i in range(j, len(s)):
-            b, c, r = family._dist_unchecked(s[:i]).cell(s[i])
+            table = shared if rows is None else rows[s[:i]]._grid[2]
+            b, c, r = table[s[i]] if table is not None else (closed or family._dist_unchecked(s[:i]).cell)(s[i])
             lo, w, q = lo * r + w * b, w * c, q * r
             cells.append((lo, w, q))
         out[s] = lo, w, q

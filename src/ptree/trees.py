@@ -211,10 +211,8 @@ class GeneratedTree(_Tree):
         if len(t) > self.depth_budget:
             raise DepthBudgetExceeded(f"node {t} lies beyond the depth budget {self.depth_budget}")
         a = self.shared_arity
-        if a is OMEGA:
-            return all(k >= 0 for k in t)
         if a is not None:
-            return all(0 <= k < a for k in t)
+            return not t or (min(t) >= 0 and (a is OMEGA or max(t) < a))
         i = next((n for n, (x, y) in enumerate(zip(prev, t)) if x != y), min(len(prev), len(t)))
         for j in range(i, len(t)):
             a = self._arity_unchecked(t[:j])

@@ -340,6 +340,13 @@ def test_negative_depth_exits_1(generator_spec, capsys, argv):
     assert captured.out == ""
 
 
+def test_negative_sample_count_exits_1(generator_spec, capsys):
+    assert main(["sample", "--tree", generator_spec, "--seed", "1", "--count", "-1", "--depth", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: sample count -1 is negative\n"
+    assert captured.out == ""
+
+
 def test_bound_tree_of_wrong_shape_exits_1(tmp_path, capsys):
     fam = EdgeFamily.from_table({(): ["1/3", "1/3", "1/3"]})
     path = tmp_path / "ternary.json"

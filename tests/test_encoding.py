@@ -81,6 +81,24 @@ def test_map_node_refuses_nodes_past_the_encoded_depth_and_nodes_never_encoded()
         enc.map_node([5])
 
 
+def test_map_node_refuses_a_non_node_past_the_encoded_depth_as_unknown():
+    # (0, 0) is deeper than the encoding, but it is not a node at all: child 0 of the root is a leaf
+    enc = binary_encode(ExplicitTree.from_arities({(): 3, (2,): 2}), 1)
+    with pytest.raises(UnknownNode, match=r"^node \(0, 0\) was not encoded$"):
+        enc.map_node((0, 0))
+
+
+def test_map_node_refuses_a_node_past_the_encoded_depth_as_too_deep():
+    enc = binary_encode(ExplicitTree.from_arities({(): 3, (2,): 2}), 1)
+    with pytest.raises(DepthBudgetExceeded, match=r"^node \(2, 1\) lies beyond the encoded depth 1$"):
+        enc.map_node([2, 1])
+    generated = binary_encode(uniform_binary(8).tree, 2)
+    with pytest.raises(DepthBudgetExceeded, match=r"^node \(0, 1, 0\) lies beyond the encoded depth 2$"):
+        generated.map_node((0, 1, 0))
+    with pytest.raises(UnknownNode):
+        generated.map_node((0, 2))
+
+
 def test_encoded_measure_tail_sum():
     fam = EdgeFamily.from_table({(): ["1/2", "1/3", "1/6"]})
     enc = binary_encode(fam.tree, 1)

@@ -15,6 +15,7 @@ from ptree import (
     EdgeFamily,
     FiniteDist,
     MalformedClopen,
+    NegativeCount,
     NegativeDepth,
     NotADistribution,
     NotASubtree,
@@ -554,6 +555,15 @@ def test_negative_depth_is_rejected():
         with pytest.raises(NegativeDepth) as info:
             call()
         assert isinstance(info.value, ValueError)
+
+
+def test_negative_sample_count_is_rejected():
+    # it used to return [] as if no draw had been asked for
+    fam = uniform_binary(8)
+    with pytest.raises(NegativeCount, match=r"^sample count -1 is negative$") as info:
+        sample_branches(fam, 1, -1, 3)
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+    assert sample_branches(fam, 1, 0, 3) == []
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,9 @@ for the geometric child index, a squaring search over exact powers of the
 ratio, for the order check, a test of every pair of encoded nodes, for the
 encoding's image tree, every prefix of every image path, and for its pushed
 masses, a longest-prefix search for the source node behind each image node
-inside a gadget, and, for finite rows, the accessors as written when a row's integer grid was built
-on first use (only the library's `show` is shared, for messages). Results
+inside a gadget, for finite rows, the accessors as written when a row's integer grid was built
+on first use, and, for walks over cell tables and rows the gate refuses, a `Fraction` product and
+prefix fold over each family's rows as given (only the library's `show` is shared, for messages). Results
 must be identical fractions and verdicts. The sampler's interval descent is
 checked by enumeration instead: every string of 2-bit chunks, weighted by
 its probability, must give each branch exactly its `node_mass`.
@@ -35,6 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptree import (
+    ClopenSelection,
     DepthBudgetExceeded,
     DependentTrialTree,
     EdgeFamily,
@@ -53,6 +55,7 @@ from ptree import (
     UnknownNode,
     binary_encode,
     binomial_pmf,
+    clopen_mass,
     complete_binary_tree,
     dirac,
     dominance_check,
@@ -1186,3 +1189,121 @@ def test_shared_accessors_match_the_separate_ones(rng, kind):
     for t in queries:
         for name in ACCESSORS:
             assert accessor_outcome(getattr(tree, name), t) == accessor_outcome(getattr(oracle, name), t), (name, t)
+
+
+def rule_row(t) -> list:
+    """The rule family's row at t: arity 2 or 3 by t, masses normalized from small weights."""
+    weights = [1 + (7 * sum(t) + 3 * len(t) + j) % 4 for j in range(2 + (sum(t) + len(t)) % 2)]
+    return [F(w, sum(weights)) for w in weights]
+
+
+def cell_table_case(rng, kind):
+    """A family, its rows as Fraction lists or closed-form rules (child -> (mass before, mass)), and some of its nodes."""
+    if kind in ("explicit", "positive-part"):
+        tree = random_tree(rng, max_depth=4, max_arity=4)
+        table = {}
+        for t in tree.nodes():
+            if (a := tree._arity_unchecked(t)) > 0:
+                weights = [rng.randint(0, 4) for _ in range(a)]
+                weights[rng.randrange(a)] += 1
+                table[t] = [F(w, sum(weights)) for w in weights]
+        fam = EdgeFamily.from_table(table)
+        if kind == "positive-part":  # sparse rows: a zero edge's child is gone, the others keep their index
+            fam = positive_part(fam)[0]
+        nodes = sorted(fam.tree.nodes())
+        return fam, lambda t, k: (sum(table[t][:k], F(0)), table[t][k]), rng.sample(nodes, min(8, len(nodes)))
+    depth = rng.randint(0, 10)
+    if kind == "uniform":
+        fam, arity, child = uniform_binary(10), 2, lambda t, k: (F(k, 2), F(1, 2))
+    elif kind == "geometric":
+        r = F(rng.randint(1, 11), 12)
+        fam, arity, child = geometric_omega(10, r), 6, lambda t, k: (1 - r**k, (1 - r) * r**k)
+    elif kind == "dirac":
+        index = rng.randint(0, 3)
+        fam, arity, child = dirac(index, 10), 5, lambda t, k: (F(int(k > index)), F(int(k == index)))
+    else:  # a rule family: a row read at each node
+        tree = GeneratedTree(lambda t: len(rule_row(t)), 10)
+        fam, arity = EdgeFamily(tree, lambda t: FiniteDist(rule_row(t))), 2
+        child = lambda t, k: (sum(rule_row(t)[:k], F(0)), rule_row(t)[k])  # noqa: E731
+    return fam, child, [tuple(rng.randrange(arity) for _ in range(depth)) for _ in range(8)]
+
+
+def fraction_cell(child, t) -> tuple:
+    """(lower end, width) of t's cell: a Fraction product and prefix fold over the rows as given."""
+    lower, width = F(0), F(1)
+    for i in range(len(t)):
+        before, mass = child(t[:i], t[i])
+        lower, width = lower + width * before, width * mass
+    return lower, width
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOMS, st.sampled_from(["explicit", "positive-part", "uniform", "geometric", "dirac", "rule"]))
+def test_cell_table_walks_match_fraction_products(rng, kind):
+    fam, child, nodes = cell_table_case(rng, kind)
+    for t in nodes:
+        lower, width = fraction_cell(child, t)
+        assert node_mass(fam, t) == width
+        assert node_interval(fam, t) == (lower, lower + width)
+    if kind in ("explicit", "positive-part"):
+        n = rng.randint(0, fam.tree.height)
+        level_nodes = sorted(enumerate_front(fam.tree, n).nodes)
+    else:
+        n = len(nodes[0])
+        level_nodes = [t for t in nodes if len(t) == n]
+    selected = frozenset(rng.sample(level_nodes, rng.randint(0, len(level_nodes))))
+    total = sum((fraction_cell(child, t)[1] for t in selected), F(0))
+    assert clopen_mass(fam, ClopenSelection(n, selected)) == total
+    assert clopen_mass(fam, ClopenSelection(n, selected, complemented=True)) == 1 - total
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOMS, st.sampled_from(["explicit", "shared", "rule"]), st.sampled_from(["short-sum", "negative"]))
+def test_a_defective_row_is_refused_exactly_when_a_walk_crosses_it(rng, kind, defect):
+    def bad_row(a):
+        if defect == "short-sum":  # every child 1/(a + 1)
+            return [F(1, a + 1)] * a, f"masses sum to {F(a, a + 1)}, not 1"
+        return [F(3, 2), F(-1, 2)] + [F(0)] * (a - 2), "child 0 has mass 3/2 outside [0, 1]"
+
+    if kind == "explicit":
+        tree = random_tree(rng, max_depth=4, max_arity=3)
+        interior = sorted(t for t in tree.nodes() if tree._arity_unchecked(t) >= 2)
+        if not interior:
+            return
+        u = rng.choice(interior)
+        table = {t: [F(1, a)] * a for t in tree.nodes() if (a := tree._arity_unchecked(t))}
+        table[u], reason = bad_row(len(table[u]))
+        fam = EdgeFamily.from_table(table)
+        nodes = sorted(tree.nodes())
+    elif kind == "shared":  # the one row is every node's: a walk crosses it with its first step
+        u, (row, reason) = (), bad_row(2)
+        fam = EdgeFamily(GeneratedTree(2, 6), FiniteDist(row))
+        nodes = [tuple(rng.randrange(2) for _ in range(rng.randint(0, 6))) for _ in range(8)]
+    else:
+        u = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
+        row, reason = bad_row(2)
+        fam = EdgeFamily(GeneratedTree(2, 6), lambda t: FiniteDist(row if t == u else [F(1, 2)] * 2))
+        nodes = [u + tuple(rng.randrange(2) for _ in range(rng.randint(0, 3))) for _ in range(4)]
+        nodes += [tuple(rng.randrange(2) for _ in range(rng.randint(0, 6))) for _ in range(4)]
+    expected = (NotADistribution, f"the masses at node {u} are not a probability distribution: {reason}")
+
+    def crosses(t):
+        return len(t) > len(u) and t[: len(u)] == u
+
+    def outcome(call, *args):
+        try:
+            call(*args)
+        except NotADistribution as error:
+            return type(error), str(error)
+        return None
+
+    for t in rng.sample(nodes, min(6, len(nodes))):
+        assert outcome(node_mass, fam, t) == (expected if crosses(t) else None)
+        assert outcome(node_interval, fam, t) == (expected if crosses(t) else None)
+    n = rng.randint(0, 4)
+    front = sorted(t for t in nodes if len(t) == n) if kind != "explicit" else sorted(enumerate_front(fam.tree, n).nodes)
+    selected = frozenset(rng.sample(front, rng.randint(0, len(front))))
+    crossed = any(map(crosses, selected))
+    assert outcome(clopen_mass, fam, ClopenSelection(n, selected)) == (expected if crossed else None)
+    if kind == "shared":  # descent reads the shared row once, and only when it takes a step
+        assert outcome(locate_branch, fam, F(1, 3), n) == (expected if n else None)
