@@ -225,10 +225,7 @@ def _cmd_encode(args) -> int:
     from .encoding import _verify_encoding, binary_encode
 
     enc = binary_encode(family.tree, args.depth)
-    for t in sorted(enc.h):
-        src = format_path(t) if t else "<root>"
-        img = format_path(enc.h[t]) if enc.h[t] else "<root>"
-        print(f"{src} -> {img}")
+    print("\n".join(f"{format_path(t) or '<root>'} -> {format_path(enc.h[t]) or '<root>'}" for t in sorted(enc.h)))
     if args.verify:
         report = _verify_encoding(family, enc)
         print(f"verification: {'ok' if report.ok else 'FAILED'}")

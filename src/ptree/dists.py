@@ -116,7 +116,7 @@ class FiniteDist:
     def _position(self, k: int) -> int:
         """Where child k sits in the row; a ValueError when it is not there."""
         items = self._items
-        i = k if k < len(items) and items[k][0] == k else bisect_left(items, k, key=itemgetter(0))
+        i = k if 0 <= k < len(items) and items[k][0] == k else bisect_left(items, k, key=itemgetter(0))
         if i == len(items) or items[i][0] != k:
             raise _not_a_child(k, self.indices)
         return i

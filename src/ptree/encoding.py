@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .dists import ONE, ZERO, fraction_sum
 from .errors import DepthBudgetExceeded, EncodingMismatch, InfiniteLevel, UnknownNode
 from .intervals import Interval
 from .measures import EdgeFamily, InductiveMeasure, _walk
@@ -63,7 +62,7 @@ def binary_encode(tree: TreeShape, depth: int) -> BinaryEncoding:
             h[t + (k,)] = s
             preimages[s] = preimages.get(s, ()) + (t + (k,),)
 
-    image = ExplicitTree({**dict.fromkeys(preimages, ()), **splits})
+    image = ExplicitTree._canonical({**dict.fromkeys(preimages, ()), **splits})
     return BinaryEncoding(tree, depth, h, image, preimages)
 
 
@@ -73,23 +72,30 @@ def encoded_measure(family: EdgeFamily, enc: BinaryEncoding) -> InductiveMeasure
     Image nodes that are not themselves images take the total mass of
     their image children; the result satisfies the inductive law.
     """
-    return InductiveMeasure(enc.image, _pushed_masses(family, enc)[0])
+    return InductiveMeasure(enc.image, {s: Fraction(*m) for s, m in _pushed_masses(family, enc)[0].items()})
 
 
-def _pushed_masses(family: EdgeFamily, enc: BinaryEncoding) -> tuple[dict[Path, Fraction], dict[Path, tuple[int, int, int]]]:
-    """`encoded_measure`'s masses, unchecked, and the source nodes' cells they were pushed from."""
+def _pushed_masses(family: EdgeFamily, enc: BinaryEncoding) -> tuple[dict[Path, tuple[int, int]], dict[Path, tuple[int, int, int]], bool]:
+    """`encoded_measure`'s masses as unreduced pairs (n, d), the source cells they were pushed from, and whether
+    the masses obey the inductive law. Masses are nonnegative and an inner gadget node's is its children's sum,
+    so the law holds once the root's is one and each image's equals its children's sum."""
     if enc.source is not family.tree and enc.source != family.tree:
         raise EncodingMismatch("the encoding was built from a different tree")
     source_cells = _walk(family, enc.h)
-    image, preimages = enc.image, enc.preimages
-    masses: dict[Path, Fraction] = {}
+    children, preimages = enc.image._children, enc.preimages
+    masses: dict[Path, tuple[int, int]] = {}
+    law = True
     # bottom up: a source node's image takes its shallowest preimage's width, an inner gadget node its children's sum
-    for s in sorted(image.nodes(), reverse=True):
+    for s in sorted(children, reverse=True):
+        n, d = 0, 1  # the children of one source node share a denominator; a corrupted image may mix them
+        for a, b in [masses[s + (k,)] for k in children[s]]:
+            n, d = (n + a, d) if b == d else (n * b + a * d, d * b)
         if s in preimages:
-            masses[s] = Fraction(*source_cells[preimages[s][0]][1:])
+            masses[s] = w, q = source_cells[preimages[s][0]][1:]
+            law = law and (not children[s] or n * q == w * d)
         else:
-            masses[s] = fraction_sum(masses[s + (k,)].as_integer_ratio() for k in image._child_indices(s))
-    return masses, source_cells
+            masses[s] = n, d
+    return masses, source_cells, law and masses[()][0] == masses[()][1]
 
 
 def embed_branch(enc: BinaryEncoding, x: Path) -> Path:
@@ -97,20 +103,28 @@ def embed_branch(enc: BinaryEncoding, x: Path) -> Path:
     return enc.map_node(x)
 
 
-def _image_cells(measure: InductiveMeasure) -> dict[Path, tuple[Fraction, Fraction]]:
-    """Each image node's cell as (lower end, width), read from the pushed measure.
+def _cells(children: Mapping[Path, tuple[int, ...]], masses: Mapping[Path, tuple[int, int]]) -> dict[Path, tuple[int, int, int]]:
+    """Each image node's cell [l/d, (l + w)/d) as integers (l, w, d), where its mass is w/d.
 
-    A child's cell starts where its previous sibling's ends and is as wide
-    as its mass, so below a zero-mass node every cell is that node's lower
-    end, whatever filler an image family would put there.
+    A child's cell starts where its previous sibling's ends and is as wide as its mass, so below a zero-mass
+    node every cell is that node's lower end, whatever filler an image family would put there. A lower end
+    is scaled to the next mass's denominator, a multiple of its own unless the image is corrupted.
     """
-    cells = {(): (ZERO, ONE)}
-    free: dict[Path, Fraction] = {}  # where the next child's cell starts, by parent
-    for s, m in sorted(measure.items())[1:]:  # the root first, then parents before children
-        p = s[:-1]
-        lo = free.get(p, cells[p][0])
-        free[p], cells[s] = lo + m, (lo, m)
+    cells = {(): (0, *masses[()])}
+    for p in sorted(children):  # parents before children
+        l, _, e = cells[p]
+        for k in children[p]:
+            m, d = masses[p + (k,)]
+            l, m, d = (l * d, m * e, e * d) if d % e else (l * (d // e), m, d)
+            cells[p + (k,)] = l, m, d
+            l, e = l + m, d
     return cells
+
+
+def _image_cells(measure: InductiveMeasure) -> dict[Path, tuple[Fraction, Fraction]]:
+    """The cells of a pushed measure's image tree as (lower end, width)."""
+    masses = {s: m.as_integer_ratio() for s, m in measure.items()}
+    return {s: (Fraction(l, d), Fraction(w, d)) for s, (l, w, d) in _cells(measure.tree._children, masses).items()}
 
 
 @dataclass(frozen=True)
@@ -142,55 +156,45 @@ def verify_encoding(family: EdgeFamily, depth: int) -> EncodingReport:
 
 
 def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
-    """`verify_encoding` on an encoding already built from the family's tree."""
-    failures: list[str] = []
+    """`verify_encoding` on an encoding already built from the family's tree, in integers: a Fraction
+    is built only to word a failure. Each check collects its failure lines; it passes when it has none."""
+    h, children = enc.h, enc.image._children
+    masses, src_cells, inductive_ok = _pushed_masses(family, enc)  # a bad source row raises, as in every walk
+    law: list[str] = []
+    if not inductive_ok:  # the checked constructor words the first violation
+        try:
+            encoded_measure(family, enc)
+        except ValueError as exc:
+            law.append(f"pushed measure violates the inductive law: {exc}")
 
-    masses, src_cells = _pushed_masses(family, enc)  # a bad source row raises, as in every walk
-    try:
-        measure = InductiveMeasure(enc.image, masses)
-    except ValueError as exc:
-        failures.append(f"pushed measure violates the inductive law: {exc}")
-        measure = None
-
-    inductive_ok = intervals_ok = measure is not None
-    if measure is not None:
-        cells = _image_cells(measure)
-        for t, s in enc.h.items():
-            (a, w, q), (b, m) = src_cells[t], cells[s]
-            if a * b.denominator != b.numerator * q or w * m.denominator != m.numerator * q:
-                intervals_ok = False
-                src, img = Interval(Fraction(a, q), Fraction(a + w, q)), Interval(b, b + m)
-                failures.append(f"interval mismatch at {t}: {src} vs {img} at image {s}")
+    intervals: list[str] = []
+    if inductive_ok:
+        cells = _cells(children, masses)
+        for t, s in h.items():
+            (a, w, q), (l, m, d) = src_cells[t], cells[s]
+            if a * d != l * q or w * d != m * q:
+                src, img = Interval(Fraction(a, q), Fraction(a + w, q)), Interval(Fraction(l, d), Fraction(l + m, d))
+                intervals.append(f"interval mismatch at {t}: {src} vs {img} at image {s}")
 
     # Extension is transitive, and two incompatible nodes extend two
     # distinct siblings below their meet, whose images' extensions stay
     # incompatible: checking each parent-child edge and each sibling pair
     # decides the same as checking every pair of nodes.
-    order_ok = True
+    order: list[str] = []
     siblings: dict[Path, list[Path]] = {}
-    for t in sorted(enc.h):  # children of a node in index order
+    for t in sorted(h):  # children of a node in index order
         if t:
             siblings.setdefault(t[:-1], []).append(t)
     for parent, kids in siblings.items():
-        hp = enc.h[parent]
         for i, s in enumerate(kids):
-            hs = enc.h[s]
-            if not is_prefix(hp, hs):
-                order_ok = False
-                failures.append(f"extension not preserved: {parent} vs {s}")
+            if not is_prefix(h[parent], h[s]):
+                order.append(f"extension not preserved: {parent} vs {s}")
             for t in kids[i + 1 :]:
-                if compatible(hs, enc.h[t]):
-                    order_ok = False
-                    failures.append(f"incompatibility not preserved: {s} vs {t}")
+                if compatible(h[s], h[t]):
+                    order.append(f"incompatibility not preserved: {s} vs {t}")
 
-    image_shape_ok = True
-    for s in enc.image.nodes():
-        if len(enc.image._child_indices(s)) == 1:
-            image_shape_ok = False
-            failures.append(f"image node {s} has a single child")
-    for s in enc.image.max_nodes():
-        if s not in enc.preimages:
-            image_shape_ok = False
-            failures.append(f"maximal image node {s} is not the image of a source node")
+    shape = [f"image node {s} has a single child" for s, kids in children.items() if len(kids) == 1]
+    shape += [f"maximal image node {s} is not the image of a source node"
+              for s, kids in children.items() if not kids and s not in enc.preimages]
 
-    return EncodingReport(inductive_ok, intervals_ok, order_ok, image_shape_ok, tuple(failures))
+    return EncodingReport(inductive_ok, inductive_ok and not intervals, not order, not shape, (*law, *intervals, *order, *shape))

@@ -74,8 +74,8 @@ def branch_window(family: EdgeFamily, x: Path, n: int) -> BranchWindow:
         prefix = x
     else:
         raise ValueError(f"branch prefix {x} is shorter than depth {n} and not maximal")
-    iv = node_interval(family, prefix)
-    return BranchWindow(prefix, iv.lower, iv.upper)
+    lo, w, q = _walk(family, (prefix,), require=tuple)[prefix]  # a prefix of the node x
+    return BranchWindow(prefix, Fraction(lo, q), Fraction(lo + w, q))
 
 
 def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:

@@ -49,7 +49,7 @@ def parse_path(text: str) -> Path:
 
 
 def format_path(path: Path) -> str:
-    return ".".join(str(i) for i in path)
+    return ".".join(map(str, path))
 
 
 def is_prefix(s: Path, t: Path) -> bool:

@@ -127,7 +127,7 @@ def _family_from_document(doc: Any, default_budget: int | None = None) -> EdgeFa
             raise SpecValidationError(key, defect)
         dists[path] = dist
     try:
-        tree = ExplicitTree(children, doc.get("depth_budget"))
+        tree = ExplicitTree._canonical(children, doc.get("depth_budget"))
     except MalformedTree as exc:
         # keys are canonical, so format_path gives back the key of a node
         raise SpecValidationError(format_path(exc.node), exc.reason) from None

@@ -83,6 +83,17 @@ class ExplicitTree(_Tree):
             if len(set(idx)) != len(idx):
                 raise MalformedTree(node, "duplicate child index")
             child_map[node] = idx
+        self._adopt(child_map, depth_budget)
+
+    @classmethod
+    def _canonical(cls, child_map: dict[Path, tuple[int, ...]], depth_budget: int | None = None) -> "ExplicitTree":
+        """A tree over a map built in normal form (tuple keys, sorted tuples of distinct nonnegative indices)."""
+        tree = cls.__new__(cls)
+        tree._adopt(child_map, depth_budget)
+        return tree
+
+    def _adopt(self, child_map: dict[Path, tuple[int, ...]], depth_budget: int | None) -> None:
+        """The structural check: keep a normal-form map once its root, prefix closure, declared children and depth fit."""
         if () not in child_map:
             raise MalformedTree((), "the root node is missing")
         for node in child_map:
@@ -97,7 +108,7 @@ class ExplicitTree(_Tree):
             raise MalformedTree(missing, "declared child is missing")
         self._children = child_map
         self.depth_budget = depth_budget
-        self._height = max(len(t) for t in child_map)
+        self._height = max(map(len, child_map))
         if depth_budget is not None and self._height > depth_budget:
             raise MalformedTree(max(child_map, key=len), f"lies deeper than the depth budget {depth_budget}")
         self._index = None
@@ -109,14 +120,12 @@ class ExplicitTree(_Tree):
         Children implied by a count but absent from the mapping become
         leaves with arity zero.
         """
-        children: dict[Path, tuple[int, ...]] = {}
-        for node, arity in arities.items():
-            children[tuple(node)] = tuple(range(int(arity)))
+        children = {tuple(node): tuple(range(int(arity))) for node, arity in arities.items()}
         for node, idx in list(children.items()):
             for k in idx:
                 children.setdefault(node + (k,), ())
         children.setdefault((), ())
-        return cls(children, depth_budget)
+        return cls._canonical(children, depth_budget)
 
     @property
     def height(self) -> int:

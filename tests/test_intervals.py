@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -146,6 +147,14 @@ def test_branch_window():
 
     g = geometric_omega(8)
     assert branch_window(g, (0, 0, 0), 3).width == F(1, 8)
+
+
+def test_branch_window_checks_its_path_once():
+    fam = uniform_binary(64)
+    with mock.patch.object(GeneratedTree, "contains", autospec=True, side_effect=GeneratedTree.contains) as contains:
+        w = branch_window(fam, (0, 1) * 32, 64)
+    assert contains.call_count == 1
+    assert (w.lower, w.upper) == node_interval(fam, (0, 1) * 32)
 
 
 def test_branch_window_maximal_prefix():

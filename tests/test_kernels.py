@@ -1,6 +1,6 @@
 """Differential property tests for the front check, the path-walk kernel,
 the exact-sum helper, the trial-tree builder and pmf kernel, descent, the
-encoding's order check and finite rows' accessors.
+encoding's order check and verifier, `below_mass` and finite rows' accessors.
 
 Every oracle here is a brute-force restatement of a definition that shares
 no code with the library: pairwise prefix tests for fronts, and a sorted
@@ -15,7 +15,9 @@ for the geometric child index, a squaring search over exact powers of the
 ratio, for the order check, a test of every pair of encoded nodes, for the
 encoding's image tree, every prefix of every image path, and for its pushed
 masses, a longest-prefix search for the source node behind each image node
-inside a gadget, for finite rows, the accessors as written when a row's integer grid was built
+inside a gadget, for its verifier, the same four checks over `Fraction` masses
+and cells (a violated law worded by the checked measure constructor), for
+`below_mass`, an `is_prefix` filter over the front, for finite rows, the accessors as written when a row's integer grid was built
 on first use, and, for walks over cell tables and rows the gate refuses, a `Fraction` product and
 prefix fold over each family's rows as given (only the library's `show` is shared, for messages). Results
 must be identical fractions and verdicts. The sampler's interval descent is
@@ -46,13 +48,16 @@ from ptree import (
     FrontVariable,
     GeneratedTree,
     HypothesisViolated,
+    InductiveMeasure,
     InfiniteLevel,
+    NodeNotBelowFront,
     NotADistribution,
     OversizedValue,
     PreconditionFrontMismatch,
     PTreeError,
     QPointError,
     UnknownNode,
+    below_mass,
     binary_encode,
     binomial_pmf,
     clopen_mass,
@@ -63,6 +68,7 @@ from ptree import (
     enumerate_front,
     flip_success_convention,
     geometric_omega,
+    induced_measure,
     is_front,
     level,
     locate_branch,
@@ -79,6 +85,7 @@ from ptree import (
 )
 from ptree import bernoulli, encoding, intervals
 from ptree.dists import Geometric, PointMass, _geometric_index, fraction_sum, show
+from ptree.encoding import EncodingReport
 from ptree.measures import _walk, positive_part
 from ptree.paths import OMEGA, compatible, is_prefix
 
@@ -336,7 +343,7 @@ class LazyGridRow:
 
     def _position(self, k):
         items = self._items
-        i = k if k < len(items) and items[k][0] == k else bisect.bisect_left(items, k, key=lambda e: e[0])
+        i = k if 0 <= k < len(items) and items[k][0] == k else bisect.bisect_left(items, k, key=lambda e: e[0])
         if i == len(items) or items[i][0] != k:
             raise ValueError(f"child index {k} not in distribution support {self.indices}")
         return i
@@ -399,7 +406,7 @@ MASS = st.one_of(st.just(F(0)), st.builds(F, st.integers(-12, 24), st.integers(1
 @given(
     st.lists(st.tuples(st.integers(1, 3), MASS), max_size=6),
     st.booleans(),
-    st.lists(st.integers(-2, 20), max_size=6),
+    st.lists(st.integers(-8, 20), max_size=6),
     st.lists(unit_fractions(40), max_size=4),
 )
 def test_finite_rows_built_with_their_grid_match_the_lazy_grid(gaps_masses, normalize, ks, points):
@@ -1064,6 +1071,110 @@ def test_gadget_encoding_matches_the_prefix_scan_and_longest_prefix_search(rng):
         h, image, preimages = prefix_scan_encoding(tree, depth)
         assert (enc.h, enc.image, enc.preimages) == (h, image, preimages)
         assert dict(encoded_measure(family, enc).items()) == longest_prefix_masses(family, h, image, preimages)
+
+
+def fraction_verify_encoding(family, enc):
+    """The encoding verifier as written over Fractions: each source cell a product and prefix fold, masses
+    pushed bottom-up and judged by the checked measure constructor (whose message words a violation), image
+    cells from running Fraction sums, and `is_prefix` and `compatible` on every edge and sibling pair."""
+    failures, source = [], {t: brute_cell(family, (), t) for t in enc.h}
+    masses = {}
+    for s in sorted(enc.image.nodes(), reverse=True):
+        if s in enc.preimages:
+            masses[s] = source[enc.preimages[s][0]][1]
+        else:
+            masses[s] = sum((masses[s + (k,)] for k in enc.image.child_indices(s)), F(0))
+    try:
+        measure = InductiveMeasure(enc.image, masses)
+    except ValueError as exc:
+        failures.append(f"pushed measure violates the inductive law: {exc}")
+        measure = None
+    inductive_ok = intervals_ok = measure is not None
+    if measure is not None:
+        cells, free = {(): (F(0), F(1))}, {}
+        for s, m in sorted(measure.items())[1:]:
+            lower = free.get(s[:-1], cells[s[:-1]][0])
+            free[s[:-1]], cells[s] = lower + m, (lower, m)
+        for t, s in enc.h.items():
+            (a, w), (b, m) = source[t], cells[s]
+            if (a, w) != (b, m):
+                intervals_ok = False
+                failures.append(f"interval mismatch at {t}: {intervals.Interval(a, a + w)} vs {intervals.Interval(b, b + m)} at image {s}")
+    order_ok, siblings = True, {}
+    for t in sorted(enc.h):
+        if t:
+            siblings.setdefault(t[:-1], []).append(t)
+    for parent, kids in siblings.items():
+        for i, s in enumerate(kids):
+            if not is_prefix(enc.h[parent], enc.h[s]):
+                order_ok = False
+                failures.append(f"extension not preserved: {parent} vs {s}")
+            for t in kids[i + 1 :]:
+                if compatible(enc.h[s], enc.h[t]):
+                    order_ok = False
+                    failures.append(f"incompatibility not preserved: {s} vs {t}")
+    image_shape_ok = True
+    for s in enc.image.nodes():
+        if len(enc.image.child_indices(s)) == 1:
+            image_shape_ok = False
+            failures.append(f"image node {s} has a single child")
+    for s in enc.image.max_nodes():
+        if s not in enc.preimages:
+            image_shape_ok = False
+            failures.append(f"maximal image node {s} is not the image of a source node")
+    return EncodingReport(inductive_ok, intervals_ok, order_ok, image_shape_ok, tuple(failures))
+
+
+def corrupt_encoding(rng, enc, kind):
+    """The encoding with its image tree, its node map or both altered at random; every image stays an image node.
+
+    A pruned image node loses its subtree and takes the images that lay in it; a grafted one gains
+    children that are no node's image, beside any it had.
+    """
+    h, children = dict(enc.h), enc.image.child_map()
+    if kind in ("image", "both"):
+        s = rng.choice(sorted(children))
+        if children[s] and rng.random() < 0.5:
+            for u in [u for u in children if len(u) > len(s) and is_prefix(s, u)]:
+                del children[u]
+            children[s] = ()
+            h = {t: s if is_prefix(s, v) else v for t, v in h.items()}
+        else:
+            children[s] = tuple(sorted({*children[s], *rng.sample(range(4), rng.randint(1, 2))}))
+            for k in children[s]:
+                children.setdefault(s + (k,), ())
+    if kind in ("h", "both"):
+        images = sorted(children)
+        for t in rng.sample(sorted(h), rng.randint(1, min(3, len(h)))):
+            h[t] = rng.choice(images)
+    return dataclasses.replace(enc, h=h, image=ExplicitTree(children))
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOMS, st.sampled_from(["none", "image", "h", "both"]))
+def test_integer_verifier_matches_the_fraction_verifier(rng, kind):
+    # zero masses give zero-width cells and let a grafted leaf keep the law; a graft mixes denominators
+    tree = random_tree(rng, max_depth=4, max_arity=3)
+    family = random_family(rng, tree, allow_zero=True)
+    for depth in sorted({1, tree.height}):
+        enc = corrupt_encoding(rng, binary_encode(tree, depth), kind)
+        report = encoding._verify_encoding(family, enc)
+        assert report == fraction_verify_encoding(family, enc)
+        assert report.ok or kind != "none"
+
+
+@FAST
+@given(RANDOMS)
+def test_below_mass_matches_the_prefix_filter(rng):
+    tree = random_tree(rng, max_depth=4, max_arity=3)
+    measure = induced_measure(random_family(rng, tree, allow_zero=True))
+    front = Front(tree, frozenset(random_front(rng, tree, rng.randint(0, 5))))
+    nodes = sorted(tree.nodes())
+    outside = [t + (5,) for t in rng.sample(nodes, 2)] + [(9,) * rng.randint(1, 5)]  # no child index reaches 5
+    for t in rng.sample(nodes, min(6, len(nodes))) + outside:
+        members = [s for s in front.nodes if is_prefix(t, s)]
+        expected = sum(map(measure.mass, members), F(0)) if members else (NodeNotBelowFront, f"node {t} has no extension in the front")
+        assert result_of(below_mass, measure, t, front) == expected
 
 
 class SeparateExplicitAccessors:

@@ -245,12 +245,12 @@ def test_library_code_checks_each_node_once(node_checks):
     assert node_checks[0] == 32  # the walk's 32 ends; the level-5 nodes are produced, not checked
     node_checks[0] = 0
     branch_window(uniform_binary(64), (0, 1) * 32, 64)
-    assert node_checks[0] == 2  # the prefix, and the walk's end
+    assert node_checks[0] == 1  # the path; the walk reads its prefix unchecked
     source = random_family(random.Random(3), random_tree(random.Random(3), max_depth=4, max_arity=4))
     enc = encoding.binary_encode(source.tree, source.tree.height)
     node_checks[0] = 0
     assert verify_encoding(source, source.tree.height).ok
-    assert node_checks[0] == len(enc.h) + enc.image.node_count()
+    assert node_checks[0] == len(enc.h)  # the walk's ends; the image tree is read, not checked
 
 
 def test_internal_measures_skip_the_law_check(monkeypatch):
@@ -396,6 +396,14 @@ def test_a_closed_form_refuses_a_negative_child(row, query):
     assert not isinstance(info.value, PTreeError)  # the ValueError a finite row raises for a non-child
     with pytest.raises(ValueError, match=re.escape("child index -1 not in distribution support (0, 1)")):
         FiniteDist(["1/2", "1/2"]).cell(-1)
+
+
+@pytest.mark.parametrize("row", [FiniteDist(["1/2", "1/2"]), FiniteDist({1: "1/2", 4: "1/2"})], ids=["canonical", "sparse"])
+@pytest.mark.parametrize("query", ["cell", "mass"])
+def test_a_finite_row_refuses_a_child_below_minus_its_length(row, query):
+    # -3 lies below -len(row): indexing the row with it would raise IndexError
+    with pytest.raises(ValueError, match=re.escape(f"child index -3 not in distribution support {row.indices}")):
+        getattr(row, query)(-3)
 
 
 @pytest.mark.parametrize("e", [1000, 3000])  # 1/log r is finite at 2^-1000, out of float range at 2^-3000
