@@ -33,6 +33,8 @@ SHOWN_BITS = 1_024
 # The most bits r^k may take in a geometric cell: child k of r = rn/rd is
 # refused once k · bits(rd) passes it (2^20 bits, 128 KiB per integer).
 MAX_POWER_BITS = 1 << 20
+# A shared geometric row tabulates children 0..K-1 over Q = rd^K, for the largest K >= 1 with K · bits(rd) <= it.
+HEAD_BITS = 256
 
 
 def as_fraction(value: FractionLike) -> Fraction:
@@ -228,10 +230,18 @@ def _power_index(k: int, kmax: int) -> int:
     return k
 
 
-class Geometric(_ClosedForm):
-    """Closed form over countably many children: child k has mass (1-r)·r^k, for k within MAX_POWER_BITS."""
+_NO_HEAD = (1, (0,), ())  # a head of size 0: every point lies in the tail
 
-    __slots__ = ("ratio", "_rn", "_rd", "_inv_log", "_kmax")
+
+class Geometric(_ClosedForm):
+    """Closed form over countably many children: child k has mass (1-r)·r^k, for k within MAX_POWER_BITS.
+
+    A family's shared row keeps a head table (`_build_head`) of its first max(1, HEAD_BITS // bits(rd))
+    children, where `locate` and `cell` answer as a finite row does from its grid; past it, and on a fresh
+    row, they compute.
+    """
+
+    __slots__ = ("ratio", "_rn", "_rd", "_inv_log", "_kmax", "_head")
 
     def __init__(self, ratio: FractionLike):
         r = as_fraction(ratio)
@@ -243,17 +253,41 @@ class Geometric(_ClosedForm):
         log_r = math.log1p(-(rd - rn) / rd) if 2 * rn > rd else math.log(rn) - math.log(rd)
         self._inv_log = 1 / log_r if log_r < -1e-300 else math.nan
         self._kmax = MAX_POWER_BITS // rd.bit_length()
+        self._head = _NO_HEAD
+
+    def _build_head(self) -> None:
+        """Tabulate children 0..K-1 as (Q, runs, cells): Q = rd^K, runs[k] = Q·(1 - r^k) = Q - rn^k·rd^(K-k)
+        for k <= K, and cells[k] = `cell(k)`. Child k's cell is then [runs[k]/Q, runs[k + 1]/Q)."""
+        rn, rd = self._rn, self._rd
+        q = rd ** max(1, HEAD_BITS // rd.bit_length())
+        runs, cells, pn, pd = [0], [], 1, 1  # pn/pd = r^k
+        while pd < q:
+            cells.append(((pd - pn) * rd, (rd - rn) * pn, pd * rd))
+            pn, pd = pn * rn, pd * rd
+            runs.append(q - pn * (q // pd))
+        self._head = q, runs, tuple(cells)
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Child k's cell [1 - r^k, 1 - r^(k+1)) as (b, c, q) over q = rd^(k+1), for r = rn/rd."""
+        cells = self._head[2]
+        if 0 <= k < len(cells):
+            return cells[k]
         rn, rd = self._rn, self._rd
         pn, pd = rn ** _power_index(k, self._kmax), rd**k
         return (pd - pn) * rd, (rd - rn) * pn, pd * rd
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:
-        """The child k whose cell holds u = un/ud in [0, 1], with `cell(k)`; None at u = 1."""
+        """The child k whose cell holds u = un/ud in [0, 1], with `cell(k)`; None at u = 1.
+
+        In the head, k is one bisection over integer boundaries: runs[k] <= floor(u·Q) < runs[k + 1]
+        exactly when u lies in [runs[k]/Q, runs[k + 1]/Q). Past it, a certified float step finds k.
+        """
         if un == ud:
             return None
+        q, runs, cells = self._head
+        if cells and (x := un * q // ud) < runs[-1]:  # an empty head skips the division
+            k = bisect_right(runs, x) - 1
+            return (k, *cells[k])
         rn, rd = self._rn, self._rd
         k, pn, pd = _geometric_index(rn, rd, ud - un, ud, self._inv_log, self._kmax)
         return k, (pd - pn) * rd, (rd - rn) * pn, pd * rd

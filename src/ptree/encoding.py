@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DepthBudgetExceeded, EncodingMismatch, InfiniteLevel, UnknownNode
+from .errors import DepthBudgetExceeded, EncodingMismatch, UnknownNode
 from .intervals import Interval
 from .measures import EdgeFamily, InductiveMeasure, _walk
-from .paths import OMEGA, Path, compatible, is_prefix
+from .paths import Path, compatible, is_prefix
 from .trees import ExplicitTree, TreeShape, walk_to_depth
 
 
@@ -52,15 +52,13 @@ def binary_encode(tree: TreeShape, depth: int) -> BinaryEncoding:
     for t in walk_to_depth(tree, depth):  # parents before children, so each chain's preimages in depth order
         if len(t) >= depth or (arity := tree._arity_unchecked(t)) == 0:
             continue
-        if arity is OMEGA:
-            raise InfiniteLevel(f"node {t} has infinitely many successors")
-        for k in range(arity):
+        for k, j in enumerate(tree._child_indices(t)):  # the k-th child, whatever its index; an OMEGA node raises
             s = h[t] + (1,) * k
             if k < arity - 1:
                 splits[s] = (0, 1)
                 s += (0,)
-            h[t + (k,)] = s
-            preimages[s] = preimages.get(s, ()) + (t + (k,),)
+            h[t + (j,)] = s
+            preimages[s] = preimages.get(s, ()) + (t + (j,),)
 
     image = ExplicitTree._canonical({**dict.fromkeys(preimages, ()), **splits})
     return BinaryEncoding(tree, depth, h, image, preimages)

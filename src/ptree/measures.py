@@ -61,6 +61,8 @@ class EdgeFamily:
             if not arity or _support_mismatch(dists, arity):
                 raise ValueError(f"the shared row {dists!r} needs a generated tree of matching shared arity")
             self.row, self._dists = dists, None
+            if dists.__class__ is Geometric:
+                dists._build_head()  # once per shared row: a rule's fresh rows keep an empty head
         elif isinstance(dists, Mapping):
             table = {tuple(t): d for t, d in dists.items()}
             if not isinstance(tree, ExplicitTree):

@@ -23,6 +23,7 @@ from ptree import (
     geometric_omega,
     node_interval,
     node_mass,
+    positive_part,
     split_measure,
     uniform_binary,
     verify_encoding,
@@ -220,6 +221,17 @@ def test_perfect_source_fills_binary_levels():
     frontier_min = min(len(enc.h[t]) for t in tree.max_nodes())
     for d in range(frontier_min):
         assert len(enc.image.level_nodes(d)) == 2**d
+
+
+def test_a_sparse_positive_part_encodes_its_kth_child_at_the_kth_gadget_leaf():
+    # the positive part keeps the source's child indices: the root's are (1, 2) and node (2,)'s are (0, 2);
+    # numbering children range(arity) mapped (0,) and (1,) instead, so node (2,) had no image: a bare KeyError
+    fam = positive_part(EdgeFamily.from_table({(): ["0", "1/2", "1/2"], (2,): ["1/2", "0", "1/2"]}))[0]
+    enc = binary_encode(fam.tree, 2)
+    assert enc.h == {(): (), (1,): (0,), (2,): (1,), (2, 0): (1, 0), (2, 2): (1, 1)}
+    assert enc.image.child_map() == {(): (0, 1), (0,): (), (1,): (0, 1), (1, 0): (), (1, 1): ()}
+    assert enc.preimages[(1, 1)] == ((2, 2),)
+    assert verify_encoding(fam, 2) == encoding.EncodingReport(True, True, True, True, ())
 
 
 # The encoding of {(): 3} at depth 1 is () -> (), (0,) -> (0,), (1,) -> (1, 0),

@@ -624,3 +624,17 @@ def test_sampler_draws_are_pinned_to_their_seed():
         (2, 2, 0), (3,), (2, 2, 1), (3,), (0, 0), (2, 2, 0), (2, 2, 0), (2, 1), (2, 2, 0), (3,),
         (3,), (2, 2, 1), (0, 1), (0, 0), (3,), (0, 1), (2, 1), (2, 2, 1), (3,), (3,),
     ]
+
+
+def test_sampler_draws_past_a_geometric_head_are_pinned_to_their_seed():
+    # literals recorded before geometric rows had a head table: at r = 99/100 it holds children 0..35,
+    # so most steps here take the tail's float-certified step, and the rest bisect the table
+    assert sample_branches(geometric_omega(8, F(99, 100)), 7, 20, 8) == [
+        (49, 356, 17, 13, 205, 39, 236, 59), (171, 39, 120, 50, 404, 46, 102, 39), (86, 381, 64, 109, 69, 158, 6, 45),
+        (24, 4, 214, 79, 58, 72, 217, 127), (53, 217, 26, 88, 19, 38, 21, 8), (79, 114, 79, 96, 266, 12, 102, 207),
+        (82, 262, 5, 49, 100, 166, 127, 281), (99, 10, 6, 24, 264, 80, 49, 258), (6, 43, 99, 25, 160, 149, 129, 49),
+        (5, 6, 29, 37, 6, 4, 157, 19), (80, 273, 30, 216, 67, 21, 0, 10), (54, 5, 46, 65, 391, 94, 103, 59),
+        (84, 20, 83, 10, 99, 30, 9, 1), (113, 593, 92, 10, 40, 1, 310, 29), (84, 29, 22, 88, 22, 35, 257, 585),
+        (10, 22, 29, 82, 8, 42, 41, 52), (82, 113, 91, 46, 2, 18, 94, 10), (68, 29, 99, 159, 8, 399, 189, 111),
+        (149, 52, 74, 8, 112, 29, 184, 169), (255, 114, 93, 21, 65, 37, 12, 16),
+    ]

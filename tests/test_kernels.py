@@ -84,7 +84,7 @@ from ptree import (
     verify_encoding,
 )
 from ptree import bernoulli, encoding, intervals
-from ptree.dists import Geometric, PointMass, _geometric_index, fraction_sum, show
+from ptree.dists import HEAD_BITS, Geometric, PointMass, _geometric_index, _power_index, fraction_sum, show
 from ptree.encoding import EncodingReport
 from ptree.measures import _walk, positive_part
 from ptree.paths import OMEGA, compatible, is_prefix
@@ -891,6 +891,60 @@ def test_geometric_index_matches_the_squaring_search(r, kind, j, n, scale, kmax,
             _geometric_index(rn, rd, vn, vd, inv_log, kmax)
     else:
         assert _geometric_index(rn, rd, vn, vd, inv_log, kmax) == expected
+
+
+def answer(call, *args):
+    """What call(*args) returns, or the type of the exception it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def formula_cell(row, k):
+    """Child k's cell from the closed form: two powers of r, no table."""
+    rn, rd = row._rn, row._rd
+    pn, pd = rn ** _power_index(k, row._kmax), rd**k
+    return (pd - pn) * rd, (rd - rn) * pn, pd * rd
+
+
+def formula_locate(row, un, ud):
+    """The child whose cell holds un/ud by the certified float step alone, with its cell; None at 1."""
+    if un == ud:
+        return None
+    k, _, _ = _geometric_index(row._rn, row._rd, ud - un, ud, row._inv_log, row._kmax)
+    return (k, *formula_cell(row, k))
+
+
+# near 0, the sampled ratios, and two next to 1: 1 - 2^-64 has 3 head children (3 · 65 <= 256), 1 - 2^-300 one
+HEAD_RATIOS = [F(1, 10**6), F(1, 2), F(9, 10), F(99, 100), 1 - F(1, 2**64), 1 - F(1, 2**300)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HEAD_RATIOS), st.lists(st.integers(0, 2**64), max_size=4), st.integers(1, 3))
+def test_a_geometric_head_answers_as_the_closed_form(r, points, scale):
+    row = Geometric(r)
+    row._build_head()
+    n = len(row._head[2])
+    assert n == max(1, HEAD_BITS // r.denominator.bit_length())
+    # random points over the head and as many tail cells again, every end of the head's last cell and of the
+    # tail's first two, and the ends of [0, 1]
+    spread = {(1 - r ** (2 * n)) * F(x, 2**64) for x in points}
+    for u in spread | {1 - r**k for k in (0, n - 1, n, n + 1, n + 2)} | {F(0), F(1)}:
+        un, ud = u.numerator * scale, u.denominator * scale  # descent passes unreduced ratios
+        assert answer(row.locate, un, ud) == answer(formula_locate, row, un, ud)
+    for k in range(-2, n + 3):
+        assert answer(row.cell, k) == answer(formula_cell, row, k)
+
+
+@pytest.mark.parametrize("r", [1 - F(1, 2**64), 1 - F(1, 2**300)], ids=["1-2^-64", "1-2^-300"])
+def test_a_geometric_head_leaves_a_point_past_the_power_limit_to_the_tail(r):
+    # u = 1/2 lies in child ~2^63 (or ~2^299): past the head and refused by the tail step, as without a head
+    row = Geometric(r)
+    row._build_head()
+    with pytest.raises(OversizedValue, match="geometric children past"):
+        row.locate(1, 2)
+    assert answer(formula_locate, row, 1, 2) is OversizedValue
 
 
 def outcome(locate, family, y, depth):

@@ -392,6 +392,19 @@ def test_a_shared_row_is_read_at_every_node():
     assert EdgeFamily.from_table({(): ["1/2", "1/2"]}).row is None
 
 
+def test_only_a_shared_geometric_row_builds_a_head_table(monkeypatch):
+    built = []
+    build_head = Geometric._build_head
+    monkeypatch.setattr(Geometric, "_build_head", lambda row: built.append(row) or build_head(row))
+    shared = geometric_omega(8, F(9, 10))
+    assert built == [shared.row] and len(shared.row._head[2]) == 64  # 64 · bits(10) = 256
+    fresh: list[Geometric] = []
+    rule = EdgeFamily(GeneratedTree(OMEGA, 8), lambda t: fresh.append(Geometric("9/10")) or fresh[-1])
+    assert sample_branches(rule, 3, 10, 8) == sample_branches(shared, 3, 10, 8)
+    assert node_mass(rule, (70, 1, 5)) == node_mass(shared, (70, 1, 5))
+    assert len(built) == 1 and len(fresh) >= 80 and not any(row._head[2] for row in fresh)
+
+
 def test_edge_prob_refuses_a_row_that_is_not_a_distribution():
     fam = EdgeFamily.from_table({(): ["1/3", "1/3"]})
     with pytest.raises(NotADistribution) as info:
