@@ -12,6 +12,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -33,7 +34,8 @@ SHOWN_BITS = 1_024
 # The most bits r^k may take in a geometric cell: child k of r = rn/rd is
 # refused once k · bits(rd) passes it (2^20 bits, 128 KiB per integer).
 MAX_POWER_BITS = 1 << 20
-# A shared geometric row tabulates children 0..K-1 over Q = rd^K, for the largest K >= 1 with K · bits(rd) <= it.
+# A shared geometric row tabulates children 0..K-1 over Q = rd^K, for the largest K >= 1 with K · bits(rd) <= it;
+# a shared finite row over q steps m levels at once only while m · bits(q) <= it (`FiniteDist._power`).
 HEAD_BITS = 256
 
 
@@ -145,6 +147,19 @@ class FiniteDist:
         x = un * q // ud
         i = bisect_right(runs, x) - 1 if x < q else bisect_left(runs, q) - 1
         return self._items[i][0], runs[i], runs[i + 1] - runs[i], q
+
+    def _power(self) -> tuple[FiniteDist | None, tuple[tuple[int, ...], ...]]:
+        """(power, digits): this canonical row's m-th power, whose child K is the string digits[K] of m children
+        (lexicographic order) with its nested cell, for the largest m with n^m <= 256 and m · bits(q) <= HEAD_BITS;
+        (None, ()) when m < 2."""
+        q, _, cells = self._grid
+        n, m = len(cells), 1
+        while n ** (m + 1) <= 256 and (m + 1) * q.bit_length() <= HEAD_BITS:
+            m += 1
+        if m < 2:
+            return None, ()
+        widths = product([c for _, c, _ in cells], repeat=m)
+        return FiniteDist([Fraction(math.prod(w), q**m) for w in widths]), tuple(product(range(n), repeat=m))
 
     @property
     def total(self) -> Fraction:

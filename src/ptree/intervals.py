@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dists import ONE, Geometric, PointMass, as_fraction, fraction_sum, show
+from .dists import ONE, FiniteDist, Geometric, PointMass, as_fraction, fraction_sum, show
 from .errors import (
     MalformedClopen,
     NegativeCount,
+    NegativeDepth,
     NotASubtree,
     QPointError,
     RequiresExplicitFiniteTree,
@@ -101,13 +102,18 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
     Each step takes the child cell that holds the lower end and maps it onto
     [0, 1]. If the upper end spills past it, `refine(un, wn, ud)` narrows the
     interval and the node is tried again. Only a point (wn = 0), which never
-    spills, can sit on a shared endpoint and raise QPointError.
+    spills, can sit on a shared endpoint and raise QPointError. While m levels
+    remain, a shared finite row steps through its power row (`FiniteDist._power`):
+    a power cell is the nested cell of its m levels, so the steps, refine calls
+    and errors are those of m single steps.
     """
     y = un, ud  # named in QPointError messages
     shared = family._dist_unchecked(()) if family.row is not None and depth else None  # through the row gate once
+    power, digits = family._power_row() if shared.__class__ is FiniteDist else (None, ())
+    last = depth - len(digits[0]) if digits else -1  # the power row takes m levels from each level up to it
     t: Path = ()
     while len(t) < depth:
-        d = shared or family._dist_unchecked(t)
+        d = power if len(t) <= last else shared or family._dist_unchecked(t)
         if d is None:
             break
         hit = d.locate(un, ud)  # the child whose cell [b/q, (b + c)/q) holds the lower end
@@ -120,7 +126,7 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
         if not wn and b and un * q == b * ud:  # a point on the lower end of a cell past the first
             raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
         un, wn, ud = un * q - b * ud, wn * q, c * ud
-        t = t + (k,)
+        t = t + digits[k] if d is power else t + (k,)
     return t
 
 
@@ -281,6 +287,8 @@ def sample_branches(family: EdgeFamily, seed: int, count: int, depth: int) -> li
 
 def cylinder_frequencies(samples: Iterable[Path], depth: int) -> dict[Path, float]:
     """Empirical relative frequency of each depth-`depth` prefix (floats, for reports)."""
+    if depth < 0:  # s[:-1] would count shorter prefixes
+        raise NegativeDepth(f"depth {depth} is negative")
     counts: dict[Path, int] = {}
     total = 0
     for s in samples:

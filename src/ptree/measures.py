@@ -44,7 +44,7 @@ class EdgeFamily:
     (largest edge mass, forced atom) without enumeration.
     """
 
-    __slots__ = ("tree", "_dists", "row", "name")
+    __slots__ = ("tree", "_dists", "row", "name", "_power")
 
     def __init__(
         self,
@@ -55,7 +55,7 @@ class EdgeFamily:
     ):
         self.tree = tree
         self.name = name
-        self.row = None
+        self.row = self._power = None
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
             if not arity or _support_mismatch(dists, arity):
@@ -114,6 +114,12 @@ class EdgeFamily:
         if d.__class__ is FiniteDist and d._grid[2] is None:
             raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
         return d
+
+    def _power_row(self) -> tuple[FiniteDist | None, tuple[Path, ...]]:
+        """The shared finite row's `FiniteDist._power`, built on first use (after the row gate) and kept."""
+        if self._power is None:
+            self._power = self.row._power()
+        return self._power
 
     def edge_prob(self, t: Path, k: int) -> Fraction:
         """Mass of the edge from t to child k; the row must be a distribution."""

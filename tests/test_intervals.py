@@ -27,6 +27,7 @@ from ptree import (
     branch_mass_bound,
     branch_window,
     clopen_mass,
+    cylinder_frequencies,
     dirac,
     enumerate_front,
     freeness_report,
@@ -566,6 +567,15 @@ def test_negative_depth_is_rejected():
         assert isinstance(info.value, ValueError)
 
 
+def test_cylinder_frequencies_refuse_a_negative_depth():
+    # depth -1 used to count the prefixes s[:-1], one level short
+    samples = sample_branches(uniform_binary(8), 1, 20, 3)
+    with pytest.raises(NegativeDepth, match=r"^depth -1 is negative$") as info:
+        cylinder_frequencies(samples, -1)
+    assert isinstance(info.value, ValueError)
+    assert all(len(t) == 2 for t in cylinder_frequencies(samples, 2))
+
+
 def test_negative_sample_count_is_rejected():
     # it used to return [] as if no draw had been asked for
     fam = uniform_binary(8)
@@ -637,4 +647,21 @@ def test_sampler_draws_past_a_geometric_head_are_pinned_to_their_seed():
         (84, 20, 83, 10, 99, 30, 9, 1), (113, 593, 92, 10, 40, 1, 310, 29), (84, 29, 22, 88, 22, 35, 257, 585),
         (10, 22, 29, 82, 8, 42, 41, 52), (82, 113, 91, 46, 2, 18, 94, 10), (68, 29, 99, 159, 8, 399, 189, 111),
         (149, 52, 74, 8, 112, 29, 184, 169), (255, 114, 93, 21, 65, 37, 12, 16),
+    ]
+
+
+def test_sampler_draws_through_a_power_row_are_pinned_to_their_seed():
+    # literals recorded while descent took one level per bisection: the ternary row steps
+    # 5 levels at a time, then 2 single levels; the fair coin 8 at a time, and its draws
+    # spill past the first 128-bit chunk, so refinements land in the middle of a stride
+    ternary = EdgeFamily(GeneratedTree(3, 40), FiniteDist(["0", "1/3", "2/3"]))
+    assert ["".join(map(str, t)) for t in sample_branches(ternary, 5, 12, 17)] == [
+        "21121111222212122", "22221221122212122", "21222221211221222", "22212221122221221",
+        "11212211222221222", "21121222212122221", "21122122111222222", "12221212122221212",
+        "21211112112222222", "22221222222222212", "22212211221222221", "22121211222212111",
+    ]
+    assert ["".join(map(str, t)) for t in sample_branches(uniform_binary(300), 9, 3, 130)] == [
+        "0100010001100010111010111111110001011111100100010101111011110000100111001111101110101100011011100111011010000111101001100110111010",
+        "0111011010110110011101000101000110000000101101100101001110000110010101101001110010000000001101100000000110100101101110100101000001",
+        "1011001100111001101001000111011010011101110111001100011011111000111011111011011011111011111111101000110111100100101010110100011100",
     ]

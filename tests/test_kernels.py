@@ -19,7 +19,8 @@ inside a gadget, for its verifier, the same four checks over `Fraction` masses
 and cells (a violated law worded by the checked measure constructor), for
 `below_mass`, an `is_prefix` filter over the front, for finite rows, the accessors as written when a row's integer grid was built
 on first use, and, for walks over cell tables and rows the gate refuses, a `Fraction` product and
-prefix fold over each family's rows as given (only the library's `show` is shared, for messages). Results
+prefix fold over each family's rows as given (only the library's `show` is shared, for messages), and, for
+descent through a shared finite row's power row, the one-level-per-step descent loop it replaced. Results
 must be identical fractions and verdicts. The sampler's interval descent is
 checked by enumeration instead: every string of 2-bit chunks, weighted by
 its probability, must give each branch exactly its `node_mass`.
@@ -1024,8 +1025,9 @@ def chunked_descent_masses(family, depth: int, chunks: int) -> dict:
             4,
         ),
         (uniform_binary(16), 8, 5),
+        (uniform_binary(16), 11, 6),
     ],
-    ids=["explicit-with-zero-mass-child", "uniform_binary"],
+    ids=["explicit-with-zero-mass-child", "uniform_binary", "uniform_binary-past-a-stride"],
 )
 def test_chunked_descent_is_exact_on_dyadic_families(family, depth, chunks):
     # the sampler's oracle: with enough bits every cell end is a chunk
@@ -1033,6 +1035,69 @@ def test_chunked_descent_is_exact_on_dyadic_families(family, depth, chunks):
     front = enumerate_front(family.tree, depth).nodes
     expected = {t: node_mass(family, t) for t in front if node_mass(family, t) > 0}
     assert chunked_descent_masses(family, depth, chunks) == expected
+
+
+def per_level_descend(family, un, wn, ud, depth, refine=None):
+    """Descent one level per bisection, as written before shared finite rows stepped through a power row."""
+    y = un, ud
+    shared = family._dist_unchecked(()) if family.row is not None and depth else None
+    t = ()
+    while len(t) < depth:
+        d = shared or family._dist_unchecked(t)
+        if d is None:
+            break
+        hit = d.locate(un, ud)
+        if hit is None:
+            raise QPointError(f"{show(F(*y))} is the limit endpoint of an infinite subdivision")
+        k, b, c, q = hit
+        if (un + wn) * q > (b + c) * ud:
+            un, wn, ud = refine(un, wn, ud)
+            continue
+        if not wn and b and un * q == b * ud:
+            raise QPointError(f"{show(F(*y))} is a shared cell endpoint")
+        un, wn, ud = un * q - b * ud, wn * q, c * ud
+        t = t + (k,)
+    return t
+
+
+def located(family, y, depth):
+    """The branch locate_branch finds, or its QPointError message."""
+    try:
+        return locate_branch(family, y, depth)
+    except QPointError as e:
+        return str(e)
+
+
+@st.composite
+def shared_finite_rows(draw):
+    """Rows of arity 1-6 over a denominator of at most 60, zero masses included."""
+    n, den = draw(st.integers(1, 6)), draw(st.integers(1, 60))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)))
+    return [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+
+
+# rows whose q has 101 and 159 bits: their power rows take m = 2 levels, and none (m = 1)
+WIDE_ROWS = [[F(1, 2**100), 1 - F(1, 2**100)], [F(1, 3**100), F(1, 3**99), 1 - F(4, 3**100)]]
+
+
+@FAST
+@given(shared_finite_rows() | st.sampled_from(WIDE_ROWS), st.data())
+def test_power_row_descent_matches_the_per_level_descent(row, data):
+    _, digits = FiniteDist(row)._power()
+    m = len(digits[0]) if digits else 1
+    depth = data.draw(st.integers(0, 3 * m + 1))
+    family = EdgeFamily(GeneratedTree(len(row), 3 * m + 1), FiniteDist(row))
+    seed = data.draw(st.integers(0, 2**32))
+    draws = intervals.sample_branches(family, seed, 5, depth)
+    with mock.patch.object(intervals, "_descend", per_level_descend):
+        assert draws == intervals.sample_branches(family, seed, 5, depth)
+    # random points, every level-1 and level-2 cell endpoint, and the ends of [0, 1]
+    points = set(data.draw(st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=5)))
+    points |= {e for k in range(len(row)) for t in [(k,), *((k, j) for j in range(len(row)))] for e in node_interval(family, t)}
+    for y in sorted(points | {F(0), F(1)}):
+        with mock.patch.object(intervals, "_descend", per_level_descend):
+            expected = located(family, y, depth)
+        assert located(family, y, depth) == expected
 
 
 def pairwise_order_ok(h) -> bool:
