@@ -166,10 +166,9 @@ def _cmd_expect(args) -> int:
     raw = _read_json(args.values)
     if not isinstance(raw, dict):
         raise PTreeError(f"{args.values}: expected a JSON object mapping front paths to values")
-    values = {parse_path(k): _parse_fraction(v, k) for k, v in raw.items()}
     try:
-        variable = FrontVariable(front, values)
-    except ValueError as exc:
+        variable = FrontVariable(front, {parse_path(k): _parse_fraction(v, k) for k, v in raw.items()})
+    except (PTreeError, ValueError) as exc:  # a bad key or value, or values that miss the front
         raise PTreeError(f"{args.values}: {exc}") from None
     if args.node is None:
         measure = induced_measure(family, args.depth)

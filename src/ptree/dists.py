@@ -80,7 +80,7 @@ class FiniteDist:
     to one here; `defect` says whether they do, and walks refuse a row that fails.
     """
 
-    __slots__ = ("_items", "_grid")
+    __slots__ = ("_items", "_grid", "_hits")
 
     def __init__(self, masses: Union[Sequence[FractionLike], Mapping[int, FractionLike]]):
         if isinstance(masses, (list, tuple)) or not isinstance(masses, Mapping):
@@ -97,15 +97,17 @@ class FiniteDist:
         # are nonnegative and sum to exactly one; then it holds each child's cell (b, c, q), by child index:
         # a tuple on a canonical row (sorted, distinct, nonnegative indices ending at n - 1), a dict on a sparse one.
         q = math.lcm(*[m.denominator for _, m in items])  # a list unpacks faster than a generator
-        runs, cells, b, nonnegative = [0], [], 0, True
-        for _, m in items:
+        runs, cells, hits, b, nonnegative = [0], [], [], 0, True
+        for k, m in items:
             c = m.numerator * (q // m.denominator)
             nonnegative = nonnegative and c >= 0
             cells.append((b, c, q))
+            hits.append((k, b, c, q))
             runs.append(b := b + c)
         stochastic = nonnegative and b == q  # a distribution has an entry, so items[-1] exists
         canonical = stochastic and items[-1][0] == len(items) - 1
         self._grid = q, runs, tuple(cells) if canonical else dict(zip(map(itemgetter(0), items), cells)) if stochastic else None
+        self._hits = tuple(hits)  # by position: the entry's child index and cell, as `locate` answers them
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -145,18 +147,17 @@ class FiniteDist:
         if cells is None:
             raise NotADistribution(f"the masses are not a probability distribution: {self.defect()}")
         x = un * q // ud
-        i = bisect_right(runs, x) - 1 if x < q else bisect_left(runs, q) - 1
-        return self._items[i][0], runs[i], runs[i + 1] - runs[i], q
+        return self._hits[bisect_right(runs, x) - 1 if x < q else bisect_left(runs, q) - 1]
 
-    def _power(self) -> tuple[FiniteDist | None, tuple[tuple[int, ...], ...]]:
+    def _power(self, depth: int) -> tuple[FiniteDist | None, tuple[tuple[int, ...], ...]]:
         """(power, digits): this canonical row's m-th power, whose child K is the string digits[K] of m children
         (lexicographic order) with its nested cell, for the largest m with n^m <= 256 and m · bits(q) <= HEAD_BITS;
-        (None, ()) when m < 2."""
+        (None, ()) when m < 2, or when m > depth: a descent to depth would read no power cell."""
         q, _, cells = self._grid
         n, m = len(cells), 1
-        while n ** (m + 1) <= 256 and (m + 1) * q.bit_length() <= HEAD_BITS:
+        while m <= depth and n ** (m + 1) <= 256 and (m + 1) * q.bit_length() <= HEAD_BITS:
             m += 1
-        if m < 2:
+        if not 2 <= m <= depth:
             return None, ()
         widths = product([c for _, c, _ in cells], repeat=m)
         return FiniteDist([Fraction(math.prod(w), q**m) for w in widths]), tuple(product(range(n), repeat=m))

@@ -109,25 +109,36 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
     """
     y = un, ud  # named in QPointError messages
     shared = family._dist_unchecked(()) if family.row is not None and depth else None  # through the row gate once
-    power, digits = family._power_row() if shared.__class__ is FiniteDist else (None, ())
+    power, digits = family._power_row(depth) if shared.__class__ is FiniteDist else (None, ())
     last = depth - len(digits[0]) if digits else -1  # the power row takes m levels from each level up to it
-    t: Path = ()
+    root = state = (family._root or family._root_state()) if family.row is None else None  # explicit: node states
+    t: list[int] = []
     while len(t) < depth:
-        d = power if len(t) <= last else shared or family._dist_unchecked(t)
-        if d is None:
-            break
+        if state:  # an explicit node's row: the gate reads it, and raises at this node, only when it would refuse it
+            d, kids = state
+            if d._grid[2] is None:
+                family._dist_unchecked(tuple(t))
+        elif len(t) <= last:
+            d = power
+        elif root or (d := shared or family._dist_unchecked(tuple(t))) is None:
+            break  # a maximal node
         hit = d.locate(un, ud)  # the child whose cell [b/q, (b + c)/q) holds the lower end
         if hit is None:
             raise QPointError(f"{show(Fraction(*y))} is the limit endpoint of an infinite subdivision")
         k, b, c, q = hit
-        if (un + wn) * q > (b + c) * ud:  # the upper end spills past the cell
+        vn, vw, vd = un * q - b * ud, wn * q, c * ud  # the interval in the coordinates of the child's cell
+        if vn + vw > vd:  # the upper end spills past the cell
             un, wn, ud = refine(un, wn, ud)
             continue
-        if not wn and b and un * q == b * ud:  # a point on the lower end of a cell past the first
+        if not wn and b and not vn:  # a point on the lower end of a cell past the first
             raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
-        un, wn, ud = un * q - b * ud, wn * q, c * ud
-        t = t + digits[k] if d is power else t + (k,)
-    return t
+        un, wn, ud = vn, vw, vd
+        if d is power:
+            t += digits[k]
+        else:
+            t.append(k)
+        state = state and kids[k]
+    return tuple(t)
 
 
 def clopen_mass(family: EdgeFamily, selection: ClopenSelection) -> Fraction:

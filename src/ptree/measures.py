@@ -44,7 +44,7 @@ class EdgeFamily:
     (largest edge mass, forced atom) without enumeration.
     """
 
-    __slots__ = ("tree", "_dists", "row", "name", "_power")
+    __slots__ = ("tree", "_dists", "row", "name", "_power", "_root")
 
     def __init__(
         self,
@@ -55,7 +55,7 @@ class EdgeFamily:
     ):
         self.tree = tree
         self.name = name
-        self.row = self._power = None
+        self.row = self._power = self._root = None
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
             if not arity or _support_mismatch(dists, arity):
@@ -115,11 +115,21 @@ class EdgeFamily:
             raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
         return d
 
-    def _power_row(self) -> tuple[FiniteDist | None, tuple[Path, ...]]:
-        """The shared finite row's `FiniteDist._power`, built on first use (after the row gate) and kept."""
-        if self._power is None:
-            self._power = self.row._power()
-        return self._power
+    def _power_row(self, depth: int) -> tuple[FiniteDist | None, tuple[Path, ...]]:
+        """The shared finite row's `FiniteDist._power`, built by the first descent it serves (after the row gate) and kept."""
+        if self._power is None and (power := self.row._power(depth))[0]:
+            self._power = power
+        return self._power or (None, ())
+
+    def _root_state(self) -> tuple[FiniteDist, dict] | None:
+        """An explicit family's root state, built on first use without checking a row, and kept; None at a maximal root
+        and on a generated family. A state is (row, kids): kids maps each child index to its state, None if maximal."""
+        if self._root is None and isinstance(self._dists, dict):
+            states = {t: (d, dict.fromkeys(self.tree._children[t])) for t, d in self._dists.items()}  # linked below
+            for t in filter(None, states):  # every node but the root is its parent's child
+                states[t[:-1]][1][t[-1]] = states[t]
+            self._root = states.get(())
+        return self._root
 
     def edge_prob(self, t: Path, k: int) -> Fraction:
         """Mass of the edge from t to child k; the row must be a distribution."""
@@ -239,27 +249,31 @@ def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), require=No
     The path-walk kernel: each end is validated once, by `require` (the
     tree's by default), and must extend `start`. Each step multiplies in a
     row's integer cell, with no gcd: from its cell table, from a shared closed
-    form's `cell`, or through the row gate. w/q is the end's weight below
+    form's `cell`, or through the row gate; an explicit family steps through
+    node states (`EdgeFamily._root_state`). w/q is the end's weight below
     `start`. Ends are visited in lexicographic order, so a prefix shared by
     several ends is folded once: one step per distinct node.
     """
-    row, rows = family.row, family._dists if family.is_explicit else None
+    row, state = family.row, family._root_state()
     shared, closed = (row._grid[2], None) if row.__class__ is FiniteDist else (None, row and row.cell)  # None: a refused row
+    for k in start if state else ():
+        state = state[1][k]
     base = len(start)
     out: dict[Path, tuple[int, int, int]] = {}
     prev = start
-    cells = [(0, 1, 1)]  # cells[j]: the cell of prev[: base + j]
+    cells = [(0, 1, 1, state)]  # cells[j]: the cell of prev[: base + j], and its state on an explicit family
     for s in sorted(set(map(require or family.tree.require, map(tuple, ends)))):
         j, common = base, min(len(prev), len(s))
         while j < common and prev[j] == s[j]:
             j += 1
         del cells[j - base + 1 :]
-        lo, w, q = cells[-1]
+        lo, w, q, state = cells[-1]
         for i in range(j, len(s)):
-            table = shared if rows is None else rows[s[:i]]._grid[2]
+            table = state[0]._grid[2] if state else shared  # an explicit node's row, or the shared row
+            state = state and state[1][s[i]]
             b, c, r = table[s[i]] if table is not None else (closed or family._dist_unchecked(s[:i]).cell)(s[i])
             lo, w, q = lo * r + w * b, w * c, q * r
-            cells.append((lo, w, q))
+            cells.append((lo, w, q, state))
         out[s] = lo, w, q
         prev = s
     return out

@@ -259,6 +259,21 @@ def test_unparsable_input_file_exits_1_naming_it(binary_spec, tmp_path, capsys, 
     assert captured.out == "" and captured.err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"00": "0", "0.1": "1", "1.0": "1", "1.1": "2"}, "not a canonical dot-separated index path: '00'"),
+        ({"0.0": "x", "0.1": "1", "1.0": "1", "1.1": "2"}, "node '0.0': not an exact fraction: 'x'"),
+    ],
+    ids=["key", "value"],
+)
+def test_a_bad_entry_in_the_values_file_is_named_with_the_file(binary_spec, tmp_path, capsys, values, message):
+    vfile = _values_file(tmp_path, values)
+    assert main(["expect", "--tree", binary_spec, "--depth", "2", "--values", vfile]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {vfile}: {message}\n"
+
+
 def test_non_canonical_path_keys_exit_1(binary_spec, tmp_path, capsys):
     # "00" used to name node 0 as well: the later row silently replaced the
     # earlier one, and `measure --node 0.0` printed 1/20 instead of 1/6

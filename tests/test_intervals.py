@@ -14,6 +14,7 @@ from ptree import (
     INCONCLUSIVE,
     GeneratedTree,
     EdgeFamily,
+    ExplicitTree,
     FiniteDist,
     MalformedClopen,
     NegativeCount,
@@ -665,3 +666,36 @@ def test_sampler_draws_through_a_power_row_are_pinned_to_their_seed():
         "0111011010110110011101000101000110000000101101100101001110000110010101101001110010000000001101100000000110100101101110100101000001",
         "1011001100111001101001000111011010011101110111001100011011111000111011111011011011111011111111101000110111100100101010110100011100",
     ]
+
+
+def test_a_power_row_is_built_by_the_first_descent_that_reaches_its_stride():
+    # the fair coin's power row takes 8 levels a step: shallower descents step one level at a time and build no table
+    fam = uniform_binary(16)
+    shallow = sample_branches(fam, 3, 20, 3)
+    assert len(sample_branches(fam, 3, 20, 7)) == 20 and locate_branch(fam, F(1, 3), 7) == (0, 1, 0, 1, 0, 1, 0)
+    assert fam._power is None
+    deep = sample_branches(fam, 3, 20, 8)
+    assert len(fam._power[1][0]) == 8
+    # a 128-bit draw never straddles a dyadic cell this shallow, so each draw is a prefix of the deeper one
+    assert [t[:3] for t in deep] == shallow == sample_branches(fam, 3, 20, 3)
+    assert sample_branches(uniform_binary(16), 3, 20, 8) == deep
+
+
+def test_explicit_walks_are_linear_in_the_depth():
+    # a chain to depth 8,000: node 0^i has the row (1/3, 2/3), its child 1 is maximal and its child 0 goes on;
+    # reading each row by its path made every walk here quadratic, 0.35-0.55 s on a 2-vCPU host
+    n = 8_000
+    spine = [(0,) * i for i in range(n + 1)]
+    children = {t: (0, 1) for t in spine[:-1]} | {t + (1,): () for t in spine[:-1]} | {spine[-1]: ()}
+    fam = EdgeFamily(ExplicitTree(children), dict.fromkeys(spine[:-1], FiniteDist(["1/3", "2/3"])))
+    x = spine[-1]
+    assert node_mass(fam, x) == F(1, 3**n)  # the warm-up walk builds the family's states
+    for call, expected in (
+        (lambda: node_mass(fam, x), F(1, 3**n)),
+        (lambda: node_interval(fam, x), (0, F(1, 3**n))),
+        (lambda: branch_window(fam, x, n).width, F(1, 3**n)),
+        (lambda: locate_branch(fam, 0, n), x),
+    ):
+        start = time.perf_counter()
+        assert call() == expected
+        assert time.perf_counter() - start < 0.2

@@ -20,7 +20,8 @@ and cells (a violated law worded by the checked measure constructor), for
 `below_mass`, an `is_prefix` filter over the front, for finite rows, the accessors as written when a row's integer grid was built
 on first use, and, for walks over cell tables and rows the gate refuses, a `Fraction` product and
 prefix fold over each family's rows as given (only the library's `show` is shared, for messages), and, for
-descent through a shared finite row's power row, the one-level-per-step descent loop it replaced. Results
+descent through a shared finite row's power row, the one-level-per-step descent loop it replaced, and, for walks
+and descents that step through an explicit family's node states, the loops that read each row by path. Results
 must be identical fractions and verdicts. The sampler's interval descent is
 checked by enumeration instead: every string of 2-bit chunks, weighted by
 its probability, must give each branch exactly its `node_mass`.
@@ -1038,7 +1039,8 @@ def test_chunked_descent_is_exact_on_dyadic_families(family, depth, chunks):
 
 
 def per_level_descend(family, un, wn, ud, depth, refine=None):
-    """Descent one level per bisection, as written before shared finite rows stepped through a power row."""
+    """Descent one level per bisection, reading each row by path: as written before shared finite rows stepped
+    through a power row and explicit families through node states."""
     y = un, ud
     shared = family._dist_unchecked(()) if family.row is not None and depth else None
     t = ()
@@ -1083,7 +1085,7 @@ WIDE_ROWS = [[F(1, 2**100), 1 - F(1, 2**100)], [F(1, 3**100), F(1, 3**99), 1 - F
 @FAST
 @given(shared_finite_rows() | st.sampled_from(WIDE_ROWS), st.data())
 def test_power_row_descent_matches_the_per_level_descent(row, data):
-    _, digits = FiniteDist(row)._power()
+    _, digits = FiniteDist(row)._power(HEAD_BITS)
     m = len(digits[0]) if digits else 1
     depth = data.draw(st.integers(0, 3 * m + 1))
     family = EdgeFamily(GeneratedTree(len(row), 3 * m + 1), FiniteDist(row))
@@ -1098,6 +1100,68 @@ def test_power_row_descent_matches_the_per_level_descent(row, data):
         with mock.patch.object(intervals, "_descend", per_level_descend):
             expected = located(family, y, depth)
         assert located(family, y, depth) == expected
+
+
+def path_reading_walk(family, ends, start=(), require=None):
+    """The walk kernel as written before explicit families carried a state: each step reads its row by path."""
+    row, rows = family.row, family._dists if family.is_explicit else None
+    shared, closed = (row._grid[2], None) if row.__class__ is FiniteDist else (None, row and row.cell)
+    base = len(start)
+    out = {}
+    prev = start
+    cells = [(0, 1, 1)]
+    for s in sorted(set(map(require or family.tree.require, map(tuple, ends)))):
+        j, common = base, min(len(prev), len(s))
+        while j < common and prev[j] == s[j]:
+            j += 1
+        del cells[j - base + 1 :]
+        lo, w, q = cells[-1]
+        for i in range(j, len(s)):
+            table = shared if rows is None else rows[s[:i]]._grid[2]
+            b, c, r = table[s[i]] if table is not None else (closed or family._dist_unchecked(s[:i]).cell)(s[i])
+            lo, w, q = lo * r + w * b, w * c, q * r
+            cells.append((lo, w, q))
+        out[s] = lo, w, q
+        prev = s
+    return out
+
+
+def with_a_bad_row(rng, fam):
+    """The family with one interior row, off most paths, replaced by masses that are not a distribution."""
+    table = fam.dist_table()
+    u = rng.choice(sorted(table))
+    idx = table[u].indices
+    short, negative = dict.fromkeys(idx, F(1, len(idx) + 1)), {**dict.fromkeys(idx, F(0)), idx[0]: F(3, 2)}
+    table[u] = FiniteDist(rng.choice([short, negative]))
+    return EdgeFamily(fam.tree, table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOMS, st.sampled_from(["canonical", "positive-part", "bad-row"]))
+def test_state_walks_and_descents_match_the_path_reading_loops(rng, kind):
+    fam = random_family(rng, random_tree(rng, max_depth=5, max_arity=4), allow_zero=True)
+    if kind == "positive-part":  # sparse child sets: a zero edge's child is gone, the others keep their index
+        fam = positive_part(fam)[0]
+    elif kind == "bad-row" and fam.dist_table():
+        fam = with_a_bad_row(rng, fam)
+    nodes = sorted(fam.tree.nodes())
+    for _ in range(3):
+        start = rng.choice(nodes)
+        below = [s for s in nodes if is_prefix(start, s)]
+        ends = rng.sample(below, rng.randint(0, min(6, len(below))))
+        assert result_of(_walk, fam, ends, start) == result_of(path_reading_walk, fam, ends, start)
+    depth = rng.randint(0, fam.tree.height + 1)
+    seed = rng.getrandbits(32)
+    draws = result_of(intervals.sample_branches, fam, seed, 8, depth)
+    with mock.patch.object(intervals, "_descend", per_level_descend):
+        assert result_of(intervals.sample_branches, fam, seed, 8, depth) == draws
+    # random points, the ends of cells the walk reaches (shared endpoints among them), and the ends of [0, 1]
+    cells = result_of(path_reading_walk, fam, rng.sample(nodes, min(4, len(nodes))))
+    ends = cells.values() if isinstance(cells, dict) else ()
+    points = {F(rng.randint(0, 60), 60), F(0), F(1)} | {F(lo + e, q) for lo, w, q in ends for e in (0, w)}
+    for y in sorted(points):
+        expected = result_of(per_level_descend, fam, y.numerator, 0, y.denominator, depth)
+        assert result_of(intervals._descend, fam, y.numerator, 0, y.denominator, depth) == expected
 
 
 def pairwise_order_ok(h) -> bool:
