@@ -35,7 +35,7 @@ SHOWN_BITS = 1_024
 # refused once k · bits(rd) passes it (2^20 bits, 128 KiB per integer).
 MAX_POWER_BITS = 1 << 20
 # A shared geometric row tabulates children 0..K-1 over Q = rd^K, for the largest K >= 1 with K · bits(rd) <= it;
-# a shared finite row over q steps m levels at once only while m · bits(q) <= it (`FiniteDist._power`).
+# a shared finite row over q steps m levels at once only while m · bits(q) <= it (`FiniteDist._stride`).
 HEAD_BITS = 256
 
 
@@ -149,18 +149,19 @@ class FiniteDist:
         x = un * q // ud
         return self._hits[bisect_right(runs, x) - 1 if x < q else bisect_left(runs, q) - 1]
 
-    def _power(self, depth: int) -> tuple[FiniteDist | None, tuple[tuple[int, ...], ...]]:
-        """(power, digits): this canonical row's m-th power, whose child K is the string digits[K] of m children
-        (lexicographic order) with its nested cell, for the largest m with n^m <= 256 and m · bits(q) <= HEAD_BITS;
-        (None, ()) when m < 2, or when m > depth: a descent to depth would read no power cell."""
-        q, _, cells = self._grid
-        n, m = len(cells), 1
-        while m <= depth and n ** (m + 1) <= 256 and (m + 1) * q.bit_length() <= HEAD_BITS:
+    def _stride(self) -> int:
+        """The levels m one power cell takes: the largest m with n^m <= 256 and m · bits(q) <= HEAD_BITS."""
+        n, bits, m = len(self._items), self._grid[0].bit_length(), 1
+        while n ** (m + 1) <= 256 and (m + 1) * bits <= HEAD_BITS:
             m += 1
-        if not 2 <= m <= depth:
-            return None, ()
+        return m
+
+    def _power(self, m: int) -> tuple[FiniteDist, tuple[tuple[int, ...], ...]]:
+        """(power, digits): this canonical row's m-th power, whose child K is the string digits[K] of m children
+        (lexicographic order) with its nested cell."""
+        q, _, cells = self._grid
         widths = product([c for _, c, _ in cells], repeat=m)
-        return FiniteDist([Fraction(math.prod(w), q**m) for w in widths]), tuple(product(range(n), repeat=m))
+        return FiniteDist([Fraction(math.prod(w), q**m) for w in widths]), tuple(product(range(len(cells)), repeat=m))
 
     @property
     def total(self) -> Fraction:
@@ -292,6 +293,8 @@ class Geometric(_ClosedForm):
         pn, pd = rn ** _power_index(k, self._kmax), rd**k
         return (pd - pn) * rd, (rd - rn) * pn, pd * rd
 
+    __getitem__ = cell  # a closed form is its own cell table: `row[k]` is `row.cell(k)`
+
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:
         """The child k whose cell holds u = un/ud in [0, 1], with `cell(k)`; None at u = 1.
 
@@ -336,6 +339,8 @@ class PointMass(_ClosedForm):
         if k < 0:
             raise _not_a_child(k, OMEGA)
         return int(k > self.index), int(k == self.index), 1
+
+    __getitem__ = cell
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:
         """The index, whose cell [0, 1] holds u = un/ud, with `cell(index)`; None at u = 1."""

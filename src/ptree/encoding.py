@@ -119,12 +119,6 @@ def _cells(children: Mapping[Path, tuple[int, ...]], masses: Mapping[Path, tuple
     return cells
 
 
-def _image_cells(measure: InductiveMeasure) -> dict[Path, tuple[Fraction, Fraction]]:
-    """The cells of a pushed measure's image tree as (lower end, width)."""
-    masses = {s: m.as_integer_ratio() for s, m in measure.items()}
-    return {s: (Fraction(l, d), Fraction(w, d)) for s, (l, w, d) in _cells(measure.tree._children, masses).items()}
-
-
 @dataclass(frozen=True)
 class EncodingReport:
     """What the encoding verification found, check by check."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dists import ONE, FiniteDist, Geometric, PointMass, as_fraction, fraction_sum, show
+from .dists import ONE, Geometric, PointMass, as_fraction, fraction_sum, show
 from .errors import (
     MalformedClopen,
     NegativeCount,
@@ -99,29 +99,25 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
 def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=None) -> Path:
     """Descend with [un/ud, (un + wn)/ud), in unreduced coordinates of the current cell.
 
-    Each step takes the child cell that holds the lower end and maps it onto
-    [0, 1]. If the upper end spills past it, `refine(un, wn, ud)` narrows the
-    interval and the node is tried again. Only a point (wn = 0), which never
-    spills, can sit on a shared endpoint and raise QPointError. While m levels
-    remain, a shared finite row steps through its power row (`FiniteDist._power`):
-    a power cell is the nested cell of its m levels, so the steps, refine calls
-    and errors are those of m single steps.
+    Each step reads its node state's row (`EdgeFamily._root_state`), takes
+    the child cell that holds the lower end, maps it onto [0, 1] and moves to
+    the child's state. If the upper end spills past it, `refine(un, wn, ud)`
+    narrows the interval and the node is tried again. Only a point (wn = 0),
+    which never spills, can sit on a shared endpoint and raise QPointError.
+    While m levels remain, a shared finite row steps through its power row
+    (`FiniteDist._power`): a power cell is the nested cell of its m levels, so
+    the steps, refine calls and errors are those of m single steps.
     """
     y = un, ud  # named in QPointError messages
-    shared = family._dist_unchecked(()) if family.row is not None and depth else None  # through the row gate once
-    power, digits = family._power_row(depth) if shared.__class__ is FiniteDist else (None, ())
-    last = depth - len(digits[0]) if digits else -1  # the power row takes m levels from each level up to it
-    root = state = (family._root or family._root_state()) if family.row is None else None  # explicit: node states
+    power, digits = family._power_row(depth) if family._stride > 1 else (None, ())  # under 2: no power row
+    last = depth - len(digits[0]) if power else -1  # the power row takes m levels from each level up to it
+    state = family._root or family._root_state()
     t: list[int] = []
-    while len(t) < depth:
-        if state:  # an explicit node's row: the gate reads it, and raises at this node, only when it would refuse it
-            d, kids = state
-            if d._grid[2] is None:
-                family._dist_unchecked(tuple(t))
-        elif len(t) <= last:
-            d = power
-        elif root or (d := shared or family._dist_unchecked(tuple(t))) is None:
+    while (n := len(t)) < depth:
+        row, _, kids = state
+        if row is None:
             break  # a maximal node
+        d = power if n <= last else row
         hit = d.locate(un, ud)  # the child whose cell [b/q, (b + c)/q) holds the lower end
         if hit is None:
             raise QPointError(f"{show(Fraction(*y))} is the limit endpoint of an infinite subdivision")
@@ -133,11 +129,11 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
         if not wn and b and not vn:  # a point on the lower end of a cell past the first
             raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
         un, wn, ud = vn, vw, vd
-        if d is power:
+        if d is power:  # a shared row's state: every child's is the same
             t += digits[k]
         else:
             t.append(k)
-        state = state and kids[k]
+            state = kids.get(k, state)
     return tuple(t)
 
 

@@ -44,7 +44,7 @@ class EdgeFamily:
     (largest edge mass, forced atom) without enumeration.
     """
 
-    __slots__ = ("tree", "_dists", "row", "name", "_power", "_root")
+    __slots__ = ("tree", "_dists", "row", "name", "_stride", "_power", "_root")
 
     def __init__(
         self,
@@ -56,6 +56,7 @@ class EdgeFamily:
         self.tree = tree
         self.name = name
         self.row = self._power = self._root = None
+        self._stride = 0  # the levels one power step takes (`_power_row`); under 2, descent takes none
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
             if not arity or _support_mismatch(dists, arity):
@@ -63,6 +64,8 @@ class EdgeFamily:
             self.row, self._dists = dists, None
             if dists.__class__ is Geometric:
                 dists._build_head()  # once per shared row: a rule's fresh rows keep an empty head
+            elif dists.__class__ is FiniteDist and dists._grid[2] is not None:  # a row the gate accepts
+                self._stride = dists._stride()
         elif isinstance(dists, Mapping):
             table = {tuple(t): d for t, d in dists.items()}
             if not isinstance(tree, ExplicitTree):
@@ -116,19 +119,31 @@ class EdgeFamily:
         return d
 
     def _power_row(self, depth: int) -> tuple[FiniteDist | None, tuple[Path, ...]]:
-        """The shared finite row's `FiniteDist._power`, built by the first descent it serves (after the row gate) and kept."""
-        if self._power is None and (power := self.row._power(depth))[0]:
-            self._power = power
+        """The shared finite row's `FiniteDist._power` over its stride m >= 2, built by the first descent at least m
+        deep, and kept; (None, ()) until then."""
+        if self._power is None and self._stride <= depth:
+            self._power = self.row._power(self._stride)
         return self._power or (None, ())
 
-    def _root_state(self) -> tuple[FiniteDist, dict] | None:
-        """An explicit family's root state, built on first use without checking a row, and kept; None at a maximal root
-        and on a generated family. A state is (row, kids): kids maps each child index to its state, None if maximal."""
-        if self._root is None and isinstance(self._dists, dict):
-            states = {t: (d, dict.fromkeys(self.tree._children[t])) for t, d in self._dists.items()}  # linked below
-            for t in filter(None, states):  # every node but the root is its parent's child
-                states[t[:-1]][1][t[-1]] = states[t]
-            self._root = states.get(())
+    def _root_state(self) -> tuple:
+        """The root's node state (row, cells, kids): cells[k] is child k's integer cell (b, c, q), kids.get(k, state)
+        its state, and a maximal node's state is (None, None, None). Built without reading a row through the gate: an
+        explicit family links one kept state per interior node, a shared row the gate accepts is one kept state with
+        no kids, so every child gets its parent's state back, and a rule node or a refused row has a `_Gated` state."""
+        if self._root is None:
+            row = self.row
+            if isinstance(self._dists, dict):
+                children, states = self.tree._children, {}
+                for t, d in self._dists.items():
+                    kids = dict.fromkeys(children[t], _MAXIMAL)  # interior children are linked below
+                    states[t] = (d, cells, kids) if (cells := d._grid[2]) is not None else _Gated((self, t, kids))
+                for t in filter(None, states):  # every node but the root is its parent's child
+                    states[t[:-1]][2][t[-1]] = states[t]
+                self._root = states.get((), _MAXIMAL)
+            elif row is not None and (cells := row._grid[2] if row.__class__ is FiniteDist else row) is not None:
+                self._root = row, cells, {}
+            else:
+                return _Gated((self, (), _Gated))  # not kept: it holds the family
         return self._root
 
     def edge_prob(self, t: Path, k: int) -> Fraction:
@@ -172,6 +187,25 @@ class EdgeFamily:
     def __repr__(self) -> str:
         kind = "explicit" if self.is_explicit else (self.name or "generated")
         return f"EdgeFamily({kind}, {self.tree!r})"
+
+
+_MAXIMAL = (None, None, None)  # a maximal node's state
+
+
+class _Gated(tuple):
+    """A node state (family, t, kids) that reads its row through the gate, `family._dist_unchecked(t)`, each time it is
+    unpacked as (row, cells, kids): a refused row raises at the step that leaves its node. `state[2]` reads no row. A
+    rule node's kids are `_Gated` itself, whose `get` builds child k's state from its parent's."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        d = self[0]._dist_unchecked(self[1])
+        return iter(_MAXIMAL if d is None else (d, d._grid[2] if d.__class__ is FiniteDist else d, self[2]))
+
+    @staticmethod
+    def get(k: int, state: _Gated) -> _Gated:
+        return _Gated((state[0], state[1] + (k,), _Gated))
 
 
 def _support_mismatch(d: Dist, arity: Arity) -> str | None:
@@ -247,35 +281,36 @@ def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), require=No
     """Each end's cell [l/q, (l + w)/q) within start's cell scaled to [0, 1], as integers (l, w, q).
 
     The path-walk kernel: each end is validated once, by `require` (the
-    tree's by default), and must extend `start`. Each step multiplies in a
-    row's integer cell, with no gcd: from its cell table, from a shared closed
-    form's `cell`, or through the row gate; an explicit family steps through
-    node states (`EdgeFamily._root_state`). w/q is the end's weight below
-    `start`. Ends are visited in lexicographic order, so a prefix shared by
-    several ends is folded once: one step per distinct node.
+    tree's by default), and must extend `start`. Each step reads its node
+    state (`EdgeFamily._root_state`), multiplies in the child's integer cell,
+    with no gcd, and moves to the child's state; the walk down to `start`
+    reads no row. w/q is the end's weight below `start`. Ends are visited in
+    lexicographic order, so a prefix shared by several ends is folded once:
+    one step per distinct node. Only prefixes the next end shares keep their
+    cell, so a rule node's state, which holds its path, dies with its step.
     """
-    row, state = family.row, family._root_state()
-    shared, closed = (row._grid[2], None) if row.__class__ is FiniteDist else (None, row and row.cell)  # None: a refused row
-    for k in start if state else ():
-        state = state[1][k]
-    base = len(start)
+    state = family._root_state()
+    for k in start:
+        state = state[2].get(k, state)
+    base = j = len(start)
+    ends = sorted(set(map(require or family.tree.require, map(tuple, ends))))
     out: dict[Path, tuple[int, int, int]] = {}
-    prev = start
-    cells = [(0, 1, 1, state)]  # cells[j]: the cell of prev[: base + j], and its state on an explicit family
-    for s in sorted(set(map(require or family.tree.require, map(tuple, ends)))):
-        j, common = base, min(len(prev), len(s))
-        while j < common and prev[j] == s[j]:
-            j += 1
-        del cells[j - base + 1 :]
-        lo, w, q, state = cells[-1]
-        for i in range(j, len(s)):
-            table = state[0]._grid[2] if state else shared  # an explicit node's row, or the shared row
-            state = state and state[1][s[i]]
-            b, c, r = table[s[i]] if table is not None else (closed or family._dist_unchecked(s[:i]).cell)(s[i])
+    cells = [(0, 1, 1, state)]  # cells[i]: the cell of s[: base + i] and its state, for i up to what the next end shares
+    for s, after in zip(ends, [*ends[1:], start]):
+        keep, common = base, min(len(s), len(after))
+        while keep < common and s[keep] == after[keep]:
+            keep += 1
+        lo, w, q, state = cells[-1]  # the cell of s[:j], which the previous end shares
+        for i, k in enumerate(s[j:], j):
+            _, table, kids = state
+            b, c, r = table[k]
             lo, w, q = lo * r + w * b, w * c, q * r
-            cells.append((lo, w, q, state))
+            state = kids.get(k, state)
+            if i < keep:
+                cells.append((lo, w, q, state))
         out[s] = lo, w, q
-        prev = s
+        del cells[keep - base + 1 :]
+        j = keep
     return out
 
 

@@ -307,7 +307,7 @@ def test_image_cells_match_a_uniform_filler_image_family(rng):
     fam = random_family(rng, tree, allow_zero=True)
     measure = encoded_measure(fam, binary_encode(tree, tree.height))
     image_family = uniform_filler_image_family(measure)
-    cells = encoding._image_cells(measure)
+    cells = encoding._cells(measure.tree._children, {s: m.as_integer_ratio() for s, m in measure.items()})
     assert cells.keys() == set(measure.tree.nodes())
-    for s, (lo, width) in cells.items():
-        assert node_interval(image_family, s) == (lo, lo + width)
+    for s, (lo, width, d) in cells.items():
+        assert node_interval(image_family, s) == (F(lo, d), F(lo + width, d))

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
@@ -679,6 +680,34 @@ def test_a_power_row_is_built_by_the_first_descent_that_reaches_its_stride():
     # a 128-bit draw never straddles a dyadic cell this shallow, so each draw is a prefix of the deeper one
     assert [t[:3] for t in deep] == shallow == sample_branches(fam, 3, 20, 3)
     assert sample_branches(uniform_binary(16), 3, 20, 8) == deep
+
+
+def test_a_family_searches_its_power_stride_once():
+    # the fair coin steps 8 levels a power step: descents shallower than that build no power row and search no stride
+    search = mock.patch.object(FiniteDist, "_stride", autospec=True, side_effect=FiniteDist._stride)
+    build = mock.patch.object(FiniteDist, "_power", autospec=True, side_effect=FiniteDist._power)
+    with search as stride, build as power:
+        fam = uniform_binary(16)
+        sample_branches(fam, 3, 20, 3)
+        assert stride.call_count <= 1 and power.call_count == 0
+        sample_branches(fam, 3, 20, 8)
+        sample_branches(fam, 3, 20, 16)
+        assert stride.call_count <= 1 and power.call_count == 1
+
+
+def test_a_deep_rule_walk_keeps_no_path_per_level():
+    # a rule node's state holds its path, so a walk that kept every level's state would hold
+    # depth^2 / 2 path entries: 8 million (about 63 MiB) for one end at depth 4,000
+    n = 4_000
+    fam = EdgeFamily(GeneratedTree(lambda t: 2, n), lambda t: FiniteDist(["1/2", "1/2"]))
+    x, expected = (1,) * n, F(1, 2**n)
+    tracemalloc.start()
+    try:
+        assert node_mass(fam, x) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_explicit_walks_are_linear_in_the_depth():

@@ -1085,8 +1085,7 @@ WIDE_ROWS = [[F(1, 2**100), 1 - F(1, 2**100)], [F(1, 3**100), F(1, 3**99), 1 - F
 @FAST
 @given(shared_finite_rows() | st.sampled_from(WIDE_ROWS), st.data())
 def test_power_row_descent_matches_the_per_level_descent(row, data):
-    _, digits = FiniteDist(row)._power(HEAD_BITS)
-    m = len(digits[0]) if digits else 1
+    m = FiniteDist(row)._stride()
     depth = data.draw(st.integers(0, 3 * m + 1))
     family = EdgeFamily(GeneratedTree(len(row), 3 * m + 1), FiniteDist(row))
     seed = data.draw(st.integers(0, 2**32))
@@ -1136,21 +1135,40 @@ def with_a_bad_row(rng, fam):
     return EdgeFamily(fam.tree, table)
 
 
-@settings(max_examples=40, deadline=None)
-@given(RANDOMS, st.sampled_from(["canonical", "positive-part", "bad-row"]))
-def test_state_walks_and_descents_match_the_path_reading_loops(rng, kind):
+def state_case(rng, kind):
+    """A family of the kind, a prefix-closed sample of its nodes, and the deepest descent to try."""
+    if kind == "shared":  # a finite row with a zero entry (power steps once a descent reaches its stride), or a closed form
+        budget, n = rng.randint(1, 5), rng.randint(2, 4)
+        weights = [rng.randint(0, 4) for _ in range(n)]
+        zero = rng.randrange(n)
+        weights[zero], weights[zero - 1] = 0, weights[zero - 1] + 1
+        finite = FiniteDist([F(w, sum(weights)) for w in weights])
+        row = rng.choice([finite, Geometric(F(rng.randint(1, 11), 12)), PointMass(rng.randint(0, 3))])
+        fam = EdgeFamily(GeneratedTree(n if row is finite else OMEGA, budget), row)
+        width = n if row is finite else 5
+        paths = [tuple(rng.randrange(width) for _ in range(rng.randint(0, budget))) for _ in range(8)]
+        return fam, sorted({t[:i] for t in paths for i in range(len(t) + 1)}), budget
     fam = random_family(rng, random_tree(rng, max_depth=5, max_arity=4), allow_zero=True)
     if kind == "positive-part":  # sparse child sets: a zero edge's child is gone, the others keep their index
         fam = positive_part(fam)[0]
-    elif kind == "bad-row" and fam.dist_table():
+    elif fam.dist_table() and (kind == "bad-row" or (kind == "rule" and rng.random() < 0.5)):
         fam = with_a_bad_row(rng, fam)
-    nodes = sorted(fam.tree.nodes())
+    tree = fam.tree
+    if kind == "rule":  # the same rows, read by a rule over a generated tree with the explicit tree's nodes
+        fam = EdgeFamily(GeneratedTree(tree._arity_unchecked, tree.height), fam.dist_table().__getitem__)
+    return fam, sorted(tree.nodes()), tree.height + (kind != "rule")  # past an explicit tree's height, descent stops
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOMS, st.sampled_from(["canonical", "positive-part", "bad-row", "shared", "rule"]))
+def test_state_walks_and_descents_match_the_path_reading_loops(rng, kind):
+    fam, nodes, deepest = state_case(rng, kind)
     for _ in range(3):
         start = rng.choice(nodes)
         below = [s for s in nodes if is_prefix(start, s)]
         ends = rng.sample(below, rng.randint(0, min(6, len(below))))
         assert result_of(_walk, fam, ends, start) == result_of(path_reading_walk, fam, ends, start)
-    depth = rng.randint(0, fam.tree.height + 1)
+    depth = rng.randint(0, deepest)
     seed = rng.getrandbits(32)
     draws = result_of(intervals.sample_branches, fam, seed, 8, depth)
     with mock.patch.object(intervals, "_descend", per_level_descend):

@@ -126,6 +126,21 @@ def test_walks_answer_when_the_path_avoids_the_bad_row(row):
             call()
 
 
+@pytest.mark.parametrize("kind", ["explicit", "rule"])
+def test_no_row_above_the_start_of_a_walk_is_read(kind):
+    # the root row sums to 3/4; the tower check at level 1 walks from each level-1 node, and the
+    # expectation at (0,) folds the subtree below it, so neither reads the root row
+    table = {(): ["1/2", "1/4"], (0,): ["1/4", "3/4"], (1,): ["1/2", "1/2"]}
+    if kind == "explicit":
+        fam = EdgeFamily.from_table(table)
+    else:
+        fam = EdgeFamily(GeneratedTree(lambda t: 2 if len(t) < 2 else 0, 2), lambda t: FiniteDist(table[t]))
+    front = enumerate_front(fam.tree, 2)
+    variable = FrontVariable(front, {t: sum(t) for t in front.nodes})
+    assert tower_check(fam, variable, 1, 1, 2).equal is True
+    assert relative_expect(fam, variable, (0,)) == F(3, 4)
+
+
 def test_the_gate_covers_generated_rules():
     bad = FiniteDist(["1/2", "1/4"])
     fam = EdgeFamily(GeneratedTree(lambda t: 2, 8), lambda t: bad if t == (1,) else FiniteDist(["1/2", "1/2"]))
