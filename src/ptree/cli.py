@@ -68,7 +68,11 @@ def _read_json(path: str) -> object:
 
 
 def _load_family(path: str) -> EdgeFamily:
-    return _family_from_document(_read_json(path), default_budget=_default_budget())
+    doc, budget = _read_json(path), _default_budget()
+    try:
+        return _family_from_document(doc, default_budget=budget)
+    except PTreeError as exc:  # about the spec's contents: named with its file, as `_read_json` names it
+        raise PTreeError(f"{path}: {exc}") from None
 
 
 def _exact(x: Fraction | int) -> str:
@@ -180,6 +184,8 @@ def _cmd_expect(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.tree is not None:
+        if args.min_p is not None:
+            raise _UsageError("bound --min-p needs --random")
         family = _load_family(args.tree)
         if not family.is_explicit:
             raise PTreeError("the trial tree must be an explicit family")

@@ -99,7 +99,7 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
 def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=None) -> Path:
     """Descend with [un/ud, (un + wn)/ud), in unreduced coordinates of the current cell.
 
-    Each step reads its node state's row (`EdgeFamily._root_state`), takes
+    Each step reads its node state's row (from `EdgeFamily._root` down), takes
     the child cell that holds the lower end, maps it onto [0, 1] and moves to
     the child's state. If the upper end spills past it, `refine(un, wn, ud)`
     narrows the interval and the node is tried again. Only a point (wn = 0),
@@ -111,7 +111,7 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
     y = un, ud  # named in QPointError messages
     power, digits = family._power_row(depth) if family._stride > 1 else (None, ())  # under 2: no power row
     last = depth - len(digits[0]) if power else -1  # the power row takes m levels from each level up to it
-    state = family._root or family._root_state()
+    state = family._root
     t: list[int] = []
     while (n := len(t)) < depth:
         row, _, kids = state

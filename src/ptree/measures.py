@@ -55,8 +55,11 @@ class EdgeFamily:
     ):
         self.tree = tree
         self.name = name
-        self.row = self._power = self._root = None
+        self.row = self._power = None
         self._stride = 0  # the levels one power step takes (`_power_row`); under 2, descent takes none
+        # the root's node state (row, cells, kids), built without reading a row through the gate: cells[k] is child
+        # k's integer cell (b, c, q), kids.get(k, state) its state, and (None, None, None) a maximal node's state
+        self._root = _Gated((self, (), _Gated))  # a rule's, or a refused shared row's: see `_Gated`
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
             if not arity or _support_mismatch(dists, arity):
@@ -64,8 +67,10 @@ class EdgeFamily:
             self.row, self._dists = dists, None
             if dists.__class__ is Geometric:
                 dists._build_head()  # once per shared row: a rule's fresh rows keep an empty head
-            elif dists.__class__ is FiniteDist and dists._grid[2] is not None:  # a row the gate accepts
-                self._stride = dists._stride()
+            if (cells := dists._grid[2] if dists.__class__ is FiniteDist else dists) is not None:  # the gate accepts
+                self._root = dists, cells, {}  # no kids: every child gets its parent's state back
+                if dists.__class__ is FiniteDist:
+                    self._stride = dists._stride()
         elif isinstance(dists, Mapping):
             table = {tuple(t): d for t, d in dists.items()}
             if not isinstance(tree, ExplicitTree):
@@ -73,11 +78,17 @@ class EdgeFamily:
             children = tree._children
             if table.keys() != {t for t, idx in children.items() if idx}:
                 raise ValueError("distribution table must cover exactly the non-maximal nodes")
+            states = {}
             for t, d in table.items():
                 if not isinstance(d, FiniteDist):
                     raise ValueError("closed-form distributions require a generated tree")
                 if d.indices != children[t]:
                     raise ValueError(f"distribution at {t} does not match the child set")
+                kids = dict.fromkeys(children[t], _MAXIMAL)  # one state per interior node, linked below
+                states[t] = (d, cells, kids) if (cells := d._grid[2]) is not None else _Gated((self, t, kids))
+            for t in filter(None, states):  # every node but the root is its parent's child
+                states[t[:-1]][2][t[-1]] = states[t]
+            self._root = states.get((), _MAXIMAL)
             self._dists = table  # always a dict: `isinstance(_, dict)` is the cheap test
         else:
             if not isinstance(tree, GeneratedTree):
@@ -124,27 +135,6 @@ class EdgeFamily:
         if self._power is None and self._stride <= depth:
             self._power = self.row._power(self._stride)
         return self._power or (None, ())
-
-    def _root_state(self) -> tuple:
-        """The root's node state (row, cells, kids): cells[k] is child k's integer cell (b, c, q), kids.get(k, state)
-        its state, and a maximal node's state is (None, None, None). Built without reading a row through the gate: an
-        explicit family links one kept state per interior node, a shared row the gate accepts is one kept state with
-        no kids, so every child gets its parent's state back, and a rule node or a refused row has a `_Gated` state."""
-        if self._root is None:
-            row = self.row
-            if isinstance(self._dists, dict):
-                children, states = self.tree._children, {}
-                for t, d in self._dists.items():
-                    kids = dict.fromkeys(children[t], _MAXIMAL)  # interior children are linked below
-                    states[t] = (d, cells, kids) if (cells := d._grid[2]) is not None else _Gated((self, t, kids))
-                for t in filter(None, states):  # every node but the root is its parent's child
-                    states[t[:-1]][2][t[-1]] = states[t]
-                self._root = states.get((), _MAXIMAL)
-            elif row is not None and (cells := row._grid[2] if row.__class__ is FiniteDist else row) is not None:
-                self._root = row, cells, {}
-            else:
-                return _Gated((self, (), _Gated))  # not kept: it holds the family
-        return self._root
 
     def edge_prob(self, t: Path, k: int) -> Fraction:
         """Mass of the edge from t to child k; the row must be a distribution."""
@@ -282,14 +272,14 @@ def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), require=No
 
     The path-walk kernel: each end is validated once, by `require` (the
     tree's by default), and must extend `start`. Each step reads its node
-    state (`EdgeFamily._root_state`), multiplies in the child's integer cell,
+    state (from `EdgeFamily._root` down), multiplies in the child's integer cell,
     with no gcd, and moves to the child's state; the walk down to `start`
     reads no row. w/q is the end's weight below `start`. Ends are visited in
     lexicographic order, so a prefix shared by several ends is folded once:
     one step per distinct node. Only prefixes the next end shares keep their
     cell, so a rule node's state, which holds its path, dies with its step.
     """
-    state = family._root_state()
+    state = family._root
     for k in start:
         state = state[2].get(k, state)
     base = j = len(start)

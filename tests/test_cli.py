@@ -176,6 +176,51 @@ def test_bound_flag_combinations_are_usage_errors(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_bound_min_p_without_random_is_a_usage_error(binary_spec, capsys):
+    # --min-p only shapes a random tree: with --tree it used to be ignored, and the table printed
+    assert main(["bound", "--tree", binary_spec, "--p", "1/3", "--min-p", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "usage error: bound --min-p needs --random\n"
+
+
+_SPEC = {"version": 1, "representation": "explicit"}
+
+
+@pytest.mark.parametrize(
+    "doc, budget, message",
+    [
+        ([], None, "{spec}: node '': the document must be a JSON object"),
+        ({"version": 1, "representation": "generator"}, None, "{spec}: node '': generator documents need a 'generator' name"),
+        (
+            {"version": 1, "representation": "table"},
+            None,
+            "{spec}: node '': representation must be 'explicit' or 'generator', got 'table'",
+        ),
+        (_SPEC, None, "{spec}: node '': explicit documents need a 'nodes' table"),
+        ({**_SPEC, "nodes": {"": ["1"]}}, None, "{spec}: node '': node rows must be objects"),
+        (
+            {**_SPEC, "nodes": {"": {"arity": 0, "probs": ["1"]}}},
+            None,
+            "{spec}: node '': a maximal node cannot carry probabilities",
+        ),
+        ({**_SPEC, "nodes": {"": {"arity": 2, "probs": ["1"]}}}, None, "{spec}: node '': expected 2 probabilities, got 1"),
+        ({**_SPEC, "nodes": {"": {"arity": 0}}}, "x", "PTREE_DEPTH_BUDGET must be an integer, got 'x'"),
+        ({**_SPEC, "nodes": {"": {"arity": 0}}}, "-1", "PTREE_DEPTH_BUDGET must be nonnegative, got -1"),
+    ],
+    ids=["not-an-object", "no-generator", "representation", "no-nodes", "row", "maximal-probs", "prob-count",
+         "budget-not-int", "budget-negative"],
+)
+def test_a_bad_spec_or_budget_exits_1_naming_the_spec_file(tmp_path, capsys, monkeypatch, doc, budget, message):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    monkeypatch.delenv("PTREE_DEPTH_BUDGET", raising=False)
+    if budget is not None:
+        monkeypatch.setenv("PTREE_DEPTH_BUDGET", budget)
+    assert main(["classify", "--tree", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message.format(spec=spec)}\n"
+
+
 def test_env_budget_override(generator_spec, tmp_path, capsys, monkeypatch):
     doc = '{"version": 1, "representation": "generator", "generator": "uniform_binary"}'
     path = tmp_path / "nb.json"

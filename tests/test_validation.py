@@ -27,10 +27,12 @@ from ptree import (
     GeneratedTree,
     InductiveMeasure,
     InexactValue,
+    MalformedClopen,
     MalformedPair,
     MalformedTree,
     NegativeDepth,
     NotADistribution,
+    NotASubtree,
     NotATrialTree,
     OversizedValue,
     PTreeError,
@@ -301,6 +303,34 @@ def test_explicit_tree_names_the_bad_node(children, node, reason):
     assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
 
 
+_TWO_LEAVES = ExplicitTree({(): (0, 1), (0,): (0, 1), (1,): (), (0, 0): (), (0, 1): ()})
+
+
+@pytest.mark.parametrize(
+    "tree, dists, message",
+    [
+        (uniform_binary(3).tree, {(): FiniteDist(["1/2", "1/2"])}, "distribution tables require an explicit tree"),
+        # (0,) is interior, and both of its children are leaves
+        (_TWO_LEAVES, {(): FiniteDist(["1/2", "1/2"])}, "distribution table must cover exactly the non-maximal nodes"),
+        (
+            ExplicitTree({(): (0, 1), (0,): (), (1,): ()}),
+            {(): Geometric("1/2")},
+            "closed-form distributions require a generated tree",
+        ),
+        (
+            _TWO_LEAVES,
+            {(): FiniteDist(["1/2", "1/2"]), (0,): FiniteDist({0: "1/2", 2: "1/2"})},
+            r"distribution at \(0,\) does not match the child set",
+        ),
+        (_TWO_LEAVES, lambda t: FiniteDist(["1/2", "1/2"]), "distribution rules require a generated tree"),
+    ],
+    ids=["table-on-generated", "missing-row", "closed-form-row", "child-set", "rule-on-explicit"],
+)
+def test_edge_family_refuses_a_table_or_rule_that_does_not_fit_its_tree(tree, dists, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EdgeFamily(tree, dists)
+
+
 @pytest.mark.parametrize(
     "nodes, key, reason",
     [
@@ -437,6 +467,38 @@ def test_decimal_strings_stay_exact():
     assert FiniteDist(["0.1", "0.9"]).masses == (F(1, 10), F(9, 10))
     assert locate_branch(uniform_binary(4), "0.3", 3) == locate_branch(uniform_binary(4), F(3, 10), 3) == (0, 1, 0)
     assert freeness_report(uniform_binary(4), 3, "0.2").verdict == "free_certified"
+
+
+def _two_level_family():
+    return EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/4", "3/4"]})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: locate_branch(uniform_binary(4), F(-1, 2), 2), ValueError, r"the point must lie in \[0, 1\]"),
+        (lambda: locate_branch(uniform_binary(4), F(3, 2), 2), ValueError, r"the point must lie in \[0, 1\]"),
+        (
+            lambda: clopen_mass(_two_level_family(), ClopenSelection(1, frozenset({(5,)}))),
+            MalformedClopen,
+            r"selected node \(5,\) is not in the tree",
+        ),
+        (
+            lambda: clopen_mass(_two_level_family(), ClopenSelection(2, frozenset({(0,)}))),
+            MalformedClopen,
+            r"selected node \(0,\) is neither at level 2 nor maximal",
+        ),
+        (
+            lambda: subtree_mass_bound(_two_level_family(), [(), (2,)], 1),
+            NotASubtree,
+            r"node \(2,\) is not in the host tree",
+        ),
+    ],
+    ids=["locate-below-0", "locate-above-1", "clopen-outside", "clopen-off-level", "subtree-outside"],
+)
+def test_interval_queries_refuse_points_and_nodes_outside_the_tree(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_negative_depths_raise():
