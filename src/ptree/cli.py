@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from .bernoulli import (
     DependentTrialTree,
@@ -29,10 +29,12 @@ from .intervals import (
 )
 from .measures import EdgeFamily, front_mass, induced_measure, node_mass
 from .paths import format_path, parse_path
-from .specio import _family_from_document, _parse_fraction
-from .trees import DEFAULT_DEPTH_BUDGET, classify, enumerate_front
+from .specio import _load_json, _parse_fraction, parse_spec
+from .trees import DEFAULT_DEPTH_BUDGET, Front, classify, enumerate_front
 
 ENV_BUDGET = "PTREE_DEPTH_BUDGET"
+
+_T = TypeVar("_T")
 
 
 class _UsageError(Exception):
@@ -52,27 +54,26 @@ def _default_budget() -> int:
     return value
 
 
-def _read_json(path: str) -> object:
-    """The JSON document in a file; a file that cannot be read, decoded or parsed raises a PTreeError naming it."""
+def _read(path: str, parse: Callable[[str], _T]) -> _T:
+    """`parse` on the text of a file; a file that cannot be read or decoded, and every error `parse` raises about its
+    contents, raises a PTreeError naming the file."""
     try:
         with open(path, "rb") as handle:
-            return json.loads(handle.read().decode("utf-8"))  # decoded whole, so the error's offset is the file's
+            text = handle.read().decode("utf-8")  # decoded whole, so a JSON error's line is the file's
     except OSError as exc:
         raise PTreeError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise PTreeError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
-        raise PTreeError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    except RecursionError:
-        raise PTreeError(f"{path}: arrays or objects nested too deeply") from None
-
-
-def _load_family(path: str) -> EdgeFamily:
-    doc, budget = _read_json(path), _default_budget()
     try:
-        return _family_from_document(doc, default_budget=budget)
-    except PTreeError as exc:  # about the spec's contents: named with its file, as `_read_json` names it
+        return parse(text)
+    except (PTreeError, ValueError) as exc:
         raise PTreeError(f"{path}: {exc}") from None
+
+
+def _load_family(path: str, adopt: Callable[[EdgeFamily], _T] = lambda family: family) -> _T:
+    """`adopt` on the family a spec file holds, read by `_read`."""
+    budget = _default_budget()
+    return _read(path, lambda text: adopt(parse_spec(text, budget)))
 
 
 def _exact(x: Fraction | int) -> str:
@@ -167,13 +168,7 @@ def _cmd_front(args) -> int:
 def _cmd_expect(args) -> int:
     family = _load_family(args.tree)
     front = enumerate_front(family.tree, args.depth)
-    raw = _read_json(args.values)
-    if not isinstance(raw, dict):
-        raise PTreeError(f"{args.values}: expected a JSON object mapping front paths to values")
-    try:
-        variable = FrontVariable(front, {parse_path(k): _parse_fraction(v, k) for k, v in raw.items()})
-    except (PTreeError, ValueError) as exc:  # a bad key or value, or values that miss the front
-        raise PTreeError(f"{args.values}: {exc}") from None
+    variable = _read(args.values, functools.partial(_variable, front))
     if args.node is None:
         measure = induced_measure(family, args.depth)
         print(_exact(expect(measure, variable)))
@@ -182,15 +177,24 @@ def _cmd_expect(args) -> int:
     return 0
 
 
+def _variable(front: Front, text: str) -> FrontVariable:
+    raw = _load_json(text)
+    if not isinstance(raw, dict):
+        raise PTreeError("expected a JSON object mapping front paths to values")
+    return FrontVariable(front, {parse_path(k): _parse_fraction(v, k) for k, v in raw.items()})
+
+
+def _trial_tree(n: int | None, family: EdgeFamily) -> DependentTrialTree:
+    if not family.is_explicit:
+        raise PTreeError("the trial tree must be an explicit family")
+    return DependentTrialTree(family.tree.height if n is None else n, family)
+
+
 def _cmd_bound(args) -> int:
     if args.tree is not None:
         if args.min_p is not None:
             raise _UsageError("bound --min-p needs --random")
-        family = _load_family(args.tree)
-        if not family.is_explicit:
-            raise PTreeError("the trial tree must be an explicit family")
-        n = args.n if args.n is not None else family.tree.height
-        trial_tree = DependentTrialTree(n, family)
+        trial_tree = _load_family(args.tree, functools.partial(_trial_tree, args.n))
     else:
         if args.n is None:
             raise _UsageError("bound --random needs --n")

@@ -72,11 +72,11 @@ def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Option
     values = variable.values
     if t in memo or any(t[:i] in values for i in range(len(t))):
         return memo.get(t)
-    stack = [(t, None)]
+    stack = [(t, family._state(t), None)]  # each node with its state, and its children once they are pushed
     while stack:
-        u, kids = stack.pop()
+        u, state, kids = stack.pop()
         if kids is not None:
-            d = family._dist_unchecked(u)
+            d, _, _ = state
             es, los, his = zip(*map(memo.__getitem__, kids))
             terms = [d.mass(c[-1]) * e for c, e in zip(kids, es)]
             memo[u] = (sum(terms[1:], terms[0]), min(los), max(his))
@@ -84,8 +84,8 @@ def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Option
             memo[u] = (values[u], len(u), len(u))
         else:
             kids = [u + (k,) for k in family.tree._child_indices(u)]
-            stack.append((u, kids))
-            stack.extend((c, None) for c in kids if c not in memo)
+            stack.append((u, state, kids))
+            stack.extend((c, state[2].get(c[-1], state), None) for c in kids if c not in memo)
     return memo[t]
 
 

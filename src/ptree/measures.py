@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
 from .dists import Dist, FiniteDist, FractionLike, Geometric, PointMass, ONE, ZERO, as_fraction, fraction_sum, show
 from .errors import (
@@ -59,7 +60,6 @@ class EdgeFamily:
         self._stride = 0  # the levels one power step takes (`_power_row`); under 2, descent takes none
         # the root's node state (row, cells, kids), built without reading a row through the gate: cells[k] is child
         # k's integer cell (b, c, q), kids.get(k, state) its state, and (None, None, None) a maximal node's state
-        self._root = _Gated((self, (), _Gated))  # a rule's, or a refused shared row's: see `_Gated`
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
             if not arity or _support_mismatch(dists, arity):
@@ -67,10 +67,11 @@ class EdgeFamily:
             self.row, self._dists = dists, None
             if dists.__class__ is Geometric:
                 dists._build_head()  # once per shared row: a rule's fresh rows keep an empty head
-            if (cells := dists._grid[2] if dists.__class__ is FiniteDist else dists) is not None:  # the gate accepts
-                self._root = dists, cells, {}  # no kids: every child gets its parent's state back
-                if dists.__class__ is FiniteDist:
-                    self._stride = dists._stride()
+            cells = dists._grid[2] if dists.__class__ is FiniteDist else dists  # None when the gate refuses the row
+            # no kids when it accepts: every child gets its parent's state back
+            self._root = (dists, cells, {}) if cells is not None else _Gated((partial(_refuse, dists), (), _Gated))
+            if cells is not None and dists.__class__ is FiniteDist:
+                self._stride = dists._stride()
         elif isinstance(dists, Mapping):
             table = {tuple(t): d for t, d in dists.items()}
             if not isinstance(tree, ExplicitTree):
@@ -85,7 +86,7 @@ class EdgeFamily:
                 if d.indices != children[t]:
                     raise ValueError(f"distribution at {t} does not match the child set")
                 kids = dict.fromkeys(children[t], _MAXIMAL)  # one state per interior node, linked below
-                states[t] = (d, cells, kids) if (cells := d._grid[2]) is not None else _Gated((self, t, kids))
+                states[t] = (d, cells, kids) if (cells := d._grid[2]) is not None else _Gated((partial(_refuse, d), t, kids))
             for t in filter(None, states):  # every node but the root is its parent's child
                 states[t[:-1]][2][t[-1]] = states[t]
             self._root = states.get((), _MAXIMAL)
@@ -94,6 +95,7 @@ class EdgeFamily:
             if not isinstance(tree, GeneratedTree):
                 raise ValueError("distribution rules require a generated tree")
             self._dists = dists
+            self._root = _Gated((partial(_read_rule, tree, dists), (), _Gated))
 
     @property
     def is_explicit(self) -> bool:
@@ -108,26 +110,17 @@ class EdgeFamily:
             return self.row
         return self._dists[t] if isinstance(self._dists, dict) else self._dists(t)
 
-    def _dist_unchecked(self, t: Path) -> Dist | None:
-        """Distribution at a node known to be valid; None when it is maximal.
+    def _state(self, t: Path) -> tuple:
+        """The node state at t, a node known to be valid, stepped to from the root without reading a row."""
+        state = self._root
+        for k in t:
+            state = state[2].get(k, state)
+        return state
 
-        Every walk reads its rows here: a finite row that is not a
-        probability distribution, or a rule row that is not over the node's
-        children, raises NotADistribution.
-        """
-        d = self.row
-        if d is None:
-            if isinstance(self._dists, dict):
-                d = self._dists.get(t)
-            elif not (a := self.tree._arity_unchecked(t)):
-                return None
-            else:
-                d = self._dists(t)
-                if mismatch := _support_mismatch(d, a):
-                    raise NotADistribution(f"at node {t}, {mismatch}")
-        if d.__class__ is FiniteDist and d._grid[2] is None:
-            raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
-        return d
+    def _dist_unchecked(self, t: Path) -> Dist | None:
+        """The row at a node known to be valid, read from its state: a refused row raises; None at a maximal node."""
+        row, _, _ = self._state(t)
+        return row
 
     def _power_row(self, depth: int) -> tuple[FiniteDist | None, tuple[Path, ...]]:
         """The shared finite row's `FiniteDist._power` over its stride m >= 2, built by the first descent at least m
@@ -183,19 +176,35 @@ _MAXIMAL = (None, None, None)  # a maximal node's state
 
 
 class _Gated(tuple):
-    """A node state (family, t, kids) that reads its row through the gate, `family._dist_unchecked(t)`, each time it is
-    unpacked as (row, cells, kids): a refused row raises at the step that leaves its node. `state[2]` reads no row. A
-    rule node's kids are `_Gated` itself, whose `get` builds child k's state from its parent's."""
+    """A node state (read, t, kids) that reads its row as `read(t)` each time it is unpacked as (row, cells, kids): a
+    refused row raises at the step that leaves its node. `state[2]` reads no row. A rule node's kids are `_Gated`
+    itself, whose `get` builds child k's state from its parent's. No state holds its family."""
 
     __slots__ = ()
 
     def __iter__(self):
-        d = self[0]._dist_unchecked(self[1])
+        d = self[0](self[1])
         return iter(_MAXIMAL if d is None else (d, d._grid[2] if d.__class__ is FiniteDist else d, self[2]))
 
     @staticmethod
     def get(k: int, state: _Gated) -> _Gated:
         return _Gated((state[0], state[1] + (k,), _Gated))
+
+
+def _refuse(d: FiniteDist, t: Path) -> NoReturn:
+    """The reader of a row the gate refuses, bound to the row: reading it at any node t raises NotADistribution."""
+    raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
+
+
+def _read_rule(tree: GeneratedTree, rule: Callable[[Path], Dist], t: Path) -> Dist | None:
+    """The reader of a rule family, bound to its tree and rule: None at a maximal node; a row that is not over the
+    node's children, or a finite row that is not a probability distribution, raises NotADistribution."""
+    if not (a := tree._arity_unchecked(t)):
+        return None
+    d = rule(t)
+    if mismatch := _support_mismatch(d, a):
+        raise NotADistribution(f"at node {t}, {mismatch}")
+    return _refuse(d, t) if d.__class__ is FiniteDist and d._grid[2] is None else d
 
 
 def _support_mismatch(d: Dist, arity: Arity) -> str | None:
@@ -279,9 +288,7 @@ def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), require=No
     one step per distinct node. Only prefixes the next end shares keep their
     cell, so a rule node's state, which holds its path, dies with its step.
     """
-    state = family._root
-    for k in start:
-        state = state[2].get(k, state)
+    state = family._state(start)
     base = j = len(start)
     ends = sorted(set(map(require or family.tree.require, map(tuple, ends))))
     out: dict[Path, tuple[int, int, int]] = {}
@@ -397,27 +404,22 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
     checked again.
     """
     tree = family.tree
-    if depth is None:
-        if not isinstance(tree, ExplicitTree):
-            raise ValueError("materializing a generated family needs an explicit depth")
-        depth_limit = tree.height
-        record_depth = None
-    else:
-        _check_budget(tree, depth)
-        depth_limit = depth
-        record_depth = None if isinstance(tree, ExplicitTree) and depth >= tree.height else depth
-
+    if depth is None and not isinstance(tree, ExplicitTree):
+        raise ValueError("materializing a generated family needs an explicit depth")
+    depth_limit = tree.height if depth is None else depth
+    _check_budget(tree, depth_limit)
+    record_depth = None if isinstance(tree, ExplicitTree) and depth_limit >= tree.height else depth
     masses: dict[Path, Fraction] = {}
-    stack: list[tuple[Path, Fraction]] = [((), ONE)]
+    stack = [((), ONE, family._root)]  # each node with its mass and its state
     while stack:
-        t, m = stack.pop()
+        t, m, state = stack.pop()
         masses[t] = m
-        d = family._dist_unchecked(t) if len(t) < depth_limit else None
+        d, _, kids = state if len(t) < depth_limit else _MAXIMAL
         if d is None:
             continue
         if d.support is OMEGA:
             raise InfiniteLevel(f"node {t} has infinitely many successors")
-        stack.extend((t + (k,), m * p) for k, p in d.items())
+        stack.extend((t + (k,), m * p, kids.get(k, state)) for k, p in d.items())
     return InductiveMeasure._trusted(tree, masses, record_depth)
 
 
@@ -498,17 +500,14 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
         return family, NullNodeSet(family)
 
     explicit = family.is_explicit
-    if explicit:
-        limit = tree.height
-    else:
-        limit = tree.depth_budget if depth is None else depth
-        _check_budget(tree, limit)
+    limit = tree.height if explicit else (tree.depth_budget if depth is None else depth)
+    _check_budget(tree, limit)
     children: dict[Path, tuple[int, ...]] = {}
     dists: dict[Path, FiniteDist] = {}
-    stack: list[Path] = [()]
+    stack = [((), family._root)]  # each node with its state
     while stack:
-        t = stack.pop()
-        d = family._dist_unchecked(t) if len(t) < limit else None
+        t, state = stack.pop()
+        d, _, kids = state if len(t) < limit else _MAXIMAL
         if d is None:
             children[t] = ()
             continue
@@ -517,7 +516,7 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
             raise InfiniteLevel(f"node {t} has infinitely many positive successors")
         children[t] = tuple(support)
         dists[t] = FiniteDist({k: d.mass(k) for k in support})
-        stack.extend(t + (k,) for k in support)
+        stack.extend((t + (k,), kids.get(k, state)) for k in support)
     null = frozenset(t for t in tree.nodes() if t not in children) if explicit else NullNodeSet(family)
     return EdgeFamily(ExplicitTree(children, tree.depth_budget), dists), null
 

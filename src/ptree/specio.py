@@ -61,19 +61,19 @@ def _build_generator(name: str, depth_budget: int) -> EdgeFamily:
     raise UnknownGenerator(f"unknown generator {name!r}; available: {', '.join(_GENERATORS)}")
 
 
-def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
-    """Parse a tree-spec document into a validated edge family."""
+def _load_json(text: str) -> Any:
+    """The JSON document in text; bad syntax, or nesting too deep to parse, raises SpecSyntaxError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, line=exc.lineno) from None
     except RecursionError:
         raise SpecSyntaxError("arrays or objects nested too deeply") from None
-    return _family_from_document(doc, default_budget)
 
 
-def _family_from_document(doc: Any, default_budget: int | None = None) -> EdgeFamily:
-    """`parse_spec` on a document already read from JSON."""
+def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
+    """Parse a tree-spec document into a validated edge family."""
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise SpecValidationError("", "the document must be a JSON object")
     version = doc.get("version")

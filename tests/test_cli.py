@@ -221,6 +221,34 @@ def test_a_bad_spec_or_budget_exits_1_naming_the_spec_file(tmp_path, capsys, mon
     assert captured.out == "" and captured.err == f"error: {message.format(spec=spec)}\n"
 
 
+@pytest.mark.parametrize("role", ["tree", "values"])
+def test_a_json_syntax_error_exits_1_naming_the_file_and_line(binary_spec, tmp_path, capsys, role):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad\n")
+    if role == "tree":
+        argv = ["measure", "--tree", str(bad), "--node", "0"]
+    else:
+        argv = ["expect", "--tree", binary_spec, "--depth", "2", "--values", str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {bad}: line 1: Expecting property name enclosed in double quotes\n"
+
+
+@pytest.mark.parametrize(
+    "spec, n, message",
+    [
+        ("generator_spec", [], "the trial tree must be an explicit family"),
+        ("binary_spec", ["--n", "5"], "the family must live on the complete binary tree of height 5"),
+    ],
+    ids=["generator", "too-few-levels"],
+)
+def test_bound_names_the_spec_file_that_holds_no_trial_tree(request, capsys, spec, n, message):
+    path = request.getfixturevalue(spec)
+    assert main(["bound", "--tree", path, "--p", "1/2", *n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
+
+
 def test_env_budget_override(generator_spec, tmp_path, capsys, monkeypatch):
     doc = '{"version": 1, "representation": "generator", "generator": "uniform_binary"}'
     path = tmp_path / "nb.json"

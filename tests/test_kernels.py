@@ -88,7 +88,7 @@ from ptree import (
 from ptree import bernoulli, encoding, intervals
 from ptree.dists import HEAD_BITS, Geometric, PointMass, _geometric_index, _power_index, fraction_sum, show
 from ptree.encoding import EncodingReport
-from ptree.measures import _walk, positive_part
+from ptree.measures import _support_mismatch, _walk, positive_part
 from ptree.paths import OMEGA, compatible, is_prefix
 
 from corpus import random_family, random_tree, random_variable
@@ -1038,14 +1038,32 @@ def test_chunked_descent_is_exact_on_dyadic_families(family, depth, chunks):
     assert chunked_descent_masses(family, depth, chunks) == expected
 
 
+def path_row(family, t):
+    """The row at a node known to be valid, read by path: the table row, the shared row or the rule, with the row
+    gate's texts; None at a maximal node. Independent of the node states the kernels step through."""
+    d = family.row
+    if d is None:
+        if family.is_explicit:
+            d = family._dists.get(t)
+        elif not (a := family.tree._arity_unchecked(t)):
+            return None
+        else:
+            d = family._dists(t)
+            if mismatch := _support_mismatch(d, a):
+                raise NotADistribution(f"at node {t}, {mismatch}")
+    if d.__class__ is FiniteDist and d._grid[2] is None:
+        raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
+    return d
+
+
 def per_level_descend(family, un, wn, ud, depth, refine=None):
     """Descent one level per bisection, reading each row by path: as written before shared finite rows stepped
     through a power row and explicit families through node states."""
     y = un, ud
-    shared = family._dist_unchecked(()) if family.row is not None and depth else None
+    shared = path_row(family, ()) if family.row is not None and depth else None
     t = ()
     while len(t) < depth:
-        d = shared or family._dist_unchecked(t)
+        d = shared or path_row(family, t)
         if d is None:
             break
         hit = d.locate(un, ud)
@@ -1117,7 +1135,7 @@ def path_reading_walk(family, ends, start=(), require=None):
         lo, w, q = cells[-1]
         for i in range(j, len(s)):
             table = shared if rows is None else rows[s[:i]]._grid[2]
-            b, c, r = table[s[i]] if table is not None else (closed or family._dist_unchecked(s[:i]).cell)(s[i])
+            b, c, r = table[s[i]] if table is not None else (closed or path_row(family, s[:i]).cell)(s[i])
             lo, w, q = lo * r + w * b, w * c, q * r
             cells.append((lo, w, q))
         out[s] = lo, w, q

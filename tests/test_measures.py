@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import time
@@ -792,3 +793,23 @@ def test_root_walks_on_a_deep_rule_tree_trust_membership(walk):
     else:
         assert positive_part(family, 1000)[0].tree.height == 1000
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/3", "1/3"]}),
+        lambda: EdgeFamily(GeneratedTree(2, 4), FiniteDist(["1/3", "1/3"])),
+        lambda: EdgeFamily(GeneratedTree(2, 4), lambda t: FiniteDist(["1/2", "1/2"])),
+    ],
+    ids=["refused-table-row", "refused-shared-row", "rule"],
+)
+def test_a_dropped_family_leaves_nothing_for_the_cyclic_collector(make):
+    # a gated state holds its reader, not its family, so reference counting frees the family and its states
+    gc.collect()
+    gc.disable()
+    try:
+        make()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

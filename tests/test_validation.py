@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptree import (
     ClopenSelection,
+    DependentTrialTree,
     DepthBudgetExceeded,
     EdgeFamily,
     ExplicitTree,
@@ -27,6 +28,7 @@ from ptree import (
     GeneratedTree,
     InductiveMeasure,
     InexactValue,
+    InfiniteLevel,
     MalformedClopen,
     MalformedPair,
     MalformedTree,
@@ -53,6 +55,7 @@ from ptree import (
     node_mass,
     pair_from_family,
     parse_spec,
+    positive_part,
     random_trial_tree,
     relative_expect,
     serialize_spec,
@@ -66,6 +69,7 @@ from ptree import (
 from ptree import encoding
 from ptree.cli import main
 from ptree.dists import MAX_POWER_BITS, Geometric, PointMass, as_fraction, show
+from ptree.paths import OMEGA
 
 from corpus import random_family, random_tree
 
@@ -499,6 +503,71 @@ def _two_level_family():
 def test_interval_queries_refuse_points_and_nodes_outside_the_tree(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+_HALVES = EdgeFamily.from_table({(): ["1/2", "1/2"]})
+_ON_HALVES = FrontVariable(enumerate_front(_HALVES.tree, 1), {(0,): 1, (1,): 2})
+_ON_THIRDS = FrontVariable(enumerate_front(ExplicitTree({(): (0, 1, 2), (0,): (), (1,): (), (2,): ()}), 1), dict.fromkeys([(0,), (1,), (2,)], 1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: InductiveMeasure(GeneratedTree(2, 3), {(): 1}),
+            ValueError,
+            "measures over generated trees need a materialization depth",
+        ),
+        (lambda: InductiveMeasure(_HALVES.tree, {(): 1, (0,): F(3, 2)}), ValueError, r"mass at \(0,\) is 3/2, outside \[0, 1\]"),
+        (
+            lambda: InductiveMeasure(_HALVES.tree, {(): 1, (0,): 1}),
+            ValueError,
+            r"successors of \(\) are not all materialized: \(1,\)",
+        ),
+        (lambda: induced_measure(uniform_binary(3)), ValueError, "materializing a generated family needs an explicit depth"),
+        (
+            lambda: positive_part(EdgeFamily(GeneratedTree(OMEGA, 3), lambda t: Geometric("1/2"))),
+            InfiniteLevel,
+            r"node \(\) has infinitely many positive successors",
+        ),
+        (lambda: GeneratedTree(2, -1), ValueError, "generated trees need a nonnegative depth budget"),
+        (lambda: tower_check(_HALVES, _ON_HALVES, 1, 0, 1), ValueError, "levels must satisfy m <= n <= k"),
+        (lambda: _ON_HALVES.scale_add(1, _ON_THIRDS, 1), ValueError, "variables live on different fronts"),
+        (
+            lambda: DependentTrialTree.from_success_probs(1, {(): F(3, 2)}),
+            NotATrialTree,
+            r"success probability at \(\) is 3/2, outside \[0, 1\]",
+        ),
+        (
+            lambda: serialize_spec(EdgeFamily(GeneratedTree(2, 3), FiniteDist(["1/2", "1/2"]))),
+            ValueError,
+            "only named generated families can be serialized",
+        ),
+        (
+            lambda: serialize_spec(positive_part(EdgeFamily.from_table({(): ["1/2", "0", "1/2"]}))[0]),
+            ValueError,
+            r"node \(\) has a sparse child set; the format stores canonical trees",
+        ),
+        (lambda: FiniteDist({-1: "1"}), ValueError, "negative child index"),
+        (lambda: PointMass(-1), ValueError, "negative child index"),
+        (lambda: uniform_binary(3).dist_table(), ValueError, "generated families have no finite distribution table"),
+    ],
+    ids=[
+        "measure-without-depth", "measure-mass-above-1", "measure-missing-successor", "induced-generated-without-depth",
+        "positive-part-of-geometric-rule", "negative-tree-budget", "tower-levels-out-of-order", "scale-add-across-fronts",
+        "trial-probability-above-1", "serialize-unnamed-generator", "serialize-sparse-positive-part",
+        "finite-row-negative-index", "point-mass-negative-index", "dist-table-of-generated",
+    ],
+)
+def test_public_entry_points_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_a_depth_budget_round_trips_through_a_spec():
+    fam = EdgeFamily.from_table({(): ["1/2", "1/2"]}, depth_budget=5)
+    back = parse_spec(serialize_spec(fam))
+    assert back == fam and back.tree.depth_budget == 5
 
 
 def test_negative_depths_raise():
