@@ -34,6 +34,7 @@ from .errors import (
     HypothesisViolated,
     InexactValue,
     InfiniteLevel,
+    InvalidArgument,
     InvalidAdjacency,
     MalformedClopen,
     MalformedPair,

@@ -57,8 +57,8 @@ def _check_trials(trials: int) -> None:
 def _preorder(trials: int) -> Iterator[tuple[Path, int]]:
     """(node, heap index) of every interior node, in preorder with child 1 first.
 
-    This is the node order of `complete_binary_tree(trials)`, so probability
-    getters are called in the same order as when trial trees were built on it.
+    Probability getters and `random_trial_tree`'s draws go node by node in
+    this order, so seeded trees stay pinned to it.
     """
     stack: list[tuple[Path, int]] = [((), 0)] if trials else []
     while stack:
@@ -282,7 +282,8 @@ def dominance_check(trial_tree: DependentTrialTree, p: FractionLike) -> Dominanc
         common, nums = scaled
         below = bool(nums) and min(nums) * p.denominator < p.numerator * common
     if below:
-        t = next(t for t in sorted(trial_tree.interior_nodes()) if trial_tree.success_prob(t) < p)
+        nums, dens = trial_tree._nums, trial_tree._dens
+        t = min(t for t, i in _preorder(n) if nums[i] * p.denominator < p.numerator * dens[i])
         raise HypothesisViolated(
             t, f"success probability {show(trial_tree.success_prob(t))} at {t} is below {show(p)}"
         )

@@ -16,7 +16,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InexactValue, NotADistribution, OversizedValue
+from .errors import InexactValue, InvalidArgument, NotADistribution, OversizedValue
 from .paths import OMEGA
 
 ONE = Fraction(1)
@@ -88,9 +88,9 @@ class FiniteDist:
         else:
             items = tuple(sorted(((int(k), as_fraction(v)) for k, v in masses.items()), key=itemgetter(0)))
             if items and items[0][0] < 0:
-                raise ValueError("negative child index")
+                raise InvalidArgument("negative child index")
             if any(a[0] == b[0] for a, b in zip(items, items[1:])):
-                raise ValueError("duplicate child index")
+                raise InvalidArgument("duplicate child index")
         self._items = items
         # (q, runs, cells): q is the lcm of the row's denominators; runs[i] is q times the mass of the
         # first i entries, so entry i's cell is [runs[i]/q, runs[i + 1]/q). cells is None unless the masses
@@ -331,7 +331,7 @@ class PointMass(_ClosedForm):
 
     def __init__(self, index: int):
         if index < 0:
-            raise ValueError("negative child index")
+            raise InvalidArgument("negative child index")
         self.index = index
 
     def cell(self, k: int) -> tuple[int, int, int]:

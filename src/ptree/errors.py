@@ -32,6 +32,10 @@ class DepthBudgetExceeded(PTreeError):
     """An operation asked about nodes beyond the tree's depth budget."""
 
 
+class InvalidArgument(PTreeError, ValueError):
+    """An argument the call cannot take: a missing depth, masses that break the inductive law, levels out of order."""
+
+
 class NegativeDepth(PTreeError, ValueError):
     """A depth or level argument is negative."""
 

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .dists import FractionLike, as_fraction, fraction_sum
-from .errors import NodeNotBelowFront, NotAFront, PreconditionFrontMismatch
+from .errors import InvalidArgument, NodeNotBelowFront, NotAFront, PreconditionFrontMismatch
 from .measures import EdgeFamily, InductiveMeasure, _materialized_masses, _walk
 from .paths import Path, is_prefix
 from .trees import Front, _check_front, level
@@ -41,7 +41,7 @@ class FrontVariable:
     def scale_add(self, a: FractionLike, other: "FrontVariable", b: FractionLike) -> "FrontVariable":
         """Pointwise a*self + b*other on a shared front."""
         if self.front.nodes != other.front.nodes:
-            raise ValueError("variables live on different fronts")
+            raise InvalidArgument("variables live on different fronts")
         a, b = as_fraction(a), as_fraction(b)
         return FrontVariable(
             self.front, {t: a * v + b * other.values[t] for t, v in self.values.items()}
@@ -63,7 +63,8 @@ def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Option
     subtree below t post-order and memoizes every entry for one family
     object; later queries at or below t are dict reads. The front must be
     a front of the family's tree: every child of a node above it then lies
-    at or above a member.
+    at or above a member. A node's state gives its row before its children
+    are folded, so the shallowest refused row on a path raises, as in `_walk`.
     """
     owner, memo = variable._memo
     if owner is not family:
@@ -72,20 +73,20 @@ def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Option
     values = variable.values
     if t in memo or any(t[:i] in values for i in range(len(t))):
         return memo.get(t)
-    stack = [(t, family._state(t), None)]  # each node with its state, and its children once they are pushed
+    stack = [(t, family._state(t), None)]  # each node with its state, and its (child, edge mass) pairs once pushed
     while stack:
         u, state, kids = stack.pop()
         if kids is not None:
-            d, _, _ = state
-            es, los, his = zip(*map(memo.__getitem__, kids))
-            terms = [d.mass(c[-1]) * e for c, e in zip(kids, es)]
+            es, los, his = zip(*(memo[c] for c, _ in kids))
+            terms = [p * e for (_, p), e in zip(kids, es)]
             memo[u] = (sum(terms[1:], terms[0]), min(los), max(his))
         elif u in values:
             memo[u] = (values[u], len(u), len(u))
-        else:
-            kids = [u + (k,) for k in family.tree._child_indices(u)]
+        else:  # an interior node: its row, read before its children are folded, lists every child
+            d, _, nexts = state
+            kids = [(u + (k,), p) for k, p in d.items()]
             stack.append((u, state, kids))
-            stack.extend((c, state[2].get(c[-1], state), None) for c in kids if c not in memo)
+            stack.extend((c, nexts.get(c[-1], state), None) for c, _ in kids if c not in memo)
     return memo[t]
 
 
@@ -166,7 +167,7 @@ def tower_check(family: EdgeFamily, variable: FrontVariable, m: int, n: int, k: 
     exact whenever no maximal node shorter than k sits above the node.
     """
     if not (0 <= m <= n <= k):
-        raise ValueError("levels must satisfy m <= n <= k")
+        raise InvalidArgument("levels must satisfy m <= n <= k")
     _check_front(family.tree, variable.front, "the variable's front")
     tree = family.tree
     cases = []

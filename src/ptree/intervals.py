@@ -246,7 +246,7 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
 
     if family.row is None:
         return FreenessReport(depth, epsilon, INCONCLUSIVE)
-    row = family._dist_unchecked(())  # the shared row, checked to be a distribution
+    row, _, _ = family._root  # the shared row, read through the gate: a refused one raises
     if isinstance(row, Geometric):
         sup = 1 - row.ratio  # child 0's mass, the largest
     else:

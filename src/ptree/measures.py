@@ -18,6 +18,7 @@ from .dists import Dist, FiniteDist, FractionLike, Geometric, PointMass, ONE, ZE
 from .errors import (
     DepthBudgetExceeded,
     InfiniteLevel,
+    InvalidArgument,
     MalformedPair,
     NodeNotBelowFront,
     NotADistribution,
@@ -117,11 +118,6 @@ class EdgeFamily:
             state = state[2].get(k, state)
         return state
 
-    def _dist_unchecked(self, t: Path) -> Dist | None:
-        """The row at a node known to be valid, read from its state: a refused row raises; None at a maximal node."""
-        row, _, _ = self._state(t)
-        return row
-
     def _power_row(self, depth: int) -> tuple[FiniteDist | None, tuple[Path, ...]]:
         """The shared finite row's `FiniteDist._power` over its stride m >= 2, built by the first descent at least m
         deep, and kept; (None, ()) until then."""
@@ -131,16 +127,18 @@ class EdgeFamily:
 
     def edge_prob(self, t: Path, k: int) -> Fraction:
         """Mass of the edge from t to child k; the row must be a distribution."""
-        t = tuple(t)
-        self.dist(t)  # t is a node, and not a maximal one
-        tree = self.tree  # k is checked as a child index only: t + (k,) may lie past the depth budget
-        if k < 0 or (tree._arity_unchecked(t) is not OMEGA and k not in tree._child_indices(t)):
+        tree = self.tree
+        t = tree.require(tuple(t))
+        if (a := tree._arity_unchecked(t)) == 0:  # the checks `dist` makes, without reading the row
+            raise UnknownNode(f"node {t} is maximal and has no successor distribution")
+        if k < 0 or (a is not OMEGA and k not in tree._child_indices(t)):  # t + (k,) may lie past the depth budget
             raise UnknownNode(f"no node {t + (k,)} in tree")
-        return self._dist_unchecked(t).mass(k)
+        row, _, _ = self._state(t)  # the one read of the row, through the gate
+        return row.mass(k)
 
     def dist_table(self) -> Mapping[Path, Dist]:
         if not isinstance(self._dists, dict):
-            raise ValueError("generated families have no finite distribution table")
+            raise InvalidArgument("generated families have no finite distribution table")
         return dict(self._dists)
 
     @classmethod
@@ -335,7 +333,7 @@ class InductiveMeasure:
     ):
         table = {tuple(t): as_fraction(m) for t, m in masses.items()}
         if depth is None and not isinstance(tree, ExplicitTree):
-            raise ValueError("measures over generated trees need a materialization depth")
+            raise InvalidArgument("measures over generated trees need a materialization depth")
         self.tree = tree
         self._masses = table
         self.depth = depth
@@ -351,12 +349,12 @@ class InductiveMeasure:
     def _validate(self) -> None:
         tree = self.tree
         if self._masses.get((), None) != 1:
-            raise ValueError("root mass must be exactly 1")
+            raise InvalidArgument("root mass must be exactly 1")
         for t, m in self._masses.items():
             if not 0 <= m <= 1:
-                raise ValueError(f"mass at {t} is {show(m)}, outside [0, 1]")
+                raise InvalidArgument(f"mass at {t} is {show(m)}, outside [0, 1]")
             if self.depth is not None and len(t) > self.depth:
-                raise ValueError(f"mass at {t} lies beyond the materialized depth {self.depth}")
+                raise InvalidArgument(f"mass at {t} lies beyond the materialized depth {self.depth}")
             tree.require(t)
         for t, m in self._masses.items():  # every t is now a node
             if self.depth is not None and len(t) >= self.depth:
@@ -366,10 +364,10 @@ class InductiveMeasure:
                 continue
             missing = [c for c in kids if c not in self._masses]
             if missing:
-                raise ValueError(f"successors of {t} are not all materialized: {missing[0]}")
+                raise InvalidArgument(f"successors of {t} are not all materialized: {missing[0]}")
             total = fraction_sum(self._masses[c].as_integer_ratio() for c in kids)
             if total != m:
-                raise ValueError(f"inductive law fails at {t}: children sum to {show(total)}, node has {show(m)}")
+                raise InvalidArgument(f"inductive law fails at {t}: children sum to {show(total)}, node has {show(m)}")
 
     def mass(self, t: Path) -> Fraction:
         t = tuple(t)
@@ -405,7 +403,7 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
     """
     tree = family.tree
     if depth is None and not isinstance(tree, ExplicitTree):
-        raise ValueError("materializing a generated family needs an explicit depth")
+        raise InvalidArgument("materializing a generated family needs an explicit depth")
     depth_limit = tree.height if depth is None else depth
     _check_budget(tree, depth_limit)
     record_depth = None if isinstance(tree, ExplicitTree) and depth_limit >= tree.height else depth
@@ -495,9 +493,10 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     frozenset, a generated family's as a NullNodeSet.
     """
     tree = family.tree
-    row = family.row
-    if row is not None and row.positive_support() == row.support:
-        return family, NullNodeSet(family)
+    if family.row is not None:
+        row, _, _ = family._root  # a refused shared row raises here, as in every walk
+        if row.positive_support() == row.support:
+            return family, NullNodeSet(family)
 
     explicit = family.is_explicit
     limit = tree.height if explicit else (tree.depth_budget if depth is None else depth)

@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import Any
 
 from .dists import SHOWN_BITS, FiniteDist, as_fraction
-from .errors import MalformedTree, OversizedValue, SpecSyntaxError, SpecValidationError, UnknownGenerator
+from .errors import InvalidArgument, MalformedTree, OversizedValue, SpecSyntaxError, SpecValidationError, UnknownGenerator
 from .measures import EdgeFamily, dirac, geometric_omega, uniform_binary
 from .paths import Path, format_path, parse_path
 from .trees import DEFAULT_DEPTH_BUDGET, ExplicitTree
@@ -138,7 +138,7 @@ def serialize_spec(family: EdgeFamily) -> str:
     """Serialize an edge family; explicit tables round-trip exactly."""
     if not family.is_explicit:
         if family.name is None:
-            raise ValueError("only named generated families can be serialized")
+            raise InvalidArgument("only named generated families can be serialized")
         doc = {
             "version": FORMAT_VERSION,
             "representation": "generator",
@@ -152,7 +152,7 @@ def serialize_spec(family: EdgeFamily) -> str:
     for t in sorted(family.tree.nodes()):
         idx = family.tree._child_indices(t)
         if idx != tuple(range(len(idx))):
-            raise ValueError(f"node {t} has a sparse child set; the format stores canonical trees")
+            raise InvalidArgument(f"node {t} has a sparse child set; the format stores canonical trees")
         row: dict[str, Any] = {"arity": len(idx)}
         if idx:
             row["probs"] = [str(p) for p in rows[t].masses]

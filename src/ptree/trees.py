@@ -9,7 +9,7 @@ infinite set fail with InfiniteLevel instead of truncating silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import le
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -199,7 +199,7 @@ class GeneratedTree(_Tree):
 
     def __init__(self, arity: Arity | Callable[[Path], Arity], depth_budget: int, name: str | None = None):
         if depth_budget is None or depth_budget < 0:
-            raise ValueError("generated trees need a nonnegative depth budget")
+            raise NegativeDepth("generated trees need a nonnegative depth budget")
         if callable(arity):
             self.shared_arity, self._rule = None, arity
         else:
@@ -479,15 +479,8 @@ def classify(tree: TreeShape, explore_depth: int | None = None) -> ClassifyRepor
 
 
 def complete_binary_tree(height: int) -> ExplicitTree:
-    """The explicit binary tree whose deepest nodes have length `height`."""
-    children: dict[Path, tuple[int, ...]] = {}
-    stack: list[Path] = [()]
-    while stack:
-        t = stack.pop()
-        if len(t) < height:
-            children[t] = (0, 1)
-            stack.append(t + (0,))
-            stack.append(t + (1,))
-        else:
-            children[t] = ()
-    return ExplicitTree(children)
+    """The explicit binary tree whose deepest nodes have length `height`, its nodes listed level by level."""
+    if height < 0:
+        raise NegativeDepth(f"height {height} is negative")
+    children = {t: (0, 1) if d < height else () for d in range(height + 1) for t in product((0, 1), repeat=d)}
+    return ExplicitTree._canonical(children)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -361,3 +362,16 @@ def test_binomial_rejects_p_outside_unit_interval():
         with pytest.raises(NotADistribution) as info:
             call()
         assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+def test_naming_the_first_violator_builds_no_fraction_per_node():
+    # the first violator is found without sorting the 2^15 interior paths or building a Fraction per node
+    tt = random_trial_tree(16, 1, F(1, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(HypothesisViolated, match=r"^success probability 2/5 at \(0, 0, 0, 0, 0, 0, 0, 0, 0, 0\) is below 1/2$"):
+            dominance_check(tt, F(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20

@@ -7,6 +7,8 @@ from ptree import (
     DepthBudgetExceeded,
     Front,
     FrontVariable,
+    TowerCase,
+    TowerReport,
     NodeNotBelowFront,
     PreconditionFrontMismatch,
     enumerate_front,
@@ -199,3 +201,13 @@ def test_mass_decomposition_through_node():
                     for i in range(len(t), len(s)):
                         w *= fam.dist(s[:i]).mass(s[i])
                     assert m.mass(s) == w * m.mass(t)
+
+
+def test_lhs_and_rhs_need_a_report_of_one_case():
+    case = TowerCase((), F(1), F(1))
+    assert (TowerReport((case,)).lhs, TowerReport((case,)).rhs) == (1, 1)
+    report = TowerReport((case, TowerCase((0,), F(1, 2), F(1, 2))))
+    with pytest.raises(ValueError, match="^lhs is only defined for single-node reports$"):
+        report.lhs
+    with pytest.raises(ValueError, match="^rhs is only defined for single-node reports$"):
+        report.rhs

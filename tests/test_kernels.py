@@ -428,7 +428,7 @@ def test_finite_rows_built_with_their_grid_match_the_lazy_grid(gaps_masses, norm
         tree = ExplicitTree({(): indices, **{(k,): () for k in indices}})
         fam = EdgeFamily(tree, {(): row})
         verdict = oracle.gate()
-        assert result_of(fam._dist_unchecked, ()) == (row if verdict is None else (NotADistribution, verdict))
+        assert result_of(lambda: tuple(fam._state(()))[0]) == (row if verdict is None else (NotADistribution, verdict))
 
 
 @FAST

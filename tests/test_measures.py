@@ -441,6 +441,14 @@ def test_edge_prob_does_not_check_the_child_against_the_depth_budget():
     assert dirac(2, 8).edge_prob((), 3) == 0 and dirac(2, 8).edge_prob((), 2) == 1
 
 
+def test_edge_prob_reads_a_rule_row_once():
+    # the row is read once, through the gate: reading it by path through `dist` as well would call the rule twice
+    calls = []
+    fam = EdgeFamily(GeneratedTree(2, 40), lambda t: calls.append(t) or FiniteDist(["1/4", "3/4"]))
+    assert [fam.edge_prob((1,) * n, n % 2) for n in (0, 1, 39)] == [F(1, 4), F(3, 4), F(3, 4)]
+    assert calls == [(), (1,), (1,) * 39]
+
+
 def test_a_rule_family_on_an_explicit_tree_is_refused():
     # it used to be built, and then positive_part, validate_edge_family and pair_from_family failed on it
     with pytest.raises(ValueError, match="distribution rules require a generated tree"):
@@ -575,8 +583,14 @@ _LEFT_HALVES = InductiveMeasure(
         (complete_binary_tree(1), induced_measure(uniform_binary(3), 1), {}, "the positive part must live on an explicit tree"),
         (ExplicitTree({(): (0,), (0,): ()}), _HALVES, {}, r"positive node \(1,\) is not in the host tree"),
         (complete_binary_tree(2), _LEFT_HALVES, {(1,): Geometric(F(1, 2))}, r"filler at \(1,\) must be a finite distribution"),
+        (
+            complete_binary_tree(1),
+            InductiveMeasure(complete_binary_tree(1), {(): 1, (0,): 1, (1,): 0}),
+            {},
+            r"positive part carries mass 0 at \(1,\)",
+        ),
     ],
-    ids=["generated-host", "generated-positive", "positive-node-off-the-host", "closed-form-filler"],
+    ids=["generated-host", "generated-positive", "positive-node-off-the-host", "closed-form-filler", "zero-positive-mass"],
 )
 def test_general_pair_refusals_name_what_is_wrong(host, positive, fillers, message):
     with pytest.raises(MalformedPair, match=f"^{message}$"):
@@ -813,3 +827,22 @@ def test_a_dropped_family_leaves_nothing_for_the_cyclic_collector(make):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_equal_explicit_families_and_measures_hash_equal():
+    a, b = (EdgeFamily.from_table({(): ["1/2", "1/2"], (1,): ["1/3", "2/3"]}) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    ma, mb = induced_measure(a), induced_measure(b)
+    assert ma == mb and hash(ma) == hash(mb)
+    assert list(ma.nodes()) == [t for t, _ in ma.items()] and set(ma.nodes()) == set(a.tree.nodes())
+
+
+def test_families_measures_and_pairs_say_what_they_hold():
+    fam = EdgeFamily.from_table({(): ["1/2", "1/2"]})
+    assert repr(fam) == "EdgeFamily(explicit, ExplicitTree(3 nodes, height 1))"
+    assert repr(uniform_binary(4)) == "EdgeFamily(uniform_binary, GeneratedTree(uniform_binary, budget 4))"
+    rule = EdgeFamily(GeneratedTree(2, 4), lambda t: FiniteDist(["1/2", "1/2"]))
+    assert repr(rule) == "EdgeFamily(generated, GeneratedTree(custom, budget 4))"
+    assert repr(induced_measure(fam)) == "InductiveMeasure(3 nodes, depth=None)"
+    assert repr(induced_measure(uniform_binary(4), 2)) == "InductiveMeasure(7 nodes, depth=2)"
+    assert repr(pair_from_family(fam)) == "GeneralPair(positive=InductiveMeasure(3 nodes, depth=None), fillers=0)"

@@ -352,3 +352,17 @@ def test_explicit_tree_validation():
         ExplicitTree({(): (0,)})  # declared child missing
     with pytest.raises(ValueError):
         ExplicitTree({(): (), (3,): ()})  # unattached node
+
+
+def test_a_front_iterates_and_counts_its_members():
+    front = enumerate_front(complete_binary_tree(2), 2)
+    assert set(front) == front.nodes == {(0, 0), (0, 1), (1, 0), (1, 1)} and len(front) == 4
+
+
+def test_equal_explicit_trees_hash_equal_and_trees_name_their_shape():
+    a = complete_binary_tree(2)
+    b = ExplicitTree({(): (0, 1), (0,): (0, 1), (1,): (0, 1), **{(i, j): () for i in (0, 1) for j in (0, 1)}})
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "ExplicitTree(7 nodes, height 2)"
+    assert repr(GeneratedTree(2, 5)) == "GeneratedTree(custom, budget 5)"
+    assert repr(uniform_binary(4).tree) == "GeneratedTree(uniform_binary, budget 4)"

@@ -1,7 +1,8 @@
 """Each fact is checked where the data enters, and nowhere else.
 
-Rows: `FiniteDist.defect` and the row gate in `EdgeFamily._dist_unchecked`,
-which every walk, descent, fold and `induced_measure` reads through.
+Rows: `FiniteDist.defect` and the row gate in the node states below
+`EdgeFamily._root`, which every walk, descent, fold and `induced_measure`
+reads through.
 Tree shape: `ExplicitTree.__init__`. Values: `as_fraction`, which refuses
 floats, and strings too long or with too large an exponent to read.
 Depths: `_check_budget`. Nodes: a tree's `contains`, which `require` and the
@@ -29,6 +30,7 @@ from ptree import (
     InductiveMeasure,
     InexactValue,
     InfiniteLevel,
+    InvalidArgument,
     MalformedClopen,
     MalformedPair,
     MalformedTree,
@@ -101,6 +103,27 @@ def test_walks_reject_a_bad_root_row(row, query):
     with pytest.raises(NotADistribution, match=r"at node \(\) ") as info:
         _queries_below_the_root(fam)[query]()
     assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+def test_positive_part_reads_a_shared_row_through_the_gate():
+    # a shared row positive on its whole support takes the shortcut, which still refuses a row that is not a distribution
+    fam = EdgeFamily(GeneratedTree(2, 5), FiniteDist(["1/3", "1/3"]))
+    with pytest.raises(NotADistribution, match=r"^the masses at node \(\) are not a probability distribution: "):
+        positive_part(fam)
+
+
+@pytest.mark.parametrize("query", ["node_mass", "relative_expect", "tower_check"])
+def test_every_walk_names_the_shallowest_refused_row(query):
+    # the expectation fold reads a node's row before folding its children, so it names the row every walk names
+    fam = EdgeFamily.from_table({(): ["1/3", "1/3"], (0,): ["1/3", "1/3"], (1,): ["1/2", "1/2"]})
+    variable = _level_variable(fam, 2)
+    call = {
+        "node_mass": lambda: node_mass(fam, (0, 0)),
+        "relative_expect": lambda: relative_expect(fam, variable, ()),
+        "tower_check": lambda: tower_check(fam, variable, 0, 1, 2),
+    }[query]
+    with pytest.raises(NotADistribution, match=r"^the masses at node \(\) "):
+        call()
 
 
 def _level_variable(fam, level):
@@ -562,6 +585,37 @@ _ON_THIRDS = FrontVariable(enumerate_front(ExplicitTree({(): (0, 1, 2), (0,): ()
 def test_public_entry_points_refuse_bad_arguments(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: InductiveMeasure(GeneratedTree(2, 3), {(): 1}), InvalidArgument),
+        (lambda: InductiveMeasure(_HALVES.tree, {(): 1, (0,): F(3, 2)}), InvalidArgument),
+        (lambda: InductiveMeasure(_HALVES.tree, {(): 1, (0,): 1}), InvalidArgument),
+        (lambda: induced_measure(uniform_binary(3)), InvalidArgument),
+        (lambda: GeneratedTree(2, -1), NegativeDepth),
+        (lambda: tower_check(_HALVES, _ON_HALVES, 1, 0, 1), InvalidArgument),
+        (lambda: _ON_HALVES.scale_add(1, _ON_THIRDS, 1), InvalidArgument),
+        (lambda: serialize_spec(EdgeFamily(GeneratedTree(2, 3), FiniteDist(["1/2", "1/2"]))), InvalidArgument),
+        (lambda: serialize_spec(positive_part(EdgeFamily.from_table({(): ["1/2", "0", "1/2"]}))[0]), InvalidArgument),
+        (lambda: FiniteDist({-1: "1"}), InvalidArgument),
+        (lambda: PointMass(-1), InvalidArgument),
+        (lambda: uniform_binary(3).dist_table(), InvalidArgument),
+        (lambda: complete_binary_tree(-1), NegativeDepth),
+    ],
+    ids=[
+        "measure-without-depth", "measure-mass-above-1", "measure-missing-successor", "induced-generated-without-depth",
+        "negative-tree-budget", "tower-levels-out-of-order", "scale-add-across-fronts", "serialize-unnamed-generator",
+        "serialize-sparse-positive-part", "finite-row-negative-index", "point-mass-negative-index",
+        "dist-table-of-generated", "complete-tree-negative-height",
+    ],
+)
+def test_public_refusals_of_bad_arguments_are_library_errors(call, error):
+    # a caller that catches PTreeError sees every refusal; each stays a ValueError too
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
 
 
 def test_a_depth_budget_round_trips_through_a_spec():
