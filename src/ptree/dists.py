@@ -12,7 +12,6 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -34,8 +33,8 @@ SHOWN_BITS = 1_024
 # The most bits r^k may take in a geometric cell: child k of r = rn/rd is
 # refused once k · bits(rd) passes it (2^20 bits, 128 KiB per integer).
 MAX_POWER_BITS = 1 << 20
-# A shared geometric row tabulates children 0..K-1 over Q = rd^K, for the largest K >= 1 with K · bits(rd) <= it;
-# a shared finite row over q steps m levels at once only while m · bits(q) <= it (`FiniteDist._stride`).
+# A shared geometric row tabulates children 0..K-1 over Q = rd^K, for the largest K >= 1 with K · bits(rd) <= it; a
+# shared row steps m levels at once only while m · bits(its q) <= it (`FiniteDist._stride`, `Geometric._stride`).
 HEAD_BITS = 256
 
 
@@ -156,12 +155,9 @@ class FiniteDist:
             m += 1
         return m
 
-    def _power(self, m: int) -> tuple[FiniteDist, tuple[tuple[int, ...], ...]]:
-        """(power, digits): this canonical row's m-th power, whose child K is the string digits[K] of m children
-        (lexicographic order) with its nested cell."""
-        q, _, cells = self._grid
-        widths = product([c for _, c, _ in cells], repeat=m)
-        return FiniteDist([Fraction(math.prod(w), q**m) for w in widths]), tuple(product(range(len(cells)), repeat=m))
+    def _power(self, m: int) -> tuple:
+        """This canonical row's m-level `_power_table`: every string of m children, none past end = Q but u = 1."""
+        return _power_table(self._grid[2], m, False)
 
     @property
     def total(self) -> Fraction:
@@ -192,6 +188,25 @@ class FiniteDist:
     def __repr__(self) -> str:
         body = ", ".join(f"{j}: {show(m)}" for j, m in self._items)
         return f"FiniteDist({{{body}}})"
+
+
+def _power_table(cells: Sequence[tuple[int, int, int]], m: int, tails: bool) -> tuple:
+    """(Q, runs, hits, end): m levels of a shared row whose children 0..K-1 have the cells (b, c, q), for descent to take
+    in one bisection. hits lists, in cell order, every string of m of them as (digits, b, c, q), its nested cell; with
+    tails, each shorter nonempty string is followed by an entry for the rest of its cell (its children past K - 1) that
+    answers the string's own cell. Entry i covers [runs[i]/Q, runs[i + 1]/Q); past end = runs[-1] lie children >= K."""
+    hits = []
+    def nest(digits: tuple[int, ...], b: int, c: int, q: int) -> None:
+        if len(digits) == m:
+            return hits.append((digits, b, c, q))
+        for k, (a, w, r) in enumerate(cells):
+            nest((*digits, k), b * r + c * a, c * w, q * r)
+        if tails and digits:
+            hits.append((digits, b, c, q))
+    nest((), 0, 1, 1)
+    Q = math.lcm(*[q for *_, q in hits])
+    runs = [0, *[(b + c) * (Q // q) for _, b, c, q in hits]]
+    return Q, runs, tuple(hits), runs[-1]
 
 
 class _ClosedForm:
@@ -263,7 +278,7 @@ class Geometric(_ClosedForm):
     def __init__(self, ratio: FractionLike):
         r = as_fraction(ratio)
         if not 0 < r < 1:
-            raise ValueError("geometric ratio must lie strictly between 0 and 1")
+            raise InvalidArgument("geometric ratio must lie strictly between 0 and 1")
         self.ratio = r
         self._rn, self._rd = rn, rd = r.numerator, r.denominator
         # log r: log1p near 1, where log(rn) - log(rd) rounds to 0; none within 10^-300 of 1
@@ -283,6 +298,15 @@ class Geometric(_ClosedForm):
             pn, pd = pn * rn, pd * rd
             runs.append(q - pn * (q // pd))
         self._head = q, runs, tuple(cells)
+
+    def _stride(self) -> int:
+        """2 when the two-level `_power` table holds at least half the mass (r^K <= 1/2), else 1: one level per step."""
+        k = min(16, HEAD_BITS // (2 * self._rd.bit_length()))  # at most 256 strings of two children, over rd^(2K)
+        return 2 if k and 2 * self._rn**k <= self._rd**k else 1
+
+    def _power(self, m: int) -> tuple:
+        """The two-level `_power_table` over children 0..K-1 of `_stride`, with a tail entry after each first child."""
+        return _power_table([self.cell(k) for k in range(min(16, HEAD_BITS // (2 * self._rd.bit_length())))], m, True)
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Child k's cell [1 - r^k, 1 - r^(k+1)) as (b, c, q) over q = rd^(k+1), for r = rn/rd."""

@@ -11,6 +11,7 @@ inverts the embedding off the countable endpoint set.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -104,24 +105,28 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
     the child's state. If the upper end spills past it, `refine(un, wn, ud)`
     narrows the interval and the node is tried again. Only a point (wn = 0),
     which never spills, can sit on a shared endpoint and raise QPointError.
-    While m levels remain, a shared finite row steps through its power row
-    (`FiniteDist._power`): a power cell is the nested cell of its m levels, so
-    the steps, refine calls and errors are those of m single steps.
+    While m levels remain, a shared row steps through its power table
+    (`dists._power_table`): a string of m children has their nested cell, so
+    the steps, refine calls and errors are those of m single steps. A point
+    past the table's end, or in a tail entry, takes one level.
     """
     y = un, ud  # named in QPointError messages
-    power, digits = family._power_row(depth) if family._stride > 1 else (None, ())  # under 2: no power row
-    last = depth - len(digits[0]) if power else -1  # the power row takes m levels from each level up to it
+    power = family._power_row(depth)
+    Q, runs, hits, end = power or (1, (), (), 0)
+    last = depth - family._stride if power else -1  # the table takes m levels from each level up to it
     state = family._root
     t: list[int] = []
     while (n := len(t)) < depth:
         row, _, kids = state
         if row is None:
             break  # a maximal node
-        d = power if n <= last else row
-        hit = d.locate(un, ud)  # the child whose cell [b/q, (b + c)/q) holds the lower end
-        if hit is None:
+        # the string of children, or the child, whose cell [b/q, (b + c)/q) holds the lower end
+        if n <= last and (x := un * Q // ud) < end:
+            digits, b, c, q = hits[bisect_right(runs, x) - 1]
+        elif hit := row.locate(un, ud):
+            digits, (k, b, c, q) = None, hit
+        else:
             raise QPointError(f"{show(Fraction(*y))} is the limit endpoint of an infinite subdivision")
-        k, b, c, q = hit
         vn, vw, vd = un * q - b * ud, wn * q, c * ud  # the interval in the coordinates of the child's cell
         if vn + vw > vd:  # the upper end spills past the cell
             un, wn, ud = refine(un, wn, ud)
@@ -129,8 +134,8 @@ def _descend(family: EdgeFamily, un: int, wn: int, ud: int, depth: int, refine=N
         if not wn and b and not vn:  # a point on the lower end of a cell past the first
             raise QPointError(f"{show(Fraction(*y))} is a shared cell endpoint")
         un, wn, ud = vn, vw, vd
-        if d is power:  # a shared row's state: every child's is the same
-            t += digits[k]
+        if digits:  # a shared row's state: every child's is the same
+            t += digits
         else:
             t.append(k)
             state = kids.get(k, state)

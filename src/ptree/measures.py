@@ -64,28 +64,28 @@ class EdgeFamily:
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
             if not arity or _support_mismatch(dists, arity):
-                raise ValueError(f"the shared row {dists!r} needs a generated tree of matching shared arity")
+                raise InvalidArgument(f"the shared row {dists!r} needs a generated tree of matching shared arity")
             self.row, self._dists = dists, None
             if dists.__class__ is Geometric:
                 dists._build_head()  # once per shared row: a rule's fresh rows keep an empty head
             cells = dists._grid[2] if dists.__class__ is FiniteDist else dists  # None when the gate refuses the row
             # no kids when it accepts: every child gets its parent's state back
             self._root = (dists, cells, {}) if cells is not None else _Gated((partial(_refuse, dists), (), _Gated))
-            if cells is not None and dists.__class__ is FiniteDist:
+            if cells is not None and dists.__class__ is not PointMass:
                 self._stride = dists._stride()
         elif isinstance(dists, Mapping):
             table = {tuple(t): d for t, d in dists.items()}
             if not isinstance(tree, ExplicitTree):
-                raise ValueError("distribution tables require an explicit tree")
+                raise InvalidArgument("distribution tables require an explicit tree")
             children = tree._children
             if table.keys() != {t for t, idx in children.items() if idx}:
-                raise ValueError("distribution table must cover exactly the non-maximal nodes")
+                raise InvalidArgument("distribution table must cover exactly the non-maximal nodes")
             states = {}
             for t, d in table.items():
                 if not isinstance(d, FiniteDist):
-                    raise ValueError("closed-form distributions require a generated tree")
+                    raise InvalidArgument("closed-form distributions require a generated tree")
                 if d.indices != children[t]:
-                    raise ValueError(f"distribution at {t} does not match the child set")
+                    raise InvalidArgument(f"distribution at {t} does not match the child set")
                 kids = dict.fromkeys(children[t], _MAXIMAL)  # one state per interior node, linked below
                 states[t] = (d, cells, kids) if (cells := d._grid[2]) is not None else _Gated((partial(_refuse, d), t, kids))
             for t in filter(None, states):  # every node but the root is its parent's child
@@ -94,7 +94,7 @@ class EdgeFamily:
             self._dists = table  # always a dict: `isinstance(_, dict)` is the cheap test
         else:
             if not isinstance(tree, GeneratedTree):
-                raise ValueError("distribution rules require a generated tree")
+                raise InvalidArgument("distribution rules require a generated tree")
             self._dists = dists
             self._root = _Gated((partial(_read_rule, tree, dists), (), _Gated))
 
@@ -118,12 +118,12 @@ class EdgeFamily:
             state = state[2].get(k, state)
         return state
 
-    def _power_row(self, depth: int) -> tuple[FiniteDist | None, tuple[Path, ...]]:
-        """The shared finite row's `FiniteDist._power` over its stride m >= 2, built by the first descent at least m
-        deep, and kept; (None, ()) until then."""
-        if self._power is None and self._stride <= depth:
+    def _power_row(self, depth: int) -> tuple | None:
+        """The shared row's `_power` table over its stride m >= 2, built by the first descent at least m deep and kept;
+        None until then."""
+        if self._power is None and 1 < self._stride <= depth:
             self._power = self.row._power(self._stride)
-        return self._power or (None, ())
+        return self._power
 
     def edge_prob(self, t: Path, k: int) -> Fraction:
         """Mass of the edge from t to child k; the row must be a distribution."""

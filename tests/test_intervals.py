@@ -43,6 +43,7 @@ from ptree import (
     subtree_mass_bound,
     uniform_binary,
 )
+from ptree.dists import Geometric
 from ptree.paths import lex_less, order_relations, OrderRelation
 
 from corpus import random_family, random_tree
@@ -652,6 +653,28 @@ def test_sampler_draws_past_a_geometric_head_are_pinned_to_their_seed():
     ]
 
 
+def test_sampler_draws_through_a_geometric_power_table_are_pinned_to_their_seed():
+    # literals recorded while geometric descent took one level per bisection: the 1/2 and 19/20 rows now step two
+    # levels at a time over their first 16 children, one at a time past them (the 9/10 draws, seed 7, are pinned
+    # in test_sampler_draws_are_pinned_to_their_seed)
+    assert sample_branches(geometric_omega(8), 7, 20, 8) == [
+        (0, 2, 0, 1, 1, 0, 0, 1), (2, 1, 0, 1, 0, 0, 6, 0), (1, 0, 1, 1, 1, 0, 2, 0), (0, 0, 2, 2, 4, 2, 0, 3),
+        (0, 2, 1, 2, 0, 0, 0, 2), (1, 0, 0, 2, 1, 0, 0, 1), (1, 0, 1, 0, 0, 0, 2, 0), (1, 1, 0, 0, 0, 1, 3, 0),
+        (0, 0, 0, 0, 6, 1, 2, 0), (0, 0, 0, 0, 2, 0, 1, 2), (1, 0, 0, 3, 1, 0, 0, 0), (0, 2, 1, 2, 1, 0, 2, 0),
+        (1, 0, 1, 0, 1, 0, 0, 1), (1, 1, 3, 1, 0, 1, 4, 3), (1, 0, 1, 0, 1, 0, 0, 3), (0, 0, 0, 2, 0, 0, 4, 0),
+        (1, 0, 1, 0, 0, 0, 0, 4), (0, 7, 0, 0, 1, 1, 1, 0), (2, 0, 0, 2, 5, 0, 0, 0), (3, 2, 0, 0, 2, 0, 2, 1),
+    ]
+    assert sample_branches(geometric_omega(8, F(19, 20)), 7, 20, 8) == [
+        (9, 30, 62, 3, 1, 82, 0, 11), (33, 16, 25, 34, 2, 7, 10, 31), (17, 0, 39, 19, 8, 33, 6, 11),
+        (4, 24, 19, 0, 12, 3, 4, 1), (10, 16, 4, 69, 0, 0, 36, 32), (15, 18, 32, 62, 5, 39, 31, 32),
+        (16, 5, 23, 57, 9, 2, 11, 68), (19, 10, 25, 1, 3, 32, 12, 40), (1, 5, 18, 5, 11, 13, 11, 8),
+        (0, 93, 19, 0, 40, 23, 4, 1), (15, 38, 15, 10, 11, 20, 55, 22), (10, 17, 25, 12, 10, 9, 17, 2),
+        (16, 13, 17, 3, 43, 36, 11, 1), (22, 8, 3, 20, 14, 9, 17, 38), (16, 14, 2, 3, 38, 1, 0, 9),
+        (1, 127, 6, 8, 26, 7, 5, 25), (16, 4, 12, 0, 33, 1, 8, 36), (13, 9, 7, 29, 47, 18, 24, 2),
+        (29, 6, 10, 10, 7, 6, 13, 69), (50, 2, 1, 7, 6, 17, 21, 26),
+    ]
+
+
 def test_sampler_draws_through_a_power_row_are_pinned_to_their_seed():
     # literals recorded while descent took one level per bisection: the ternary row steps
     # 5 levels at a time, then 2 single levels; the fair coin 8 at a time, and its draws
@@ -676,7 +699,8 @@ def test_a_power_row_is_built_by_the_first_descent_that_reaches_its_stride():
     assert len(sample_branches(fam, 3, 20, 7)) == 20 and locate_branch(fam, F(1, 3), 7) == (0, 1, 0, 1, 0, 1, 0)
     assert fam._power is None
     deep = sample_branches(fam, 3, 20, 8)
-    assert len(fam._power[1][0]) == 8
+    q, runs, hits, end = fam._power  # 256 strings of 8 children over 2^8, the last ending at 1
+    assert len(hits) == 256 and {len(digits) for digits, *_ in hits} == {8} and q == end == runs[-1] == 2**8
     # a 128-bit draw never straddles a dyadic cell this shallow, so each draw is a prefix of the deeper one
     assert [t[:3] for t in deep] == shallow == sample_branches(fam, 3, 20, 3)
     assert sample_branches(uniform_binary(16), 3, 20, 8) == deep
@@ -693,6 +717,26 @@ def test_a_family_searches_its_power_stride_once():
         sample_branches(fam, 3, 20, 8)
         sample_branches(fam, 3, 20, 16)
         assert stride.call_count <= 1 and power.call_count == 1
+
+
+def test_a_geometric_family_builds_its_power_table_once():
+    # r = 1/2 steps 2 levels a power step: a depth-1 descent builds no table, deeper ones build it once;
+    # at r = 99/100 the first 16 children hold under half the mass, so the family builds none
+    search = mock.patch.object(Geometric, "_stride", autospec=True, side_effect=Geometric._stride)
+    build = mock.patch.object(Geometric, "_power", autospec=True, side_effect=Geometric._power)
+    with search as stride, build as power:
+        fam = geometric_omega(16)
+        sample_branches(fam, 3, 20, 1)
+        assert locate_branch(fam, F(1, 3), 1) == (0,)
+        assert stride.call_count <= 1 and power.call_count == 0 and fam._power is None
+        sample_branches(fam, 3, 20, 2)
+        sample_branches(fam, 3, 20, 16)
+        assert stride.call_count <= 1 and power.call_count == 1
+        q, runs, hits, end = fam._power  # 16 · 16 strings and a tail entry per first child, over 2^32
+        assert len(hits) == 16 * 17 and q == 2**32 and end == runs[-1] == q - q // 2**16  # 1 - r^16
+        slow = geometric_omega(16, F(99, 100))
+        sample_branches(slow, 3, 20, 16)
+        assert power.call_count == 1 and slow._power is None
 
 
 def test_a_deep_rule_walk_keeps_no_path_per_level():

@@ -1119,6 +1119,31 @@ def test_power_row_descent_matches_the_per_level_descent(row, data):
         assert located(family, y, depth) == expected
 
 
+# 1/2, 9/10 and 19/20 get a two-level table (r^16 <= 1/2; 19/20 just inside), 24/25 and 99/100 none; over a
+# 41-bit and a 27-bit denominator it takes 3 and 4 children a level
+GEOMETRIC_POWER_RATIOS = [F(1, 2), F(9, 10), F(19, 20), F(24, 25), F(99, 100), F(1, 2**40), F(2**25 + 3, 2**26 + 3)]
+
+
+@FAST
+@given(st.sampled_from(GEOMETRIC_POWER_RATIOS), st.integers(0, 5), st.data())
+def test_geometric_power_descent_matches_the_per_level_descent(r, depth, data):
+    family = geometric_omega(5, r)
+    k = min(16, HEAD_BITS // (2 * r.denominator.bit_length()))  # the table's children per level
+    assert family._stride == (2 if r ** k <= F(1, 2) else 1)
+    seed = data.draw(st.integers(0, 2**32))
+    draws = intervals.sample_branches(family, seed, 5, depth)
+    with mock.patch.object(intervals, "_descend", per_level_descend):
+        assert draws == intervals.sample_branches(family, seed, 5, depth)  # and so drew as many 128-bit chunks
+    # random points, every level-1 and level-2 cell endpoint of the table's children and of the first past them
+    # (child k of a first child starts its tail entry), and the ends of [0, 1]
+    points = set(data.draw(st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=5)))
+    points |= {e for i in range(k + 1) for t in [(i,), *((i, j) for j in range(k + 1))] for e in node_interval(family, t)}
+    for y in sorted(points | {F(0), F(1)}):
+        with mock.patch.object(intervals, "_descend", per_level_descend):
+            expected = located(family, y, depth)
+        assert located(family, y, depth) == expected
+
+
 def path_reading_walk(family, ends, start=(), require=None):
     """The walk kernel as written before explicit families carried a state: each step reads its row by path."""
     row, rows = family.row, family._dists if family.is_explicit else None

@@ -13,6 +13,7 @@ import json
 import random
 import re
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,26 +334,27 @@ def test_explicit_tree_names_the_bad_node(children, node, reason):
 _TWO_LEAVES = ExplicitTree({(): (0, 1), (0,): (0, 1), (1,): (), (0, 0): (), (0, 1): ()})
 
 
-@pytest.mark.parametrize(
-    "tree, dists, message",
-    [
-        (uniform_binary(3).tree, {(): FiniteDist(["1/2", "1/2"])}, "distribution tables require an explicit tree"),
-        # (0,) is interior, and both of its children are leaves
-        (_TWO_LEAVES, {(): FiniteDist(["1/2", "1/2"])}, "distribution table must cover exactly the non-maximal nodes"),
-        (
-            ExplicitTree({(): (0, 1), (0,): (), (1,): ()}),
-            {(): Geometric("1/2")},
-            "closed-form distributions require a generated tree",
-        ),
-        (
-            _TWO_LEAVES,
-            {(): FiniteDist(["1/2", "1/2"]), (0,): FiniteDist({0: "1/2", 2: "1/2"})},
-            r"distribution at \(0,\) does not match the child set",
-        ),
-        (_TWO_LEAVES, lambda t: FiniteDist(["1/2", "1/2"]), "distribution rules require a generated tree"),
-    ],
-    ids=["table-on-generated", "missing-row", "closed-form-row", "child-set", "rule-on-explicit"],
-)
+# (tree, dists, message): EdgeFamily(tree, dists) raises message
+_SHAPE_REFUSALS = [
+    (uniform_binary(3).tree, {(): FiniteDist(["1/2", "1/2"])}, "distribution tables require an explicit tree"),
+    # (0,) is interior, and both of its children are leaves
+    (_TWO_LEAVES, {(): FiniteDist(["1/2", "1/2"])}, "distribution table must cover exactly the non-maximal nodes"),
+    (
+        ExplicitTree({(): (0, 1), (0,): (), (1,): ()}),
+        {(): Geometric("1/2")},
+        "closed-form distributions require a generated tree",
+    ),
+    (
+        _TWO_LEAVES,
+        {(): FiniteDist(["1/2", "1/2"]), (0,): FiniteDist({0: "1/2", 2: "1/2"})},
+        r"distribution at \(0,\) does not match the child set",
+    ),
+    (_TWO_LEAVES, lambda t: FiniteDist(["1/2", "1/2"]), "distribution rules require a generated tree"),
+]
+_SHAPE_IDS = ["table-on-generated", "missing-row", "closed-form-row", "child-set", "rule-on-explicit"]
+
+
+@pytest.mark.parametrize("tree, dists, message", _SHAPE_REFUSALS, ids=_SHAPE_IDS)
 def test_edge_family_refuses_a_table_or_rule_that_does_not_fit_its_tree(tree, dists, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         EdgeFamily(tree, dists)
@@ -616,6 +618,37 @@ def test_public_refusals_of_bad_arguments_are_library_errors(call, error):
     with pytest.raises(error) as info:
         call()
     assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        *((partial(EdgeFamily, tree, dists), message) for tree, dists, message in _SHAPE_REFUSALS),
+        (
+            partial(EdgeFamily, GeneratedTree(3, 2), FiniteDist(["1/2", "1/2"])),
+            r"the shared row FiniteDist\(\{0: 1/2, 1: 1/2\}\) needs a generated tree of matching shared arity",
+        ),
+        (partial(Geometric, 1), "geometric ratio must lie strictly between 0 and 1"),
+    ],
+    ids=[*_SHAPE_IDS, "shared-row-arity", "ratio"],
+)
+def test_family_shape_and_ratio_refusals_are_library_errors(call, message):
+    # a caller that catches PTreeError sees each refusal, with its message as before; each stays a ValueError too
+    with pytest.raises(InvalidArgument, match=f"^{message}$") as info:
+        call()
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+def test_a_spec_with_a_bad_geometric_ratio_names_it(tmp_path, capsys):
+    # the spec reader still catches the ratio refusal, and the CLI still names the file
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps({"version": 1, "representation": "generator", "generator": "geometric_omega(3/2)"}))
+    reason = "bad geometric ratio '3/2': geometric ratio must lie strictly between 0 and 1"
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(spec.read_text())
+    assert info.value.reason == reason
+    assert main(["sample", "--tree", str(spec), "--seed", "1", "--count", "1", "--depth", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {spec}: node '': {reason}\n"
 
 
 def test_a_depth_budget_round_trips_through_a_spec():
