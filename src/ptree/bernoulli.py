@@ -6,10 +6,11 @@ success probability is at least p, the number of successes dominates a
 Binomial(n, p) count: its CDF is bounded by the binomial CDF at every
 threshold. The check here is exact rational arithmetic throughout.
 
-A trial tree stores its success probabilities as two flat tuples of reduced
-numerators and denominators in heap order: the node t at depth d sits at
-index 2^d - 1 + (t read as binary), so each level is a contiguous run in
-lexicographic order and the children of index i sit at 2i + 1 and 2i + 2.
+A trial tree stores its success probabilities as two flat tuples of
+numerators and denominators, not necessarily reduced, in heap order: the
+node t at depth d sits at index 2^d - 1 + (t read as binary), so each level
+is a contiguous run in lexicographic order and the children of index i sit
+at 2i + 1 and 2i + 2.
 A Fraction is built only where a caller reads a probability. The pmf and
 the dominance bound are computed over integers: every probability becomes
 a numerator over the lcm D of the denominators, leaf masses are integers
@@ -36,8 +37,9 @@ from .paths import Path
 from .trees import complete_binary_tree
 
 # Cost doubles per trial: `ptree bound --random 1 --n 21 --p 1/3 --min-p 1/3`
-# takes 3-4.5 s and 321 MiB on a 2-vCPU x86-64 host, n = 22 6-9 s and 620 MiB
-# (time.perf_counter, ru_maxrss). Time would allow n = 22; memory sets the cap.
+# takes 2.0 s and 325 MiB on a 2-vCPU x86-64 host, n = 22 3.9 s and 621 MiB
+# (in-process, time.perf_counter, ru_maxrss). Time would allow n = 22; memory
+# sets the cap.
 MAX_TRIALS = 21
 
 # The integer kernel keeps 2^(n-1) masses of up to n * bits(D) bits at its
@@ -45,6 +47,8 @@ MAX_TRIALS = 21
 # than the leaf walk up to 2048 bits, 0.6-2.7x at 3500-5100 bits and slower
 # from 9400 bits on; 2048 bits keep the n = 21 level within 256 MiB of digits.
 _MAX_MASS_BITS = 2048
+
+_UNREAD = object()  # `from_success_probs`' previous value before the first node; None is a value
 
 
 def _check_trials(trials: int) -> None:
@@ -108,7 +112,7 @@ class DependentTrialTree:
 
     @classmethod
     def _from_ints(cls, trials: int, nums: list[int], dens: list[int]) -> "DependentTrialTree":
-        """Adopt reduced numerators and denominators of probabilities in [0, 1], in heap order."""
+        """Adopt numerators and denominators, reduced or not, of probabilities in [0, 1], in heap order."""
         tree = cls.__new__(cls)
         tree.trials = trials
         tree._nums, tree._dens = tuple(nums), tuple(dens)
@@ -125,11 +129,14 @@ class DependentTrialTree:
         _check_trials(trials)
         getter = probs.__getitem__ if isinstance(probs, Mapping) else probs
         nums, dens = [0] * ((1 << trials) - 1), [1] * ((1 << trials) - 1)
+        last = _UNREAD
         for t, i in _preorder(trials):
-            p = as_fraction(getter(t))
-            if not 0 <= p.numerator <= p.denominator:
-                raise NotATrialTree(f"success probability at {t} is {show(p)}, outside [0, 1]")
-            nums[i], dens[i] = p.numerator, p.denominator
+            if (value := getter(t)) is not last:  # a value shared by consecutive nodes is converted once
+                last, p = value, as_fraction(value)
+                a, d = p.as_integer_ratio()
+                if not 0 <= a <= d:
+                    raise NotATrialTree(f"success probability at {t} is {show(p)}, outside [0, 1]")
+            nums[i], dens[i] = a, d
         return cls._from_ints(trials, nums, dens)
 
     @property
@@ -337,8 +344,9 @@ def random_trial_tree(
             f"need 0 <= min_p <= 1 and an int denominator_bound >= 1, got {show(lo)} and {denominator_bound!r}"
         )
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
-    getrandbits, gcd, bound_bits = rng.getrandbits, math.gcd, denominator_bound.bit_length()
+    getrandbits, bound_bits = rng.getrandbits, denominator_bound.bit_length()
     lo_num, lo_den = lo.numerator, lo.denominator
+    lo_gap = lo_den - lo_num
     nums, dens = [0] * ((1 << trials) - 1), [1] * ((1 << trials) - 1)
     for i in _preorder_indices(trials):
         den = getrandbits(bound_bits)  # den = randint(1, denominator_bound)
@@ -349,9 +357,7 @@ def random_trial_tree(
         k = getrandbits(k_bits)  # k = randint(0, den)
         while k > den:
             k = getrandbits(k_bits)
-        num, den = lo_num * den + (lo_den - lo_num) * k, lo_den * den
-        g = gcd(num, den)
-        nums[i], dens[i] = num // g, den // g
+        nums[i], dens[i] = lo_num * den + lo_gap * k, lo_den * den  # unreduced
     return DependentTrialTree._from_ints(trials, nums, dens)
 
 
@@ -359,7 +365,7 @@ def flip_success_convention(trial_tree: DependentTrialTree) -> DependentTrialTre
     """Reinterpret child 1 as success by mirroring every node of the tree.
 
     Mirroring reverses each level, and the new success probability is the
-    old failure probability, (d - a)/d for a/d, which stays reduced.
+    old failure probability, (d - a)/d for a/d, over the same denominator.
     """
     n, nums, dens = trial_tree.trials, trial_tree._nums, trial_tree._dens
     mirror = [i for d in range(n) for i in range((2 << d) - 2, (1 << d) - 2, -1)]

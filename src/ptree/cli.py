@@ -231,12 +231,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_encode(args) -> int:
     family = _load_family(args.tree)
-    from .encoding import _verify_encoding, binary_encode
+    from .encoding import binary_encode
 
     enc = binary_encode(family.tree, args.depth)
     print("\n".join(f"{format_path(t) or '<root>'} -> {format_path(enc.h[t]) or '<root>'}" for t in sorted(enc.h)))
     if args.verify:
-        report = _verify_encoding(family, enc)
+        report = enc.verify(family)
         print(f"verification: {'ok' if report.ok else 'FAILED'}")
         for failure in report.failures:
             print(f"  {failure}")

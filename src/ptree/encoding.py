@@ -39,6 +39,50 @@ class BinaryEncoding:
             raise UnknownNode(f"node {t} was not encoded")
         raise DepthBudgetExceeded(f"node {t} lies beyond the encoded depth {self.depth}")  # h holds every node up to it
 
+    def verify(self, family: EdgeFamily) -> EncodingReport:
+        """`verify_encoding` on this encoding, built from the family's tree, in integers: a Fraction is built only
+        to word a failure. Each check collects its failure lines; it passes when it has none."""
+        h, children = self.h, self.image._children
+        masses, src_cells, inductive_ok = _pushed_masses(family, self)  # a bad source row raises, as in every walk
+        law: list[str] = []
+        if not inductive_ok:  # the checked constructor words the first violation
+            try:
+                encoded_measure(family, self)
+            except ValueError as exc:
+                law.append(f"pushed measure violates the inductive law: {exc}")
+
+        intervals: list[str] = []
+        if inductive_ok:
+            cells = _cells(children, masses)
+            for t, s in h.items():
+                (a, w, q), (l, m, d) = src_cells[t], cells[s]
+                if a * d != l * q or w * d != m * q:
+                    src, img = Interval(Fraction(a, q), Fraction(a + w, q)), Interval(Fraction(l, d), Fraction(l + m, d))
+                    intervals.append(f"interval mismatch at {t}: {src} vs {img} at image {s}")
+
+        # Extension is transitive, and two incompatible nodes extend two
+        # distinct siblings below their meet, whose images' extensions stay
+        # incompatible: checking each parent-child edge and each sibling pair
+        # decides the same as checking every pair of nodes.
+        order: list[str] = []
+        siblings: dict[Path, list[Path]] = {}
+        for t in sorted(h):  # children of a node in index order
+            if t:
+                siblings.setdefault(t[:-1], []).append(t)
+        for parent, kids in siblings.items():
+            for i, s in enumerate(kids):
+                if not is_prefix(h[parent], h[s]):
+                    order.append(f"extension not preserved: {parent} vs {s}")
+                for t in kids[i + 1 :]:
+                    if compatible(h[s], h[t]):
+                        order.append(f"incompatibility not preserved: {s} vs {t}")
+
+        shape = [f"image node {s} has a single child" for s, kids in children.items() if len(kids) == 1]
+        shape += [f"maximal image node {s} is not the image of a source node"
+                  for s, kids in children.items() if not kids and s not in self.preimages]
+
+        return EncodingReport(inductive_ok, inductive_ok and not intervals, not order, not shape, (*law, *intervals, *order, *shape))
+
 
 def binary_encode(tree: TreeShape, depth: int) -> BinaryEncoding:
     """Compute the embedding on all nodes up to `depth`, and its image tree gadget by gadget.
@@ -144,49 +188,5 @@ def verify_encoding(family: EdgeFamily, depth: int) -> EncodingReport:
     consist of splitting and maximal nodes with maximal nodes coming from
     the source.
     """
-    return _verify_encoding(family, binary_encode(family.tree, depth))
+    return binary_encode(family.tree, depth).verify(family)
 
-
-def _verify_encoding(family: EdgeFamily, enc: BinaryEncoding) -> EncodingReport:
-    """`verify_encoding` on an encoding already built from the family's tree, in integers: a Fraction
-    is built only to word a failure. Each check collects its failure lines; it passes when it has none."""
-    h, children = enc.h, enc.image._children
-    masses, src_cells, inductive_ok = _pushed_masses(family, enc)  # a bad source row raises, as in every walk
-    law: list[str] = []
-    if not inductive_ok:  # the checked constructor words the first violation
-        try:
-            encoded_measure(family, enc)
-        except ValueError as exc:
-            law.append(f"pushed measure violates the inductive law: {exc}")
-
-    intervals: list[str] = []
-    if inductive_ok:
-        cells = _cells(children, masses)
-        for t, s in h.items():
-            (a, w, q), (l, m, d) = src_cells[t], cells[s]
-            if a * d != l * q or w * d != m * q:
-                src, img = Interval(Fraction(a, q), Fraction(a + w, q)), Interval(Fraction(l, d), Fraction(l + m, d))
-                intervals.append(f"interval mismatch at {t}: {src} vs {img} at image {s}")
-
-    # Extension is transitive, and two incompatible nodes extend two
-    # distinct siblings below their meet, whose images' extensions stay
-    # incompatible: checking each parent-child edge and each sibling pair
-    # decides the same as checking every pair of nodes.
-    order: list[str] = []
-    siblings: dict[Path, list[Path]] = {}
-    for t in sorted(h):  # children of a node in index order
-        if t:
-            siblings.setdefault(t[:-1], []).append(t)
-    for parent, kids in siblings.items():
-        for i, s in enumerate(kids):
-            if not is_prefix(h[parent], h[s]):
-                order.append(f"extension not preserved: {parent} vs {s}")
-            for t in kids[i + 1 :]:
-                if compatible(h[s], h[t]):
-                    order.append(f"incompatibility not preserved: {s} vs {t}")
-
-    shape = [f"image node {s} has a single child" for s, kids in children.items() if len(kids) == 1]
-    shape += [f"maximal image node {s} is not the image of a source node"
-              for s, kids in children.items() if not kids and s not in enc.preimages]
-
-    return EncodingReport(inductive_ok, inductive_ok and not intervals, not order, not shape, (*law, *intervals, *order, *shape))

@@ -30,7 +30,7 @@ class FrontVariable:
     def __post_init__(self) -> None:
         table = {tuple(t): as_fraction(v) for t, v in self.values.items()}
         if set(table) != set(self.front.nodes):
-            raise ValueError("variable values must cover exactly the front members")
+            raise InvalidArgument("variable values must cover exactly the front members")
         object.__setattr__(self, "values", MappingProxyType(table))
         # (family, {node: entry}), swapped as one object so no query mixes two families
         object.__setattr__(self, "_memo", (None, {}))
@@ -140,13 +140,13 @@ class TowerReport:
     @property
     def lhs(self) -> Fraction:
         if len(self.cases) != 1:
-            raise ValueError("lhs is only defined for single-node reports")
+            raise InvalidArgument("lhs is only defined for single-node reports")
         return self.cases[0].lhs
 
     @property
     def rhs(self) -> Fraction:
         if len(self.cases) != 1:
-            raise ValueError("rhs is only defined for single-node reports")
+            raise InvalidArgument("rhs is only defined for single-node reports")
         return self.cases[0].rhs
 
 

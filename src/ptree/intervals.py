@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .dists import ONE, Geometric, PointMass, as_fraction, fraction_sum, show
 from .errors import (
+    InvalidArgument,
     MalformedClopen,
     NegativeCount,
     NegativeDepth,
@@ -75,7 +76,7 @@ def branch_window(family: EdgeFamily, x: Path, n: int) -> BranchWindow:
     elif family.tree._arity_unchecked(x) == 0 or n == len(x):
         prefix = x
     else:
-        raise ValueError(f"branch prefix {x} is shorter than depth {n} and not maximal")
+        raise InvalidArgument(f"branch prefix {x} is shorter than depth {n} and not maximal")
     lo, w, q = _walk(family, (prefix,), require=tuple)[prefix]  # a prefix of the node x
     return BranchWindow(prefix, Fraction(lo, q), Fraction(lo + w, q))
 
@@ -92,7 +93,7 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
     y = as_fraction(y)
     un, ud = y.numerator, y.denominator  # ud > 0
     if not 0 <= un <= ud:
-        raise ValueError("the point must lie in [0, 1]")
+        raise InvalidArgument("the point must lie in [0, 1]")
     _check_budget(family.tree, depth)
     return _descend(family, un, 0, ud, depth)
 

@@ -8,8 +8,10 @@ import pytest
 from ptree import (
     DependentTrialTree,
     HypothesisViolated,
+    InexactValue,
     NotADistribution,
     NotALeaf,
+    NotATrialTree,
     PTreeError,
     TooDeep,
     binomial_cdf,
@@ -263,6 +265,37 @@ def test_random_trial_tree_is_pinned_to_its_seed():
     # interior nodes come in preorder with child 1 first, the order in
     # which the probability getter is called
     assert list(tt.interior_nodes()) == [(), (1,), (1, 1), (1, 0), (0,), (0, 1), (0, 0)]
+
+
+@pytest.mark.parametrize(
+    "shared, fresh",
+    [(F(1, 3), lambda: F(1, 3)), (1, lambda: F(1)), ("1/3", lambda: "".join(["1/", "3"]))],
+    ids=["fraction", "int", "string"],
+)
+def test_a_shared_probability_object_builds_the_tree_fresh_objects_build(shared, fresh):
+    n = 4
+    calls = []
+    tt = DependentTrialTree.from_success_probs(n, lambda t: calls.append(t) or shared)
+    assert calls == list(tt.interior_nodes())  # one getter call per node, in preorder with child 1 first
+    probs = [tt.success_prob(t) for t in calls]
+    assert probs == [DependentTrialTree.from_success_probs(n, lambda t: fresh()).success_prob(t) for t in calls]
+    assert success_pmf(tt) == binomial_pmf(n, probs[0])
+    # runs of one object broken by another: each node keeps its own getter's value
+    other = F(3, 4)
+    mixed = DependentTrialTree.from_success_probs(n, lambda t: other if len(t) % 2 else shared)
+    assert [mixed.success_prob(t) for t in calls] == [F(3, 4) if len(t) % 2 else probs[0] for t in calls]
+    # a bad value at the last node is still refused after a run of one shared object
+    last = calls[-1]
+    for bad, error, message in [
+        (0.5, InexactValue, "0.5 is a float; give an exact value such as the string '0.5'"),
+        (F(4, 3), NotATrialTree, f"success probability at {last} is 4/3, outside [0, 1]"),
+        ("-1/2", NotATrialTree, f"success probability at {last} is -1/2, outside [0, 1]"),
+    ]:
+        with pytest.raises(error) as info:
+            DependentTrialTree.from_success_probs(n, lambda t: bad if t == last else shared)
+        assert str(info.value) == message
+    with pytest.raises(TypeError):  # None is a value, refused as Fraction(None) refuses it, even at the first node
+        DependentTrialTree.from_success_probs(n, lambda t: None)
 
 
 def test_trial_tree_rows_must_sum_to_one():

@@ -29,6 +29,7 @@ its probability, must give each branch exactly its `node_mass`.
 
 import bisect
 import dataclasses
+import itertools
 import math
 import random
 import time
@@ -62,6 +63,7 @@ from ptree import (
     below_mass,
     binary_encode,
     binomial_pmf,
+    cell_volume,
     clopen_mass,
     complete_binary_tree,
     dirac,
@@ -752,6 +754,49 @@ def test_random_trial_tree_matches_randint_builder(n, seed, shared, min_p, bound
         assert dominance_check(tt, min_p) == dominance_check(oracle, min_p)
 
 
+@FAST
+@given(
+    st.integers(1, 8),
+    st.integers(0, 2**64),
+    PROBS,
+    st.sampled_from([*range(1, 65), 10**6]),
+    st.data(),
+)
+def test_unreduced_random_trial_trees_read_as_the_reduced_oracle(n, seed, min_p, bound, data):
+    # random_trial_tree stores lo + (1 - lo) * k / den over lo's denominator times den, unreduced; the flip, the
+    # cell volumes, both pmf kernels and the hypothesis test must answer as for the reduced randint probabilities
+    tt = random_trial_tree(n, seed, min_p, bound)
+    probs = randint_trial_probs(n, random.Random(seed), min_p, bound)
+    pmf = brute_trial_pmf(n, probs)
+    assert success_pmf(flip_success_convention(tt)) == tuple(reversed(pmf))
+    if n <= 6:
+        for leaf in itertools.product((0, 1), repeat=n):
+            edges = [probs[leaf[:i]] if bit == 0 else 1 - probs[leaf[:i]] for i, bit in enumerate(leaf)]
+            assert cell_volume(tt, leaf) == math.prod(edges)
+    above = sorted({q for q in probs.values() if q > min_p}) or [F(1)]
+    p = data.draw(st.sampled_from(above) | st.fractions(min_value=min_p, max_value=1, max_denominator=60))
+    violators = sorted(t for t in probs if probs[t] < p)
+    for mass_bits in [bernoulli._MAX_MASS_BITS, 0]:  # the integer kernel, then the leaf walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bernoulli, "_MAX_MASS_BITS", mass_bits)
+            assert success_pmf(tt) == pmf
+            if not violators:
+                assert [r.cdf_successes for r in dominance_check(tt, p).rows] == list(accumulate(pmf))
+                continue
+            with pytest.raises(HypothesisViolated) as info:
+                dominance_check(tt, p)
+            t = violators[0]
+            assert info.value.node == t
+            assert str(info.value) == f"success probability {show(probs[t])} at {t} is below {show(p)}"
+
+
+def test_random_trial_trees_store_unreduced_pairs():
+    # the differential above only means something if some stored pair has a common factor
+    tt = random_trial_tree(8, 1, F(1, 3))
+    assert any(math.gcd(a, d) > 1 for a, d in zip(tt._nums, tt._dens))
+    assert all(d % 3 == 0 for d in tt._dens)  # min_p's denominator times the drawn one
+
+
 def descend_finite(d, y, lower, width):
     """The child cell of a finite row that holds y, as (k, lower, width);
     None when no positive cell holds it. Scans the row's Fraction cells."""
@@ -1402,7 +1447,7 @@ def test_integer_verifier_matches_the_fraction_verifier(rng, kind):
     family = random_family(rng, tree, allow_zero=True)
     for depth in sorted({1, tree.height}):
         enc = corrupt_encoding(rng, binary_encode(tree, depth), kind)
-        report = encoding._verify_encoding(family, enc)
+        report = enc.verify(family)
         assert report == fraction_verify_encoding(family, enc)
         assert report.ok or kind != "none"
 

@@ -42,6 +42,8 @@ from ptree import (
     OversizedValue,
     PTreeError,
     SpecValidationError,
+    TowerCase,
+    TowerReport,
     binomial_cdf,
     binomial_pmf,
     branch_window,
@@ -634,6 +636,27 @@ def test_public_refusals_of_bad_arguments_are_library_errors(call, error):
 )
 def test_family_shape_and_ratio_refusals_are_library_errors(call, message):
     # a caller that catches PTreeError sees each refusal, with its message as before; each stays a ValueError too
+    with pytest.raises(InvalidArgument, match=f"^{message}$") as info:
+        call()
+    assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
+
+
+_TWO_CASES = TowerReport((TowerCase((), F(1), F(1)), TowerCase((0,), F(1, 2), F(1, 2))))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (partial(branch_window, uniform_binary(8), (0,), 3), r"branch prefix \(0,\) is shorter than depth 3 and not maximal"),
+        (partial(locate_branch, _HALVES, F(3, 2), 1), r"the point must lie in \[0, 1\]"),
+        (partial(FrontVariable, _ON_HALVES.front, {(0,): 1}), "variable values must cover exactly the front members"),
+        (lambda: _TWO_CASES.lhs, "lhs is only defined for single-node reports"),
+        (lambda: _TWO_CASES.rhs, "rhs is only defined for single-node reports"),
+    ],
+    ids=["short-branch-prefix", "point-outside-unit-interval", "variable-coverage", "tower-lhs", "tower-rhs"],
+)
+def test_window_descent_variable_and_tower_refusals_are_library_errors(call, message):
+    # each refusal keeps its message and stays a ValueError, and a caller that catches PTreeError sees it
     with pytest.raises(InvalidArgument, match=f"^{message}$") as info:
         call()
     assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
