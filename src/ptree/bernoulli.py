@@ -101,9 +101,7 @@ class DependentTrialTree:
         ):
             raise NotATrialTree(f"the family must live on the complete binary tree of height {trials}")
         nums, dens = [0] * len(table), [1] * len(table)
-        for t, d in table.items():
-            if (defect := d.defect()) is not None:
-                raise NotATrialTree(f"the row at {t} is not a distribution: {defect}")
+        for t, d in table.items():  # the family's constructor refused any row that is not a distribution
             p, i = d.mass(0), _heap_index(t)
             nums[i], dens[i] = p.numerator, p.denominator
         self.trials = trials

@@ -76,7 +76,7 @@ class FiniteDist:
 
     The index set need not be contiguous: restrictions of a family to a
     subtree keep the original child indices. Entries are not forced to sum
-    to one here; `defect` says whether they do, and walks refuse a row that fails.
+    to one here; `defect` says whether they do, and families refuse a row that fails.
     """
 
     __slots__ = ("_items", "_grid", "_hits")
@@ -143,7 +143,7 @@ class FiniteDist:
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int]:
         """The child k whose cell holds u = un/ud in [0, 1], and `cell(k)`; u = 1 is in the last positive cell."""
         q, runs, cells = self._grid
-        if cells is None:
+        if cells is None:  # only on a direct call: a family holds or serves no such row
             raise NotADistribution(f"the masses are not a probability distribution: {self.defect()}")
         x = un * q // ud
         return self._hits[bisect_right(runs, x) - 1 if x < q else bisect_left(runs, q) - 1]

@@ -109,7 +109,7 @@ class TooDeep(PTreeError):
 
 
 class NotATrialTree(PTreeError, ValueError):
-    """A family is not a trial tree: wrong shape, or a row that is not a distribution."""
+    """Not a trial tree: a family of the wrong shape, a probability outside [0, 1], or a bad count or draw bound."""
 
 
 class NotALeaf(PTreeError):

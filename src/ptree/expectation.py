@@ -64,7 +64,7 @@ def _conditional(family: EdgeFamily, variable: FrontVariable, t: Path) -> Option
     object; later queries at or below t are dict reads. The front must be
     a front of the family's tree: every child of a node above it then lies
     at or above a member. A node's state gives its row before its children
-    are folded, so the shallowest refused row on a path raises, as in `_walk`.
+    are folded, so the shallowest refused rule row on a path raises, as in `_walk`.
     """
     owner, memo = variable._memo
     if owner is not family:

@@ -86,8 +86,8 @@ def locate_branch(family: EdgeFamily, y: Fraction, depth: int) -> Path:
 
     Cells are half-open on the right except the last one, degenerate cells
     are skipped, and hitting an endpoint shared by two positive cells
-    fails: the inverse map is genuinely undefined on such points. A row
-    that is not a probability distribution raises NotADistribution when
+    fails: the inverse map is genuinely undefined on such points. A rule
+    row that is not a probability distribution raises NotADistribution when
     the descent reaches it.
     """
     y = as_fraction(y)
@@ -250,9 +250,8 @@ def freeness_report(family: EdgeFamily, depth: int, epsilon: Fraction) -> Freene
         bound = max(measure.mass(t) for t in enumerate_front(tree, depth).nodes)
         return FreenessReport(depth, epsilon, ATOM_FOUND, bound, best)
 
-    if family.row is None:
+    if (row := family.row) is None:
         return FreenessReport(depth, epsilon, INCONCLUSIVE)
-    row, _, _ = family._root  # the shared row, read through the gate: a refused one raises
     if isinstance(row, Geometric):
         sup = 1 - row.ratio  # child 0's mass, the largest
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .dists import Dist, FiniteDist, FractionLike, Geometric, PointMass, ONE, ZERO, as_fraction, fraction_sum, show
 from .errors import (
@@ -42,8 +42,9 @@ class EdgeFamily:
 
     Explicit families carry a distribution table. Generated families carry
     either one row shared by every node of a tree with a shared arity, or a
-    rule; a shared row lets named families answer global questions
-    (largest edge mass, forced atom) without enumeration.
+    rule; a shared row lets named families answer global questions (largest
+    edge mass, forced atom) without enumeration. Tables and shared rows are
+    checked here, a rule's rows (unbounded in number) as walks read them.
     """
 
     __slots__ = ("tree", "_dists", "row", "name", "_stride", "_power", "_root")
@@ -59,8 +60,8 @@ class EdgeFamily:
         self.name = name
         self.row = self._power = None
         self._stride = 0  # the levels one power step takes (`_power_row`); under 2, descent takes none
-        # the root's node state (row, cells, kids), built without reading a row through the gate: cells[k] is child
-        # k's integer cell (b, c, q), kids.get(k, state) its state, and (None, None, None) a maximal node's state
+        # the root's node state (row, cells, kids): cells[k] is child k's integer cell (b, c, q), kids.get(k, state)
+        # its state, and (None, None, None) a maximal node's state; a rule's root state reads no row until unpacked
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
             if not arity or _support_mismatch(dists, arity):
@@ -68,10 +69,8 @@ class EdgeFamily:
             self.row, self._dists = dists, None
             if dists.__class__ is Geometric:
                 dists._build_head()  # once per shared row: a rule's fresh rows keep an empty head
-            cells = dists._grid[2] if dists.__class__ is FiniteDist else dists  # None when the gate refuses the row
-            # no kids when it accepts: every child gets its parent's state back
-            self._root = (dists, cells, {}) if cells is not None else _Gated((partial(_refuse, dists), (), _Gated))
-            if cells is not None and dists.__class__ is not PointMass:
+            self._root = (dists, _row_cells(dists, ()), {})  # no kids: every child gets its parent's state back
+            if dists.__class__ is not PointMass:
                 self._stride = dists._stride()
         elif isinstance(dists, Mapping):
             table = {tuple(t): d for t, d in dists.items()}
@@ -86,8 +85,7 @@ class EdgeFamily:
                     raise InvalidArgument("closed-form distributions require a generated tree")
                 if d.indices != children[t]:
                     raise InvalidArgument(f"distribution at {t} does not match the child set")
-                kids = dict.fromkeys(children[t], _MAXIMAL)  # one state per interior node, linked below
-                states[t] = (d, cells, kids) if (cells := d._grid[2]) is not None else _Gated((partial(_refuse, d), t, kids))
+                states[t] = (d, _row_cells(d, t), dict.fromkeys(children[t], _MAXIMAL))  # linked below
             for t in filter(None, states):  # every node but the root is its parent's child
                 states[t[:-1]][2][t[-1]] = states[t]
             self._root = states.get((), _MAXIMAL)
@@ -103,7 +101,7 @@ class EdgeFamily:
         return isinstance(self._dists, dict)
 
     def dist(self, t: Path) -> Dist:
-        """The row at t, as given: it may fail to be a distribution."""
+        """The row at t, as given: a rule's may fail to be a distribution, which a walk would refuse."""
         t = self.tree.require(tuple(t))
         if self.tree._arity_unchecked(t) == 0:
             raise UnknownNode(f"node {t} is maximal and has no successor distribution")
@@ -133,7 +131,7 @@ class EdgeFamily:
             raise UnknownNode(f"node {t} is maximal and has no successor distribution")
         if k < 0 or (a is not OMEGA and k not in tree._child_indices(t)):  # t + (k,) may lie past the depth budget
             raise UnknownNode(f"no node {t + (k,)} in tree")
-        row, _, _ = self._state(t)  # the one read of the row, through the gate
+        row, _, _ = self._state(t)  # the one read of the row: a rule's is checked here
         return row.mass(k)
 
     def dist_table(self) -> Mapping[Path, Dist]:
@@ -174,35 +172,40 @@ _MAXIMAL = (None, None, None)  # a maximal node's state
 
 
 class _Gated(tuple):
-    """A node state (read, t, kids) that reads its row as `read(t)` each time it is unpacked as (row, cells, kids): a
-    refused row raises at the step that leaves its node. `state[2]` reads no row. A rule node's kids are `_Gated`
+    """A rule node's state (read, t, kids) that reads its row as `read(t)` each time it is unpacked as (row, cells,
+    kids): a refused rule row raises at the step that leaves its node. `state[2]` reads no row. Its kids are `_Gated`
     itself, whose `get` builds child k's state from its parent's. No state holds its family."""
 
     __slots__ = ()
 
     def __iter__(self):
         d = self[0](self[1])
-        return iter(_MAXIMAL if d is None else (d, d._grid[2] if d.__class__ is FiniteDist else d, self[2]))
+        return iter(_MAXIMAL if d is None else (d, _row_cells(d, self[1]), self[2]))
 
     @staticmethod
     def get(k: int, state: _Gated) -> _Gated:
         return _Gated((state[0], state[1] + (k,), _Gated))
 
 
-def _refuse(d: FiniteDist, t: Path) -> NoReturn:
-    """The reader of a row the gate refuses, bound to the row: reading it at any node t raises NotADistribution."""
-    raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
+def _row_cells(d: Dist, t: Path) -> Union[tuple, dict, Dist]:
+    """The cell table of the row d at node t: a finite row's cells, a closed form itself; a finite row that is not a
+    probability distribution raises NotADistribution. The one row check of tables, shared rows and rules' rows."""
+    if d.__class__ is not FiniteDist:
+        return d
+    if (cells := d._grid[2]) is None:
+        raise NotADistribution(f"the masses at node {t} are not a probability distribution: {d.defect()}")
+    return cells
 
 
 def _read_rule(tree: GeneratedTree, rule: Callable[[Path], Dist], t: Path) -> Dist | None:
     """The reader of a rule family, bound to its tree and rule: None at a maximal node; a row that is not over the
-    node's children, or a finite row that is not a probability distribution, raises NotADistribution."""
+    node's children raises NotADistribution (and one that is not a distribution does when its state is unpacked)."""
     if not (a := tree._arity_unchecked(t)):
         return None
     d = rule(t)
     if mismatch := _support_mismatch(d, a):
         raise NotADistribution(f"at node {t}, {mismatch}")
-    return _refuse(d, t) if d.__class__ is FiniteDist and d._grid[2] is None else d
+    return d
 
 
 def _support_mismatch(d: Dist, arity: Arity) -> str | None:
@@ -247,29 +250,25 @@ class ValidationReport:
 def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> ValidationReport:
     """Check that every per-node distribution is a probability distribution over the node's children.
 
-    Explicit families are checked node by node. Generated families are
-    checked on all nodes up to a shallow depth (closed forms certify their
-    own totals); the report records the depth that was covered.
+    A table or shared row was checked when the family was built, so only a
+    rule family's rows are read, on all nodes up to a shallow depth (closed
+    forms certify their own totals); the report records the depth covered.
     """
     tree = family.tree
     if depth is not None:
         depth = depth if tree.depth_budget is None else min(tree.depth_budget, depth)
         _check_budget(tree, depth)
-    if family.is_explicit:  # the constructor matched every row to its node's children
-        check_depth, rows = None, family._dists  # keyed by exactly the non-maximal nodes
-        defects = [(t, rows[t].defect()) for t in tree.nodes() if t in rows]
-    else:
-        check_depth = min(tree.depth_budget, 4) if depth is None else depth
-        defects, stack = [], [()]
-        while stack:  # from the root, so every t is a node: rows are read as `dist` gives them
-            t = stack.pop()
-            if not (a := tree._arity_unchecked(t)):
-                continue
-            d = family.row or family._dists(t)
-            # closed forms have total 1 by construction
-            defects.append((t, _support_mismatch(d, a) or (isinstance(d, FiniteDist) and d.defect())))
-            if len(t) < check_depth and a is not OMEGA:
-                stack.extend(t + (k,) for k in range(a))
+    check_depth = None if family.is_explicit else min(tree.depth_budget, 4) if depth is None else depth
+    defects, stack = [], [()] if callable(family._dists) else []  # only a rule's rows are unchecked
+    while stack:  # from the root, so every t is a node: rows are read as `dist` gives them
+        t = stack.pop()
+        if not (a := tree._arity_unchecked(t)):
+            continue
+        d = family._dists(t)
+        # closed forms have total 1 by construction
+        defects.append((t, _support_mismatch(d, a) or (isinstance(d, FiniteDist) and d.defect())))
+        if len(t) < check_depth and a is not OMEGA:
+            stack.extend(t + (k,) for k in range(a))
     violations = tuple((t, defect) for t, defect in defects if defect)
     return ValidationReport(not violations, violations, check_depth)
 
@@ -397,9 +396,9 @@ class InductiveMeasure:
 def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMeasure:
     """Materialize the induced node masses on all nodes up to `depth`.
 
-    A row that is not a probability distribution raises NotADistribution,
-    so the masses obey the inductive law by construction and are not
-    checked again.
+    A row that is not a probability distribution raises NotADistribution
+    (a table's or shared row's when the family is built), so the masses obey
+    the inductive law by construction and are not checked again.
     """
     tree = family.tree
     if depth is None and not isinstance(tree, ExplicitTree):
@@ -487,16 +486,14 @@ def positive_part(family: EdgeFamily, depth: int | None = None) -> tuple[EdgeFam
     shared row is positive on its whole support comes back unchanged; any
     other is walked from the root, an explicit one to its height and a
     generated one up to `depth`, and must have finite positive support at
-    every node (point masses). Rows are read as every walk reads them, so
-    one that is not a distribution over its node's children raises
+    every node (point masses). Rule rows are read as every walk reads them,
+    so one that is not a distribution over its node's children raises
     NotADistribution. An explicit family's null nodes come back as a
     frozenset, a generated family's as a NullNodeSet.
     """
     tree = family.tree
-    if family.row is not None:
-        row, _, _ = family._root  # a refused shared row raises here, as in every walk
-        if row.positive_support() == row.support:
-            return family, NullNodeSet(family)
+    if (row := family.row) is not None and row.positive_support() == row.support:
+        return family, NullNodeSet(family)
 
     explicit = family.is_explicit
     limit = tree.height if explicit else (tree.depth_budget if depth is None else depth)
@@ -618,8 +615,8 @@ def family_from_pair(pair: GeneralPair) -> EdgeFamily:
 def pair_from_family(family: EdgeFamily) -> GeneralPair:
     """Split a family into its positive measure and the original null fillers.
 
-    The induced measure's walk reads every row, null ones included, through
-    the row gate, so one that is not a distribution raises NotADistribution.
+    Every row, null ones included, is a distribution: the family's
+    constructor refused any other.
     """
     if not family.is_explicit:
         raise InfiniteLevel("splitting a generated family into a pair is not supported")

@@ -18,6 +18,7 @@ from .errors import (
     DepthBudgetExceeded,
     InfiniteLevel,
     InvalidAdjacency,
+    InvalidArgument,
     MalformedTree,
     MultipleRoots,
     NegativeDepth,
@@ -245,7 +246,7 @@ def _checked_arity(a: Arity, where: object) -> Arity:
         return a
     a = int(a)
     if a < 0:
-        raise ValueError(f"negative arity {a} at {where}")
+        raise InvalidArgument(f"negative arity {a} at {where}")
     return a
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ptree import EdgeFamily, ExplicitTree, FiniteDist, Front, FrontVariable
+from ptree import EdgeFamily, ExplicitTree, FiniteDist, Front, FrontVariable, GeneratedTree
 from ptree.paths import Path
 
 
@@ -47,6 +47,14 @@ def random_family(rng: random.Random, tree: ExplicitTree, allow_zero: bool = Fal
         if not tree.is_maximal(t)
     }
     return EdgeFamily(tree, dists)
+
+
+def rule_family(table: dict) -> EdgeFamily:
+    """A rule family serving a canonical table's rows (mass lists or FiniteDists) on a generated tree with the table's
+    nodes. Unlike a table, a rule's row is checked only when a walk steps off its node."""
+    rows = {tuple(t): d if isinstance(d, FiniteDist) else FiniteDist(d) for t, d in table.items()}
+    height = 1 + max(map(len, rows), default=-1)
+    return EdgeFamily(GeneratedTree(lambda t: len(rows[t].masses) if t in rows else 0, height), rows.__getitem__)
 
 
 def random_variable(rng: random.Random, front: Front) -> FrontVariable:

@@ -299,14 +299,15 @@ def test_a_shared_probability_object_builds_the_tree_fresh_objects_build(shared,
 
 
 def test_trial_tree_rows_must_sum_to_one():
-    from ptree import EdgeFamily, NotATrialTree, PTreeError
+    # the family's constructor refuses such a row, before a trial tree can adopt the family
+    from ptree import EdgeFamily, NotADistribution, PTreeError
 
-    with pytest.raises(NotATrialTree) as info:
+    with pytest.raises(NotADistribution, match=r"^the masses at node \(\) are not a probability distribution: ") as info:
         DependentTrialTree(1, EdgeFamily.from_table({(): ["1/3", "1/3"]}))
     assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
-    with pytest.raises(NotATrialTree):
+    with pytest.raises(NotADistribution, match="child 0 has mass 3/2 outside"):
         DependentTrialTree(1, EdgeFamily.from_table({(): ["3/2", "-1/2"]}))
-    with pytest.raises(NotATrialTree):
+    with pytest.raises(NotADistribution, match=r"at node \(1,\) .*: masses sum to 3/4, not 1"):
         DependentTrialTree(
             2, EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/2", "1/2"], (1,): ["1/2", "1/4"]})
         )

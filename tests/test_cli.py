@@ -249,6 +249,21 @@ def test_bound_names_the_spec_file_that_holds_no_trial_tree(request, capsys, spe
     assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["measure", "--node", "0"], ["bound", "--p", "1/3"]], ids=["measure", "bound"])
+@pytest.mark.parametrize(
+    "probs, message",
+    [(["1/3", "1/3"], "masses sum to 2/3, not 1"), (["3/2", "-1/2"], "child 0 has mass 3/2 outside [0, 1]")],
+    ids=["short-sum", "negative-mass"],
+)
+def test_a_refused_row_exits_1_naming_the_spec_file_and_key(tmp_path, capsys, command, probs, message):
+    nodes = {"": {"arity": 2, "probs": probs}, "0": {"arity": 0}, "1": {"arity": 0}}
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"version": 1, "representation": "explicit", "nodes": nodes}))
+    assert main([command[0], "--tree", str(spec), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {spec}: node '': {message}\n"
+
+
 def test_env_budget_override(generator_spec, tmp_path, capsys, monkeypatch):
     doc = '{"version": 1, "representation": "generator", "generator": "uniform_binary"}'
     path = tmp_path / "nb.json"

@@ -46,7 +46,7 @@ from ptree import (
 from ptree.dists import Geometric
 from ptree.paths import lex_less, order_relations, OrderRelation
 
-from corpus import random_family, random_tree
+from corpus import random_family, random_tree, rule_family
 
 
 def test_interval_uniform_binary_example():
@@ -370,9 +370,9 @@ def test_freeness_checks_its_depth(depth, error):
 
 
 def test_freeness_refuses_a_shared_row_that_is_not_a_distribution():
-    fam = EdgeFamily(GeneratedTree(2, depth_budget=16), FiniteDist(["1/3", "1/3"]))
+    # the family's constructor refuses the row, so the report never bounds by a bad shared row
     with pytest.raises(NotADistribution, match=r"node \(\)"):
-        freeness_report(fam, 10, F(1, 4))
+        EdgeFamily(GeneratedTree(2, depth_budget=16), FiniteDist(["1/3", "1/3"]))
 
 
 def test_atom_gaps():
@@ -596,7 +596,7 @@ def test_negative_sample_count_is_rejected():
 def test_descent_rejects_rows_that_are_not_distributions(row):
     # redraws used to condition away the missing mass: a 2/3 row gave
     # each child about half of the draws
-    fam = EdgeFamily.from_table({(): ["1/2", "1/2"], (1,): row})
+    fam = rule_family({(): ["1/2", "1/2"], (1,): row})
     assert locate_branch(fam, F(1, 4), 2) == (0,)  # the bad row is never reached
     for call in (
         lambda: locate_branch(fam, F(3, 4), 2),

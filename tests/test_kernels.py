@@ -18,7 +18,7 @@ masses, a longest-prefix search for the source node behind each image node
 inside a gadget, for its verifier, the same four checks over `Fraction` masses
 and cells (a violated law worded by the checked measure constructor), for
 `below_mass`, an `is_prefix` filter over the front, for finite rows, the accessors as written when a row's integer grid was built
-on first use, and, for walks over cell tables and rows the gate refuses, a `Fraction` product and
+on first use, and, for walks over cell tables and rule rows the gate refuses, a `Fraction` product and
 prefix fold over each family's rows as given (only the library's `show` is shared, for messages), and, for
 descent through a shared finite row's power row, the one-level-per-step descent loop it replaced, and, for walks
 and descents that step through an explicit family's node states, the loops that read each row by path. Results
@@ -93,7 +93,7 @@ from ptree.encoding import EncodingReport
 from ptree.measures import _support_mismatch, _walk, positive_part
 from ptree.paths import OMEGA, compatible, is_prefix
 
-from corpus import random_family, random_tree, random_variable
+from corpus import random_family, random_tree, random_variable, rule_family
 from test_expectation import brute_conditional
 
 FAST = settings(max_examples=40, deadline=None)
@@ -386,7 +386,8 @@ class LazyGridRow:
         return f"masses sum to {show(self.total)}, not 1"
 
     def gate(self):
-        """The row gate's verdict at the root: None, or its NotADistribution message."""
+        """The verdict on the row at the root, a family's constructor's or a walk's: None, or its NotADistribution
+        message."""
         return None if self.grid()[2] else f"the masses at node () are not a probability distribution: {self.defect()}"
 
 
@@ -426,11 +427,11 @@ def test_finite_rows_built_with_their_grid_match_the_lazy_grid(gaps_masses, norm
     for u in points + [F(0), F(1)]:
         assert result_of(row.locate, u.numerator, u.denominator) == result_of(oracle.locate, u.numerator, u.denominator)
     assert row.total == oracle.total and row.defect() == oracle.defect()
-    if indices:  # a table row sits at a non-maximal node
+    if indices:  # a table row sits at a non-maximal node; the constructor refuses one that is not a distribution
         tree = ExplicitTree({(): indices, **{(k,): () for k in indices}})
-        fam = EdgeFamily(tree, {(): row})
         verdict = oracle.gate()
-        assert result_of(lambda: tuple(fam._state(()))[0]) == (row if verdict is None else (NotADistribution, verdict))
+        built = result_of(lambda: EdgeFamily(tree, {(): row})._state(())[0])
+        assert built == (row if verdict is None else (NotADistribution, verdict))
 
 
 @FAST
@@ -1213,14 +1214,12 @@ def path_reading_walk(family, ends, start=(), require=None):
     return out
 
 
-def with_a_bad_row(rng, fam):
-    """The family with one interior row, off most paths, replaced by masses that are not a distribution."""
-    table = fam.dist_table()
+def with_a_bad_row(rng, table):
+    """The table with one interior row, off most paths, replaced by masses that are not a distribution."""
     u = rng.choice(sorted(table))
     idx = table[u].indices
     short, negative = dict.fromkeys(idx, F(1, len(idx) + 1)), {**dict.fromkeys(idx, F(0)), idx[0]: F(3, 2)}
-    table[u] = FiniteDist(rng.choice([short, negative]))
-    return EdgeFamily(fam.tree, table)
+    return {**table, u: FiniteDist(rng.choice([short, negative]))}
 
 
 def state_case(rng, kind):
@@ -1239,12 +1238,13 @@ def state_case(rng, kind):
     fam = random_family(rng, random_tree(rng, max_depth=5, max_arity=4), allow_zero=True)
     if kind == "positive-part":  # sparse child sets: a zero edge's child is gone, the others keep their index
         fam = positive_part(fam)[0]
-    elif fam.dist_table() and (kind == "bad-row" or (kind == "rule" and rng.random() < 0.5)):
-        fam = with_a_bad_row(rng, fam)
-    tree = fam.tree
-    if kind == "rule":  # the same rows, read by a rule over a generated tree with the explicit tree's nodes
-        fam = EdgeFamily(GeneratedTree(tree._arity_unchecked, tree.height), fam.dist_table().__getitem__)
-    return fam, sorted(tree.nodes()), tree.height + (kind != "rule")  # past an explicit tree's height, descent stops
+    tree, rule = fam.tree, kind in ("bad-row", "rule")
+    if rule:  # the same rows, read by a rule over a generated tree with the explicit tree's nodes; only a rule's are lazy
+        table = fam.dist_table()
+        if table and (kind == "bad-row" or rng.random() < 0.5):
+            table = with_a_bad_row(rng, table)
+        fam = rule_family(table)
+    return fam, sorted(tree.nodes()), tree.height + (not rule)  # past an explicit tree's height, descent stops
 
 
 @settings(max_examples=60, deadline=None)
@@ -1658,14 +1658,48 @@ def test_cell_table_walks_match_fraction_products(rng, kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(RANDOMS, st.sampled_from(["explicit", "shared", "rule"]), st.sampled_from(["short-sum", "negative"]))
+@given(RANDOMS, st.integers(0, 2))
+def test_a_table_is_refused_when_built_exactly_when_a_row_is_not_a_distribution(rng, corrupt):
+    table = random_family(rng, random_tree(rng, max_depth=4, max_arity=3), allow_zero=True).dist_table()
+    order = list(table)
+    rng.shuffle(order)  # the constructor checks rows in the table's own order
+    bad = set(rng.sample(order, min(corrupt, len(order))))
+    reasons = {}
+    for t in bad:
+        masses, i = list(table[t].masses), rng.randrange(len(table[t].masses))
+        defect = rng.choice(["short-sum", "negative", "above-one"])
+        if defect == "short-sum":  # every mass scaled by c < 1
+            c = F(rng.randint(1, 5), 6)
+            masses, reasons[t] = [m * c for m in masses], f"masses sum to {c}, not 1"
+        else:
+            masses[i] = F(-1, rng.randint(1, 5)) if defect == "negative" else 1 + F(1, rng.randint(1, 5))
+            reasons[t] = f"child {i} has mass {masses[i]} outside [0, 1]"
+        table[t] = FiniteDist(masses)
+    table = {t: table[t] for t in order}
+    first = next((t for t in order if t in bad), None)
+    expected = None if first is None else (
+        NotADistribution, f"the masses at node {first} are not a probability distribution: {reasons[first]}"
+    )
+    tree = ExplicitTree.from_arities({t: len(d.masses) for t, d in table.items()})
+    rows = {t: d.masses for t, d in table.items()}
+    for build in (lambda: EdgeFamily(tree, table), lambda: EdgeFamily.from_table(rows)):
+        built = result_of(build)
+        if expected:
+            assert built == expected
+        else:
+            assert built.dist_table() == table
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOMS, st.sampled_from(["table", "every-node", "one-node"]), st.sampled_from(["short-sum", "negative"]))
 def test_a_defective_row_is_refused_exactly_when_a_walk_crosses_it(rng, kind, defect):
+    # rule families only: a table or shared row that is not a distribution is refused when the family is built
     def bad_row(a):
         if defect == "short-sum":  # every child 1/(a + 1)
             return [F(1, a + 1)] * a, f"masses sum to {F(a, a + 1)}, not 1"
         return [F(3, 2), F(-1, 2)] + [F(0)] * (a - 2), "child 0 has mass 3/2 outside [0, 1]"
 
-    if kind == "explicit":
+    if kind == "table":  # a rule serving a random table's rows
         tree = random_tree(rng, max_depth=4, max_arity=3)
         interior = sorted(t for t in tree.nodes() if tree._arity_unchecked(t) >= 2)
         if not interior:
@@ -1673,11 +1707,11 @@ def test_a_defective_row_is_refused_exactly_when_a_walk_crosses_it(rng, kind, de
         u = rng.choice(interior)
         table = {t: [F(1, a)] * a for t in tree.nodes() if (a := tree._arity_unchecked(t))}
         table[u], reason = bad_row(len(table[u]))
-        fam = EdgeFamily.from_table(table)
+        fam = rule_family(table)
         nodes = sorted(tree.nodes())
-    elif kind == "shared":  # the one row is every node's: a walk crosses it with its first step
+    elif kind == "every-node":  # one row at every node: a walk crosses it with its first step
         u, (row, reason) = (), bad_row(2)
-        fam = EdgeFamily(GeneratedTree(2, 6), FiniteDist(row))
+        fam = EdgeFamily(GeneratedTree(2, 6), lambda t: FiniteDist(row))
         nodes = [tuple(rng.randrange(2) for _ in range(rng.randint(0, 6))) for _ in range(8)]
     else:
         u = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
@@ -1700,10 +1734,10 @@ def test_a_defective_row_is_refused_exactly_when_a_walk_crosses_it(rng, kind, de
     for t in rng.sample(nodes, min(6, len(nodes))):
         assert outcome(node_mass, fam, t) == (expected if crosses(t) else None)
         assert outcome(node_interval, fam, t) == (expected if crosses(t) else None)
-    n = rng.randint(0, 4)
-    front = sorted(t for t in nodes if len(t) == n) if kind != "explicit" else sorted(enumerate_front(fam.tree, n).nodes)
+    n = rng.randint(0, min(4, fam.tree.depth_budget))  # a table's rule tree is as deep as the table
+    front = sorted(t for t in nodes if len(t) == n) if kind != "table" else sorted(enumerate_front(tree, n).nodes)
     selected = frozenset(rng.sample(front, rng.randint(0, len(front))))
     crossed = any(map(crosses, selected))
     assert outcome(clopen_mass, fam, ClopenSelection(n, selected)) == (expected if crossed else None)
-    if kind == "shared":  # descent reads the shared row once, and only when it takes a step
+    if kind == "every-node":  # descent reads the root's row only when it takes a step
         assert outcome(locate_branch, fam, F(1, 3), n) == (expected if n else None)

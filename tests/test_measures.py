@@ -47,7 +47,7 @@ from ptree import (
 
 from ptree.paths import OMEGA
 
-from corpus import random_dist, random_family, random_tree
+from corpus import random_dist, random_family, random_tree, rule_family
 
 
 def uniform_height(h):
@@ -74,10 +74,7 @@ def test_validate_uniform_ok():
 
 
 def test_validate_bad_sum_reports_node():
-    fam = EdgeFamily(
-        complete_binary_tree(1),
-        {(): FiniteDist([F(1, 3), F(1, 3)])},
-    )
+    fam = rule_family({(): FiniteDist([F(1, 3), F(1, 3)])})
     report = validate_edge_family(fam)
     assert not report.ok
     assert report.violations[0][0] == ()
@@ -86,6 +83,15 @@ def test_validate_bad_sum_reports_node():
 def test_validate_geometric_closed_form_ok():
     report = validate_edge_family(geometric_omega(8))
     assert report.ok
+
+
+def test_validate_reads_no_shared_row():
+    # the constructor checked the row; walking the 2^32 nodes of uniform_binary up to depth 32 used to take hours
+    start = time.perf_counter()
+    report = validate_edge_family(uniform_binary(), 32)
+    assert (report.ok, report.violations, report.checked_depth) == (True, (), 32)
+    assert time.perf_counter() - start < 0.5
+    assert validate_edge_family(uniform_binary(8), 20).checked_depth == 8
 
 
 def test_node_mass_uniform():
@@ -407,7 +413,7 @@ def test_only_a_shared_geometric_row_builds_a_head_table(monkeypatch):
 
 
 def test_edge_prob_refuses_a_row_that_is_not_a_distribution():
-    fam = EdgeFamily.from_table({(): ["1/3", "1/3"]})
+    fam = rule_family({(): ["1/3", "1/3"]})
     with pytest.raises(NotADistribution) as info:
         fam.edge_prob((), 0)
     with pytest.raises(NotADistribution) as walked:
@@ -670,10 +676,11 @@ def outcome(build):
 def test_pair_from_family_matches_the_split_measure_route(rng):
     tree = random_tree(rng, max_depth=4, max_arity=3)
     fam = random_family(rng, tree, allow_zero=True)
-    if rng.random() < 0.3:  # one corrupted row, in the positive part or the null region
+    if rng.random() < 0.3:  # one corrupted row, in the positive part or the null region, is refused up front
         rows = fam.dist_table()
         t = rng.choice(sorted(rows))
-        fam = EdgeFamily(tree, {**rows, t: bad_row(rng, rows[t])})
+        with pytest.raises(NotADistribution, match=f"^the masses at node {re.escape(str(t))} are not a probability"):
+            EdgeFamily(tree, {**rows, t: bad_row(rng, rows[t])})
 
     def old():
         positive, fillers = pair_of_split_measure(fam)
@@ -685,7 +692,7 @@ def test_pair_from_family_matches_the_split_measure_route(rng):
 
     expected = outcome(old)
     assert outcome(new) == expected
-    assert expected is NotADistribution or expected[3] == fam
+    assert expected[3] == fam
 
 
 @settings(max_examples=60, deadline=None)
@@ -812,14 +819,15 @@ def test_root_walks_on_a_deep_rule_tree_trust_membership(walk):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/3", "1/3"]}),
-        lambda: EdgeFamily(GeneratedTree(2, 4), FiniteDist(["1/3", "1/3"])),
+        lambda: EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/3", "2/3"]}),
+        lambda: EdgeFamily(GeneratedTree(2, 4), FiniteDist(["1/3", "2/3"])),
         lambda: EdgeFamily(GeneratedTree(2, 4), lambda t: FiniteDist(["1/2", "1/2"])),
     ],
-    ids=["refused-table-row", "refused-shared-row", "rule"],
+    ids=["table", "shared-row", "rule"],
 )
 def test_a_dropped_family_leaves_nothing_for_the_cyclic_collector(make):
-    # a gated state holds its reader, not its family, so reference counting frees the family and its states
+    # a state links only to its children's, and a gated state holds its reader, not its family, so reference
+    # counting frees the family and its states
     gc.collect()
     gc.disable()
     try:

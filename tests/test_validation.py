@@ -1,8 +1,8 @@
 """Each fact is checked where the data enters, and nowhere else.
 
-Rows: `FiniteDist.defect` and the row gate in the node states below
-`EdgeFamily._root`, which every walk, descent, fold and `induced_measure`
-reads through.
+Rows: `EdgeFamily.__init__` for a table or a shared row, and for a rule's
+rows the gate in the node states below `EdgeFamily._root`, which every walk,
+descent, fold and `induced_measure` reads through.
 Tree shape: `ExplicitTree.__init__`. Values: `as_fraction`, which refuses
 floats, and strings too long or with too large an exponent to read.
 Depths: `_check_budget`. Nodes: a tree's `contains`, which `require` and the
@@ -76,7 +76,7 @@ from ptree.cli import main
 from ptree.dists import MAX_POWER_BITS, Geometric, PointMass, as_fraction, show
 from ptree.paths import OMEGA
 
-from corpus import random_family, random_tree
+from corpus import random_family, random_tree, rule_family
 
 BAD_ROWS = {"short-sum": ["1/3", "1/3"], "negative-mass": ["3/2", "-1/2"]}
 QUERIES = [
@@ -102,15 +102,18 @@ def _queries_below_the_root(fam):
 @pytest.mark.parametrize("row", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
 def test_walks_reject_a_bad_root_row(row, query):
     # each of these used to answer: node_mass 1/3, relative_expect 1, ...
-    fam = EdgeFamily.from_table({(): row})
+    fam = rule_family({(): row})
     with pytest.raises(NotADistribution, match=r"at node \(\) ") as info:
         _queries_below_the_root(fam)[query]()
     assert isinstance(info.value, PTreeError) and isinstance(info.value, ValueError)
 
 
 def test_positive_part_reads_a_shared_row_through_the_gate():
-    # a shared row positive on its whole support takes the shortcut, which still refuses a row that is not a distribution
-    fam = EdgeFamily(GeneratedTree(2, 5), FiniteDist(["1/3", "1/3"]))
+    # the shortcut for a shared row positive on its whole support never meets a bad one: the constructor refuses it
+    with pytest.raises(NotADistribution, match=r"^the masses at node \(\) are not a probability distribution: "):
+        EdgeFamily(GeneratedTree(2, 5), FiniteDist(["1/3", "1/3"]))
+    # a rule serving that row at every node is refused by the walk from the root
+    fam = EdgeFamily(GeneratedTree(2, 5), lambda t: FiniteDist(["1/3", "1/3"]))
     with pytest.raises(NotADistribution, match=r"^the masses at node \(\) are not a probability distribution: "):
         positive_part(fam)
 
@@ -118,7 +121,7 @@ def test_positive_part_reads_a_shared_row_through_the_gate():
 @pytest.mark.parametrize("query", ["node_mass", "relative_expect", "tower_check"])
 def test_every_walk_names_the_shallowest_refused_row(query):
     # the expectation fold reads a node's row before folding its children, so it names the row every walk names
-    fam = EdgeFamily.from_table({(): ["1/3", "1/3"], (0,): ["1/3", "1/3"], (1,): ["1/2", "1/2"]})
+    fam = rule_family({(): ["1/3", "1/3"], (0,): ["1/3", "1/3"], (1,): ["1/2", "1/2"]})
     variable = _level_variable(fam, 2)
     call = {
         "node_mass": lambda: node_mass(fam, (0, 0)),
@@ -136,7 +139,7 @@ def _level_variable(fam, level):
 
 @pytest.mark.parametrize("row", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
 def test_walks_answer_when_the_path_avoids_the_bad_row(row):
-    fam = EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/4", "3/4"], (1,): row})
+    fam = rule_family({(): ["1/2", "1/2"], (0,): ["1/4", "3/4"], (1,): row})
     variable = _level_variable(fam, 2)
     assert node_mass(fam, (0, 0)) == F(1, 8)
     assert node_interval(fam, (0, 1)) == (F(1, 8), F(1, 2))
@@ -151,22 +154,17 @@ def test_walks_answer_when_the_path_avoids_the_bad_row(row):
         lambda: clopen_mass(fam, ClopenSelection(2, frozenset({(0, 0), (1, 0)}))),
         lambda: relative_expect(fam, variable, ()),
         lambda: tower_check(fam, variable, 0, 1, 2),
-        lambda: induced_measure(fam),
+        lambda: induced_measure(fam, 2),
         lambda: locate_branch(fam, F(3, 4), 2),
     ):
         with pytest.raises(NotADistribution, match=r"node \(1,\)"):
             call()
 
 
-@pytest.mark.parametrize("kind", ["explicit", "rule"])
-def test_no_row_above_the_start_of_a_walk_is_read(kind):
+def test_no_row_above_the_start_of_a_walk_is_read():
     # the root row sums to 3/4; the tower check at level 1 walks from each level-1 node, and the
     # expectation at (0,) folds the subtree below it, so neither reads the root row
-    table = {(): ["1/2", "1/4"], (0,): ["1/4", "3/4"], (1,): ["1/2", "1/2"]}
-    if kind == "explicit":
-        fam = EdgeFamily.from_table(table)
-    else:
-        fam = EdgeFamily(GeneratedTree(lambda t: 2 if len(t) < 2 else 0, 2), lambda t: FiniteDist(table[t]))
+    fam = rule_family({(): ["1/2", "1/4"], (0,): ["1/4", "3/4"], (1,): ["1/2", "1/2"]})
     front = enumerate_front(fam.tree, 2)
     variable = FrontVariable(front, {t: sum(t) for t in front.nodes})
     assert tower_check(fam, variable, 1, 1, 2).equal is True
@@ -191,8 +189,8 @@ def test_walk_answers_or_names_the_shallowest_bad_row(rng, corrupt):
         masses = list(table[t].masses)
         masses[rng.randrange(len(masses))] += F(rng.choice([-3, -1, 1, 2]), rng.randint(2, 5))
         table[t] = FiniteDist(masses)
-    fam = EdgeFamily(fam.tree, table)
-    for t in fam.tree.nodes():
+    tree, fam = fam.tree, rule_family(table)
+    for t in tree.nodes():
         on_path = [t[:i] for i in range(len(t)) if t[:i] in bad]
         if on_path:
             with pytest.raises(NotADistribution, match=f"at node {re.escape(str(on_path[0]))} "):
@@ -234,10 +232,10 @@ def test_mapping_keys_that_name_one_index_twice_are_refused():
 
 
 def test_validate_reports_the_first_defect_of_each_row():
-    fam = EdgeFamily.from_table({(): ["1/2", "1/2"], (0,): ["1/3", "1/3"], (1,): ["3/2", "-1/2"]})
-    assert validate_edge_family(fam).violations == (
-        ((0,), "masses sum to 2/3, not 1"),
+    fam = rule_family({(): ["1/2", "1/2"], (0,): ["1/3", "1/3"], (1,): ["3/2", "-1/2"]})
+    assert validate_edge_family(fam).violations == (  # in the order the rule walk pops them
         ((1,), "child 0 has mass 3/2 outside [0, 1]"),
+        ((0,), "masses sum to 2/3, not 1"),
     )
 
 
@@ -578,12 +576,15 @@ _ON_THIRDS = FrontVariable(enumerate_front(ExplicitTree({(): (0, 1, 2), (0,): ()
         (lambda: FiniteDist({-1: "1"}), ValueError, "negative child index"),
         (lambda: PointMass(-1), ValueError, "negative child index"),
         (lambda: uniform_binary(3).dist_table(), ValueError, "generated families have no finite distribution table"),
+        (lambda: GeneratedTree(-1, 8), ValueError, "negative arity -1 at every node"),
+        (lambda: GeneratedTree(lambda t: -1, 8).arity(()), ValueError, r"negative arity -1 at \(\)"),
     ],
     ids=[
         "measure-without-depth", "measure-mass-above-1", "measure-missing-successor", "induced-generated-without-depth",
         "positive-part-of-geometric-rule", "negative-tree-budget", "tower-levels-out-of-order", "scale-add-across-fronts",
         "trial-probability-above-1", "serialize-unnamed-generator", "serialize-sparse-positive-part",
-        "finite-row-negative-index", "point-mass-negative-index", "dist-table-of-generated",
+        "finite-row-negative-index", "point-mass-negative-index", "dist-table-of-generated", "negative-shared-arity",
+        "negative-rule-arity",
     ],
 )
 def test_public_entry_points_refuse_bad_arguments(call, error, message):
@@ -607,12 +608,14 @@ def test_public_entry_points_refuse_bad_arguments(call, error, message):
         (lambda: PointMass(-1), InvalidArgument),
         (lambda: uniform_binary(3).dist_table(), InvalidArgument),
         (lambda: complete_binary_tree(-1), NegativeDepth),
+        (lambda: GeneratedTree(-1, 8), InvalidArgument),
+        (lambda: GeneratedTree(lambda t: -1, 8).arity(()), InvalidArgument),
     ],
     ids=[
         "measure-without-depth", "measure-mass-above-1", "measure-missing-successor", "induced-generated-without-depth",
         "negative-tree-budget", "tower-levels-out-of-order", "scale-add-across-fronts", "serialize-unnamed-generator",
         "serialize-sparse-positive-part", "finite-row-negative-index", "point-mass-negative-index",
-        "dist-table-of-generated", "complete-tree-negative-height",
+        "dist-table-of-generated", "complete-tree-negative-height", "negative-shared-arity", "negative-rule-arity",
     ],
 )
 def test_public_refusals_of_bad_arguments_are_library_errors(call, error):
