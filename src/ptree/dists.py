@@ -12,7 +12,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InexactValue, InvalidArgument, NotADistribution, OversizedValue
@@ -52,14 +52,23 @@ def as_fraction(value: FractionLike) -> Fraction:
     return Fraction(value)
 
 
+def as_ratio(value: FractionLike) -> tuple[int, int]:
+    """value exactly as integers (n, d), d > 0. A canonical string is read as written, so "2/4" gives (2, 4), and no
+    Fraction is built; anything else is read by `as_fraction`, in lowest terms, and raises as it does."""
+    if isinstance(value, str) and len(value) <= MAX_CHARS and (canonical := _CANONICAL.fullmatch(value)):
+        if d := int(canonical[2] or 1):  # "1/0" is left to as_fraction's ZeroDivisionError
+            return int(canonical[1]), d
+    return as_fraction(value).as_integer_ratio()
+
+
 def show(x: Fraction) -> str:
     """x as text for messages and names; past 1,024 bits, its size: str() fails past 4,300 digits."""
     n, d = x.numerator.bit_length(), x.denominator.bit_length()
     return str(x) if max(n, d) <= SHOWN_BITS else f"{'-' * (x < 0)}~2^{n - d} ({n}-bit/{d}-bit fraction)"
 
 
-def _not_a_child(k: int, support: object) -> ValueError:
-    return ValueError(f"child index {k} not in distribution support {support}")
+def _not_a_child(k: int, support: object) -> InvalidArgument:
+    return InvalidArgument(f"child index {k} not in distribution support {support}")
 
 
 def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
@@ -77,62 +86,69 @@ class FiniteDist:
     The index set need not be contiguous: restrictions of a family to a
     subtree keep the original child indices. Entries are not forced to sum
     to one here; `defect` says whether they do, and families refuse a row that fails.
+    The row is kept as integers over one denominator; its entries as Fractions are built when first read.
     """
 
-    __slots__ = ("_items", "_grid", "_hits")
+    __slots__ = ("indices", "_items", "_grid", "_hits")
 
     def __init__(self, masses: Union[Sequence[FractionLike], Mapping[int, FractionLike]]):
         if isinstance(masses, (list, tuple)) or not isinstance(masses, Mapping):
-            items = tuple(enumerate(map(as_fraction, masses)))
+            ratios = list(map(as_ratio, masses))
+            indices = tuple(range(len(ratios)))
         else:
-            items = tuple(sorted(((int(k), as_fraction(v)) for k, v in masses.items()), key=itemgetter(0)))
-            if items and items[0][0] < 0:
+            pairs = sorted(((int(k), as_ratio(v)) for k, v in masses.items()), key=itemgetter(0))
+            indices = tuple(map(itemgetter(0), pairs))
+            ratios = list(map(itemgetter(1), pairs))
+            if indices and indices[0] < 0:
                 raise InvalidArgument("negative child index")
-            if any(a[0] == b[0] for a, b in zip(items, items[1:])):
+            if any(map(eq, indices, indices[1:])):
                 raise InvalidArgument("duplicate child index")
-        self._items = items
-        # (q, runs, cells): q is the lcm of the row's denominators; runs[i] is q times the mass of the
+        self.indices, self._items = indices, None
+        # (q, runs, cells): q is the lcm of the row's reduced denominators; runs[i] is q times the mass of the
         # first i entries, so entry i's cell is [runs[i]/q, runs[i + 1]/q). cells is None unless the masses
         # are nonnegative and sum to exactly one; then it holds each child's cell (b, c, q), by child index:
         # a tuple on a canonical row (sorted, distinct, nonnegative indices ending at n - 1), a dict on a sparse one.
-        q = math.lcm(*[m.denominator for _, m in items])  # a list unpacks faster than a generator
-        runs, cells, hits, b, nonnegative = [0], [], [], 0, True
-        for k, m in items:
-            c = m.numerator * (q // m.denominator)
-            nonnegative = nonnegative and c >= 0
+        q = math.lcm(*[d for _, d in ratios])  # a list unpacks faster than a generator
+        scaled = [n * (q // d) for n, d in ratios]
+        if (g := math.gcd(q, *scaled)) > 1:  # an unreduced entry, such as "2/4": q / g is the reduced lcm
+            q, scaled = q // g, [c // g for c in scaled]
+        runs, cells, hits, b = [0], [], [], 0
+        for k, c in zip(indices, scaled):
             cells.append((b, c, q))
             hits.append((k, b, c, q))
             runs.append(b := b + c)
-        stochastic = nonnegative and b == q  # a distribution has an entry, so items[-1] exists
-        canonical = stochastic and items[-1][0] == len(items) - 1
-        self._grid = q, runs, tuple(cells) if canonical else dict(zip(map(itemgetter(0), items), cells)) if stochastic else None
+        stochastic = b == q and min(scaled) >= 0  # a distribution has an entry, so min has one
+        canonical = stochastic and indices[-1] == len(indices) - 1
+        self._grid = q, runs, tuple(cells) if canonical else dict(zip(indices, cells)) if stochastic else None
         self._hits = tuple(hits)  # by position: the entry's child index and cell, as `locate` answers them
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(map(itemgetter(0), self._items))
+    support = property(attrgetter("indices"))
+
+    def items(self) -> tuple[tuple[int, Fraction], ...]:
+        """(child index, mass) by position; built on first read and kept."""
+        if self._items is None:
+            self._items = tuple((k, Fraction(c, q)) for k, _, c, q in self._hits)
+        return self._items
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
-        return tuple(m for _, m in self._items)
-
-    support = indices
+        return tuple(m for _, m in self.items())
 
     def _position(self, k: int) -> int:
-        """Where child k sits in the row; a ValueError when it is not there."""
-        items = self._items
-        i = k if 0 <= k < len(items) and items[k][0] == k else bisect_left(items, k, key=itemgetter(0))
-        if i == len(items) or items[i][0] != k:
-            raise _not_a_child(k, self.indices)
+        """Where child k sits in the row; an InvalidArgument when it is not there."""
+        indices = self.indices
+        i = k if 0 <= k < len(indices) and indices[k] == k else bisect_left(indices, k)
+        if i == len(indices) or indices[i] != k:
+            raise _not_a_child(k, indices)
         return i
 
     def mass(self, k: int) -> Fraction:
-        items = self._items
-        return items[k if 0 <= k < len(items) and items[k][0] == k else self._position(k)][1]
+        indices = self.indices
+        return self.items()[k if 0 <= k < len(indices) and indices[k] == k else self._position(k)][1]
 
     def prefix_mass(self, k: int) -> Fraction:
         q, runs, _ = self._grid
-        return Fraction(runs[bisect_left(self._items, k, key=itemgetter(0))], q)
+        return Fraction(runs[bisect_left(self.indices, k)], q)
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Child k's cell [b/q, (b + c)/q) in [0, 1], as unreduced integers (b, c, q)."""
@@ -150,7 +166,7 @@ class FiniteDist:
 
     def _stride(self) -> int:
         """The levels m one power cell takes: the largest m with n^m <= 256 and m · bits(q) <= HEAD_BITS."""
-        n, bits, m = len(self._items), self._grid[0].bit_length(), 1
+        n, bits, m = len(self.indices), self._grid[0].bit_length(), 1
         while n ** (m + 1) <= 256 and (m + 1) * bits <= HEAD_BITS:
             m += 1
         return m
@@ -168,25 +184,23 @@ class FiniteDist:
         """Why the row is not a probability distribution; None when it is one."""
         if self._grid[2] is not None:
             return None
-        for k, m in self._items:
-            if not 0 <= m <= 1:
-                return f"child {k} has mass {show(m)} outside [0, 1]"
+        for k, _, c, q in self._hits:
+            if not 0 <= c <= q:
+                return f"child {k} has mass {show(Fraction(c, q))} outside [0, 1]"
         return f"masses sum to {show(self.total)}, not 1"
 
     def positive_support(self) -> tuple[int, ...]:
-        return tuple(j for j, m in self._items if m > 0)
-
-    def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._items
+        return tuple(k for k, _, c, _ in self._hits if c > 0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteDist) and self._items == other._items
+        return isinstance(other, FiniteDist) and self.indices == other.indices and self._grid[:2] == other._grid[:2]
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        q, runs, _ = self._grid
+        return hash((self.indices, q, *runs))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{j}: {show(m)}" for j, m in self._items)
+        body = ", ".join(f"{j}: {show(m)}" for j, m in self.items())
         return f"FiniteDist({{{body}}})"
 
 
@@ -253,7 +267,7 @@ def _geometric_index(rn: int, rd: int, vn: int, vd: int, inv_log: float, kmax: i
 def _power_index(k: int, kmax: int) -> int:
     """k, when it is a child and r^k fits: 0 <= k <= kmax = MAX_POWER_BITS // bits(rd).
 
-    A negative k raises ValueError, one past kmax OversizedValue.
+    A negative k raises InvalidArgument, one past kmax OversizedValue.
     """
     if k > kmax:
         raise OversizedValue(f"geometric children past {kmax} are refused: child k needs k · bits(denominator of r) <= {MAX_POWER_BITS:,}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .dists import Dist, FiniteDist, FractionLike, Geometric, PointMass, ONE, ZERO, as_fraction, fraction_sum, show
+from .dists import Dist, FiniteDist, FractionLike, Geometric, PointMass, ZERO, as_fraction, fraction_sum, show
 from .errors import (
     DepthBudgetExceeded,
     InfiniteLevel,
@@ -147,7 +147,7 @@ class EdgeFamily:
     ) -> "EdgeFamily":
         """Build a canonical explicit family from non-maximal node rows."""
         dists = {tuple(t): FiniteDist(row) for t, row in table.items()}
-        return cls(ExplicitTree.from_arities({t: len(d.masses) for t, d in dists.items()}, depth_budget), dists)
+        return cls(ExplicitTree.from_arities({t: len(d.indices) for t, d in dists.items()}, depth_budget), dists)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeFamily):
@@ -211,7 +211,7 @@ def _read_rule(tree: GeneratedTree, rule: Callable[[Path], Dist], t: Path) -> Di
 def _support_mismatch(d: Dist, arity: Arity) -> str | None:
     """Why a generated node of this arity cannot take the row d; None when d's support is its child set."""
     # a finite row's indices are sorted and distinct, so n of them ending at n - 1 are 0..n-1; no length equals OMEGA
-    fits = (len(d._items) == arity and d._items[-1][0] == arity - 1) if isinstance(d, FiniteDist) else d.support is arity
+    fits = (len(d.indices) == arity and d.indices[-1] == arity - 1) if isinstance(d, FiniteDist) else d.support is arity
     if not fits:
         return f"the row {d!r} is not over the node's children 0..{'OMEGA' if arity is OMEGA else arity - 1}"
     return None
@@ -268,7 +268,7 @@ def validate_edge_family(family: EdgeFamily, depth: int | None = None) -> Valida
         # closed forms have total 1 by construction
         defects.append((t, _support_mismatch(d, a) or (isinstance(d, FiniteDist) and d.defect())))
         if len(t) < check_depth and a is not OMEGA:
-            stack.extend(t + (k,) for k in range(a))
+            stack.extend(t + (k,) for k in reversed(range(a)))  # popped in preorder, so violations are listed in it
     violations = tuple((t, defect) for t, defect in defects if defect)
     return ValidationReport(not violations, violations, check_depth)
 
@@ -407,16 +407,16 @@ def induced_measure(family: EdgeFamily, depth: int | None = None) -> InductiveMe
     _check_budget(tree, depth_limit)
     record_depth = None if isinstance(tree, ExplicitTree) and depth_limit >= tree.height else depth
     masses: dict[Path, Fraction] = {}
-    stack = [((), ONE, family._root)]  # each node with its mass and its state
+    stack = [((), 1, 1, family._root)]  # each node with its mass as unreduced integers w/q, and its state
     while stack:
-        t, m, state = stack.pop()
-        masses[t] = m
+        t, w, q, state = stack.pop()
+        masses[t] = Fraction(w, q)
         d, _, kids = state if len(t) < depth_limit else _MAXIMAL
         if d is None:
             continue
         if d.support is OMEGA:
             raise InfiniteLevel(f"node {t} has infinitely many successors")
-        stack.extend((t + (k,), m * p, kids.get(k, state)) for k, p in d.items())
+        stack.extend((t + (k,), w * c, q * r, kids.get(k, state)) for k, _, c, r in d._hits)
     return InductiveMeasure._trusted(tree, masses, record_depth)
 
 

@@ -41,6 +41,32 @@ def _parse_fraction(text: Any, path: str) -> Fraction:
         raise SpecValidationError(path, f"not an exact fraction: {text!r}") from None
 
 
+def _row(key: str, row: Any) -> tuple[tuple[int, ...], FiniteDist | None]:
+    """The checked row at key: its children (0..arity-1, the distribution's indices) and its distribution, which is
+    None at a maximal node."""
+    if not isinstance(row, dict):
+        raise SpecValidationError(key, "node rows must be objects")
+    arity = row.get("arity")
+    if type(arity) is not int or arity < 0:
+        raise SpecValidationError(key, f"arity must be a nonnegative integer, got {arity!r}")
+    probs = row.get("probs", [])
+    if arity == 0:
+        if probs:
+            raise SpecValidationError(key, "a maximal node cannot carry probabilities")
+        return (), None
+    if not isinstance(probs, list) or len(probs) != arity:
+        raise SpecValidationError(key, f"expected {arity} probabilities, got {len(probs) if isinstance(probs, list) else probs!r}")
+    try:
+        dist = FiniteDist(probs) if all(map(isinstance, probs, repeat(str))) else None
+    except (ValueError, ZeroDivisionError):
+        dist = None
+    if dist is None:  # the entry-by-entry parse names the entry at fault
+        dist = FiniteDist([_parse_fraction(p, key) for p in probs])
+    if (defect := dist.defect()) is not None:
+        raise SpecValidationError(key, defect)
+    return dist.indices, dist
+
+
 def _build_generator(name: str, depth_budget: int) -> EdgeFamily:
     if name == "uniform_binary":
         return uniform_binary(depth_budget)
@@ -97,37 +123,34 @@ def parse_spec(text: str, default_budget: int | None = None) -> EdgeFamily:
     nodes = doc.get("nodes")
     if not isinstance(nodes, dict):
         raise SpecValidationError("", "explicit documents need a 'nodes' table")
+    # One walk from the root key "": a child's key is its parent's plus ".k", so no key is parsed, and each row is
+    # checked as the walk reaches it. A key it never reaches, a declared child with no key, or a node past the budget
+    # sends the table, in document order, to the structural check, which names the fault.
+    declared = doc.get("depth_budget")  # an explicit tree keeps only a budget its document states
     children: dict[Path, tuple[int, ...]] = {}
     dists: dict[Path, FiniteDist] = {}
-    for key, row in nodes.items():
-        try:
-            path = parse_path(key)
-        except ValueError as exc:
-            raise SpecValidationError(key, str(exc)) from None
-        if not isinstance(row, dict):
-            raise SpecValidationError(key, "node rows must be objects")
-        arity = row.get("arity")
-        if type(arity) is not int or arity < 0:
-            raise SpecValidationError(key, f"arity must be a nonnegative integer, got {arity!r}")
-        children[path] = tuple(range(arity))
-        probs = row.get("probs", [])
-        if arity == 0:
-            if probs:
-                raise SpecValidationError(key, "a maximal node cannot carry probabilities")
-            continue
-        if not isinstance(probs, list) or len(probs) != arity:
-            raise SpecValidationError(key, f"expected {arity} probabilities, got {len(probs) if isinstance(probs, list) else probs!r}")
-        try:
-            dist = FiniteDist(probs) if all(map(isinstance, probs, repeat(str))) else None
-        except (ValueError, ZeroDivisionError):
-            dist = None
-        if dist is None:  # the entry-by-entry parse names the entry at fault
-            dist = FiniteDist([_parse_fraction(p, key) for p in probs])
-        if (defect := dist.defect()) is not None:
-            raise SpecValidationError(key, defect)
-        dists[path] = dist
+    stack, height = [("", ())] if "" in nodes else [], 0
+    while stack:
+        key, t = stack.pop()
+        children[t], dist = _row(key, nodes[key])
+        if dist is not None:
+            dists[t] = dist
+        height = max(height, len(t))
+        prefix = f"{key}." if t else ""
+        for k in reversed(children[t]):  # popped in preorder, the order of a serialized table
+            if (child := f"{prefix}{k}") in nodes:
+                stack.append((child, t + (k,)))
+    # every key was walked, and every declared child has one: each walked node but the root is a declared child
+    if not len(nodes) == len(children) == sum(map(len, children.values())) + 1 or (declared is not None and height > declared):
+        walked, children, height = children, {}, None
+        for key, row in nodes.items():
+            try:
+                t = parse_path(key)
+            except ValueError as exc:
+                raise SpecValidationError(key, str(exc)) from None
+            children[t] = walked[t] if t in walked else _row(key, row)[0]
     try:
-        tree = ExplicitTree._canonical(children, doc.get("depth_budget"))
+        tree = ExplicitTree._canonical(children, declared, height)
     except MalformedTree as exc:
         # keys are canonical, so format_path gives back the key of a node
         raise SpecValidationError(format_path(exc.node), exc.reason) from None

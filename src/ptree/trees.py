@@ -87,14 +87,21 @@ class ExplicitTree(_Tree):
         self._adopt(child_map, depth_budget)
 
     @classmethod
-    def _canonical(cls, child_map: dict[Path, tuple[int, ...]], depth_budget: int | None = None) -> "ExplicitTree":
-        """A tree over a map built in normal form (tuple keys, sorted tuples of distinct nonnegative indices)."""
+    def _canonical(
+        cls, child_map: dict[Path, tuple[int, ...]], depth_budget: int | None = None, height: int | None = None
+    ) -> "ExplicitTree":
+        """A tree over a map built in normal form (tuple keys, sorted tuples of distinct nonnegative indices). A map
+        built top-down from the root, every declared child in it and none past the budget, comes with its height."""
         tree = cls.__new__(cls)
-        tree._adopt(child_map, depth_budget)
+        tree._adopt(child_map, depth_budget, height)
         return tree
 
-    def _adopt(self, child_map: dict[Path, tuple[int, ...]], depth_budget: int | None) -> None:
-        """The structural check: keep a normal-form map once its root, prefix closure, declared children and depth fit."""
+    def _adopt(self, child_map: dict[Path, tuple[int, ...]], depth_budget: int | None, height: int | None = None) -> None:
+        """The structural check: keep a normal-form map once its root, prefix closure, declared children and depth fit;
+        a given height vouches for all four."""
+        self._children, self.depth_budget, self._height, self._index = child_map, depth_budget, height, None
+        if height is not None:
+            return
         if () not in child_map:
             raise MalformedTree((), "the root node is missing")
         for node in child_map:
@@ -107,12 +114,9 @@ class ExplicitTree(_Tree):
         if sum(map(len, child_map.values())) != len(child_map) - 1:  # each other node is a declared child
             missing = next(t + (k,) for t, idx in child_map.items() for k in idx if t + (k,) not in child_map)
             raise MalformedTree(missing, "declared child is missing")
-        self._children = child_map
-        self.depth_budget = depth_budget
         self._height = max(map(len, child_map))
         if depth_budget is not None and self._height > depth_budget:
             raise MalformedTree(max(child_map, key=len), f"lies deeper than the depth budget {depth_budget}")
-        self._index = None
 
     @classmethod
     def from_arities(cls, arities: Mapping[Path, int], depth_budget: int | None = None) -> "ExplicitTree":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 from ptree import EdgeFamily, ExplicitTree, FiniteDist, Front, FrontVariable, GeneratedTree
@@ -62,3 +63,19 @@ def random_variable(rng: random.Random, front: Front) -> FrontVariable:
         t: Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for t in front.nodes
     }
     return FrontVariable(front, values)
+
+
+def spelled(value: Fraction, kind: str, k: int) -> Fraction | int | str:
+    """value written as a row entry: its canonical string, unreduced by k, a decimal or an exponent (values whose
+    denominator divides a power of ten), an int (integer values) or the Fraction itself."""
+    n, d = value.as_integer_ratio()
+    e = next((e for e in range(12) if 10**e % d == 0), None)
+    if kind == "unreduced":
+        return f"{n * k}/{d * k}"
+    if kind == "decimal" and e is not None:
+        return str(Decimal(n * 10**e // d).scaleb(-e))  # "0.25", "-1.5", or "2.5E-7" below 10^-6
+    if kind == "exponent" and e is not None:
+        return f"{n * 10**e // d}e-{e}"
+    if kind == "int" and d == 1:
+        return n
+    return value if kind == "fraction" else str(value)

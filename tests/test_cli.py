@@ -517,3 +517,29 @@ def test_a_draw_past_the_geometric_power_limit_exits_1_promptly(tmp_path):
     )
     assert run.returncode == 1 and not run.stdout
     assert run.stderr.startswith("error: geometric children past 16131 are refused")
+
+
+def test_a_spec_listed_deepest_first_answers_as_its_sorted_copy(tmp_path, capsys):
+    # keys are read top-down from the root, and "2/4" and "0.25" are exact; the CI smoke step pins the same lines
+    nodes = {"0.1.1": {"arity": 0}, "0.1.0": {"arity": 0}, "0.1": {"arity": 2, "probs": ["1/3", "2/3"]},
+             "0.0": {"arity": 0}, "1": {"arity": 0}, "0": {"arity": 2, "probs": ["0.25", "3/4"]},
+             "": {"arity": 2, "probs": ["2/4", "1/2"]}}
+    specs = {}
+    for name, order in [("deepfirst", list(nodes)), ("sorted", sorted(nodes))]:
+        specs[name] = tmp_path / f"{name}.json"
+        specs[name].write_text(json.dumps({"version": 1, "representation": "explicit", "nodes": {k: nodes[k] for k in order}}))
+    values = tmp_path / "values.json"
+    values.write_text(json.dumps({"0.0": "3", "0.1.0": "-1/2", "0.1.1": "5", "1": "2"}))
+    commands = [["measure", "--node", "0.1.1"], ["embed", "--node", "0.1.1"], ["front", "--depth", "3", "--check-mass"],
+                ["expect", "--depth", "3", "--values", str(values)], ["encode", "--depth", "3", "--verify"], ["classify"]]
+    outputs = {}
+    for name, spec in specs.items():
+        for command in commands:
+            assert main([command[0], "--tree", str(spec), *command[1:]]) == 0
+        outputs[name] = capsys.readouterr().out
+    assert outputs["deepfirst"] == outputs["sorted"]
+    assert outputs["deepfirst"].splitlines()[:7] == ["1/4", "[1/4, 1/2]", "0.0", "0.1.0", "0.1.1", "1", "mass = 1"]
+    orphan = tmp_path / "orphan.json"
+    orphan.write_text(json.dumps({"version": 1, "representation": "explicit", "nodes": {"0.5": {"arity": 0}, **nodes}}))
+    assert main(["measure", "--tree", str(orphan), "--node", "0.1.1"]) == 1
+    assert capsys.readouterr().err == f"error: {orphan}: node '0.5': the parent does not declare this child\n"

@@ -18,7 +18,7 @@ masses, a longest-prefix search for the source node behind each image node
 inside a gadget, for its verifier, the same four checks over `Fraction` masses
 and cells (a violated law worded by the checked measure constructor), for
 `below_mass`, an `is_prefix` filter over the front, for finite rows, the accessors as written when a row's integer grid was built
-on first use, and, for walks over cell tables and rule rows the gate refuses, a `Fraction` product and
+on first use (and, for rows written as strings, the row built from the same values as `Fraction`s), and, for walks over cell tables and rule rows the gate refuses, a `Fraction` product and
 prefix fold over each family's rows as given (only the library's `show` is shared, for messages), and, for
 descent through a shared finite row's power row, the one-level-per-step descent loop it replaced, and, for walks
 and descents that step through an explicit family's node states, the loops that read each row by path. Results
@@ -53,6 +53,7 @@ from ptree import (
     HypothesisViolated,
     InductiveMeasure,
     InfiniteLevel,
+    InvalidArgument,
     NodeNotBelowFront,
     NotADistribution,
     OversizedValue,
@@ -93,7 +94,7 @@ from ptree.encoding import EncodingReport
 from ptree.measures import _support_mismatch, _walk, positive_part
 from ptree.paths import OMEGA, compatible, is_prefix
 
-from corpus import random_family, random_tree, random_variable, rule_family
+from corpus import random_family, random_tree, random_variable, rule_family, spelled
 from test_expectation import brute_conditional
 
 FAST = settings(max_examples=40, deadline=None)
@@ -349,7 +350,7 @@ class LazyGridRow:
         items = self._items
         i = k if 0 <= k < len(items) and items[k][0] == k else bisect.bisect_left(items, k, key=lambda e: e[0])
         if i == len(items) or items[i][0] != k:
-            raise ValueError(f"child index {k} not in distribution support {self.indices}")
+            raise InvalidArgument(f"child index {k} not in distribution support {self.indices}")
         return i
 
     def mass(self, k):
@@ -432,6 +433,32 @@ def test_finite_rows_built_with_their_grid_match_the_lazy_grid(gaps_masses, norm
         verdict = oracle.gate()
         built = result_of(lambda: EdgeFamily(tree, {(): row})._state(())[0])
         assert built == (row if verdict is None else (NotADistribution, verdict))
+
+
+ROW_ENTRY = st.tuples(
+    st.one_of(st.fractions(-1, 2, max_denominator=12), st.builds(F, st.integers(0, 40), st.sampled_from([1, 4, 8, 20, 25]))),
+    st.sampled_from(["canonical", "unreduced", "decimal", "exponent", "int", "fraction"]),
+    st.integers(2, 6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ROW_ENTRY, max_size=5), st.booleans(), st.lists(st.integers(1, 3), min_size=5, max_size=5), st.booleans())
+def test_a_row_read_from_strings_is_the_row_of_its_fractions(entries, normalize, gaps, sparse):
+    # canonical and unreduced strings are read as integers, everything else through Fraction: the grid, cells,
+    # masses, verdict, equality and hash must not tell the spellings apart
+    values = [v for v, _, _ in entries]
+    if normalize and (total := sum(map(abs, values))):
+        values = [abs(v) / total for v in values]
+    written = [spelled(v, kind, k) for v, (_, kind, k) in zip(values, entries)]
+    indices = list(accumulate(gaps[: len(values)])) if sparse else list(range(len(values)))
+    row = FiniteDist(dict(zip(indices, written))) if sparse else FiniteDist(written)
+    ref = FiniteDist(dict(zip(indices, values))) if sparse else FiniteDist(values)
+    assert row._grid == ref._grid and row._hits == ref._hits
+    assert row._grid[:2] == LazyGridRow(zip(indices, values)).grid()[:2]  # q is the lcm of the reduced denominators
+    assert row.masses == ref.masses == tuple(values) and row.items() == tuple(zip(indices, values))
+    assert row.defect() == ref.defect() == LazyGridRow(zip(indices, values)).defect()
+    assert row == ref and hash(row) == hash(ref)
 
 
 @FAST

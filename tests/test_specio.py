@@ -19,7 +19,7 @@ from ptree import (
 from ptree.dists import as_fraction
 from ptree.specio import parse_spec, serialize_spec
 
-from corpus import random_family, random_tree
+from corpus import random_family, random_tree, spelled
 
 
 def test_parse_minimal_explicit():
@@ -292,3 +292,99 @@ def test_round_trip_geometric_ratio_names(ratio):
     fam = geometric_omega(8, ratio)
     back = parse_spec(serialize_spec(fam))
     assert back == fam and back.row.ratio == ratio and back.name == fam.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_round_trip_explicit_families_with_zero_masses(rng):
+    # rows with zero masses and denominators up to 10^13, written in the
+    # canonical n/d form the fast path reads
+    tree = random_tree(rng, max_depth=4, max_arity=4)
+    rows = {}
+    for t in tree.nodes():
+        if not tree.is_maximal(t):
+            weights = [rng.choice([0, rng.randint(1, 10**12)]) for _ in tree.child_indices(t)]
+            weights[rng.randrange(len(weights))] += 1
+            rows[t] = FiniteDist([Fraction(w, sum(weights)) for w in weights])
+    fam = EdgeFamily(tree, rows)
+    back = parse_spec(serialize_spec(fam))
+    assert back == fam
+    assert all(back.dist(t).masses == d.masses for t, d in rows.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**20).filter(lambda r: 0 < r < 1))
+def test_round_trip_geometric_ratio_names(ratio):
+    fam = geometric_omega(8, ratio)
+    back = parse_spec(serialize_spec(fam))
+    assert back == fam and back.row.ratio == ratio and back.name == fam.name
+
+
+def _spelled(m: Fraction, rng: random.Random) -> str:
+    """m in [0, 1] as a probability string: canonical, unreduced, or a decimal when it has two places or fewer."""
+    n, d = m.as_integer_ratio()
+    if rng.random() < 0.3:
+        k = rng.randint(2, 5)
+        return f"{n * k}/{d * k}"
+    if rng.random() < 0.3 and 100 % d == 0:
+        c = n * (100 // d)  # 100·m, written as a two-place decimal such as "0.25"
+        return f"{c // 100}.{c % 100:02d}"
+    return str(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_table_with_shuffled_keys_parses_to_its_family(rng):
+    # keys are read top-down from the root, whatever order the document lists them in
+    tree = random_tree(rng, max_depth=4, max_arity=4)
+    table = {}
+    for t in tree.nodes():
+        if not tree.is_maximal(t):
+            weights = [rng.choice([0, rng.randint(1, 9)]) for _ in tree.child_indices(t)]
+            weights[rng.randrange(len(weights))] += 1
+            table[t] = [Fraction(w, sum(weights)) for w in weights]
+    doc = json.loads(serialize_spec(EdgeFamily.from_table(table)))
+    keys = list(doc["nodes"])
+    rng.shuffle(keys)
+    doc["nodes"] = {key: doc["nodes"][key] for key in keys}
+    for row in doc["nodes"].values():
+        row["probs"] = [spelled(Fraction(p), rng.choice(["canonical", "unreduced", "decimal"]), rng.randint(2, 5)) for p in row.get("probs", [])]
+    family, expected = parse_spec(json.dumps(doc)), EdgeFamily.from_table(table)
+    assert family == expected and family.tree.height == expected.tree.height
+    assert all(family.dist(t)._grid == d._grid for t, d in expected.dist_table().items())
+
+
+_STRAY = {"": {"arity": 2, "probs": ["1/2", "1/2"]}, "0": {"arity": 0}, "1": {"arity": 0}}
+
+
+@pytest.mark.parametrize(
+    "key, reason",
+    [
+        ("0.5", "the parent does not declare this child"),
+        ("2", "the parent does not declare this child"),
+        ("1.0.0", "parent node is missing (keys must be prefix-closed)"),
+    ],
+)
+@pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+def test_a_stray_key_is_named_with_its_reason(key, reason, first):
+    # the walk from the root never reaches the key; the document-order check names it as it always has
+    nodes = {key: {"arity": 0}, **_STRAY} if first else {**_STRAY, key: {"arity": 0}}
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(json.dumps({"version": 1, "representation": "explicit", "nodes": nodes}))
+    assert (info.value.path, info.value.reason) == (key, reason)
+
+
+def test_a_missing_declared_child_is_named():
+    nodes = {"": {"arity": 3, "probs": ["1/2", "1/4", "1/4"]}, "0": {"arity": 0}, "2": {"arity": 0}}
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(json.dumps({"version": 1, "representation": "explicit", "nodes": nodes}))
+    assert (info.value.path, info.value.reason) == ("1", "declared child is missing")
+
+
+def test_an_over_budget_document_names_its_first_deepest_key_in_document_order():
+    # a walk from the root reaches 0.0 first; the document lists 1.0 first
+    nodes = {"": {"arity": 2, "probs": ["1/2", "1/2"]}, "1": {"arity": 1, "probs": ["1"]}, "1.0": {"arity": 0},
+             "0": {"arity": 1, "probs": ["1"]}, "0.0": {"arity": 0}}
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(json.dumps({"version": 1, "representation": "explicit", "depth_budget": 1, "nodes": nodes}))
+    assert (info.value.path, info.value.reason) == ("1.0", "lies deeper than the depth budget 1")

@@ -233,9 +233,9 @@ def test_mapping_keys_that_name_one_index_twice_are_refused():
 
 def test_validate_reports_the_first_defect_of_each_row():
     fam = rule_family({(): ["1/2", "1/2"], (0,): ["1/3", "1/3"], (1,): ["3/2", "-1/2"]})
-    assert validate_edge_family(fam).violations == (  # in the order the rule walk pops them
-        ((1,), "child 0 has mass 3/2 outside [0, 1]"),
+    assert validate_edge_family(fam).violations == (  # in preorder
         ((0,), "masses sum to 2/3, not 1"),
+        ((1,), "child 0 has mass 3/2 outside [0, 1]"),
     )
 
 
@@ -467,7 +467,7 @@ def test_a_closed_form_refuses_a_negative_child(row, query):
     # Geometric used to answer cell(-1) in floats; PointMass gave child -1 mass 0
     with pytest.raises(ValueError, match=re.escape("child index -1 not in distribution support OMEGA")) as info:
         getattr(row, query)(-1)
-    assert not isinstance(info.value, PTreeError)  # the ValueError a finite row raises for a non-child
+    assert isinstance(info.value, InvalidArgument)  # as a finite row refuses a non-child; still a ValueError
     with pytest.raises(ValueError, match=re.escape("child index -1 not in distribution support (0, 1)")):
         FiniteDist(["1/2", "1/2"]).cell(-1)
 
