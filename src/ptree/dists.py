@@ -86,10 +86,10 @@ class FiniteDist:
     The index set need not be contiguous: restrictions of a family to a
     subtree keep the original child indices. Entries are not forced to sum
     to one here; `defect` says whether they do, and families refuse a row that fails.
-    The row is kept as integers over one denominator; its entries as Fractions are built when first read.
+    The row is kept as integers over one denominator; its masses as Fractions are built where they are read.
     """
 
-    __slots__ = ("indices", "_items", "_grid", "_hits")
+    __slots__ = ("indices", "_grid", "_hits")
 
     def __init__(self, masses: Union[Sequence[FractionLike], Mapping[int, FractionLike]]):
         if isinstance(masses, (list, tuple)) or not isinstance(masses, Mapping):
@@ -103,36 +103,33 @@ class FiniteDist:
                 raise InvalidArgument("negative child index")
             if any(map(eq, indices, indices[1:])):
                 raise InvalidArgument("duplicate child index")
-        self.indices, self._items = indices, None
-        # (q, runs, cells): q is the lcm of the row's reduced denominators; runs[i] is q times the mass of the
-        # first i entries, so entry i's cell is [runs[i]/q, runs[i + 1]/q). cells is None unless the masses
-        # are nonnegative and sum to exactly one; then it holds each child's cell (b, c, q), by child index:
-        # a tuple on a canonical row (sorted, distinct, nonnegative indices ending at n - 1), a dict on a sparse one.
+        self.indices = indices
+        # (q, runs, table): q is the lcm of the row's reduced denominators; runs[i] is q times the mass of the
+        # first i entries, so entry i's cell is [runs[i]/q, runs[i + 1]/q). table is None unless the masses are
+        # nonnegative and sum to exactly one; then it holds each child's entry from `_hits`, by child index: `_hits`
+        # itself on a canonical row (sorted, distinct, nonnegative indices ending at n - 1), a dict on a sparse one.
         q = math.lcm(*[d for _, d in ratios])  # a list unpacks faster than a generator
         scaled = [n * (q // d) for n, d in ratios]
         if (g := math.gcd(q, *scaled)) > 1:  # an unreduced entry, such as "2/4": q / g is the reduced lcm
             q, scaled = q // g, [c // g for c in scaled]
-        runs, cells, hits, b = [0], [], [], 0
+        runs, hits, b = [0], [], 0
         for k, c in zip(indices, scaled):
-            cells.append((b, c, q))
             hits.append((k, b, c, q))
             runs.append(b := b + c)
+        self._hits = hits = tuple(hits)  # by position: each entry (k, b, c, q): child k and its cell
         stochastic = b == q and min(scaled) >= 0  # a distribution has an entry, so min has one
         canonical = stochastic and indices[-1] == len(indices) - 1
-        self._grid = q, runs, tuple(cells) if canonical else dict(zip(indices, cells)) if stochastic else None
-        self._hits = tuple(hits)  # by position: the entry's child index and cell, as `locate` answers them
+        self._grid = q, runs, hits if canonical else dict(zip(indices, hits)) if stochastic else None
 
     support = property(attrgetter("indices"))
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        """(child index, mass) by position; built on first read and kept."""
-        if self._items is None:
-            self._items = tuple((k, Fraction(c, q)) for k, _, c, q in self._hits)
-        return self._items
+        """(child index, mass) by position."""
+        return tuple((k, Fraction(c, q)) for k, _, c, q in self._hits)
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
-        return tuple(m for _, m in self.items())
+        return tuple(Fraction(c, q) for _, _, c, q in self._hits)
 
     def _position(self, k: int) -> int:
         """Where child k sits in the row; an InvalidArgument when it is not there."""
@@ -143,8 +140,8 @@ class FiniteDist:
         return i
 
     def mass(self, k: int) -> Fraction:
-        indices = self.indices
-        return self.items()[k if 0 <= k < len(indices) and indices[k] == k else self._position(k)][1]
+        _, _, c, q = self._hits[self._position(k)]
+        return Fraction(c, q)
 
     def prefix_mass(self, k: int) -> Fraction:
         q, runs, _ = self._grid
@@ -152,14 +149,13 @@ class FiniteDist:
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Child k's cell [b/q, (b + c)/q) in [0, 1], as unreduced integers (b, c, q)."""
-        q, runs, _ = self._grid
-        i = self._position(k)
-        return runs[i], runs[i + 1] - runs[i], q
+        return self._hits[self._position(k)][1:]
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int]:
-        """The child k whose cell holds u = un/ud in [0, 1], and `cell(k)`; u = 1 is in the last positive cell."""
-        q, runs, cells = self._grid
-        if cells is None:  # only on a direct call: a family holds or serves no such row
+        """The entry (k, b, c, q) of the child k whose cell holds u = un/ud in [0, 1]; u = 1 is in the last positive
+        cell."""
+        q, runs, table = self._grid
+        if table is None:  # only on a direct call: a family holds or serves no such row
             raise NotADistribution(f"the masses are not a probability distribution: {self.defect()}")
         x = un * q // ud
         return self._hits[bisect_right(runs, x) - 1 if x < q else bisect_left(runs, q) - 1]
@@ -173,7 +169,7 @@ class FiniteDist:
 
     def _power(self, m: int) -> tuple:
         """This canonical row's m-level `_power_table`: every string of m children, none past end = Q but u = 1."""
-        return _power_table(self._grid[2], m, False)
+        return _power_table(self._hits, m, False)
 
     @property
     def total(self) -> Fraction:
@@ -204,16 +200,17 @@ class FiniteDist:
         return f"FiniteDist({{{body}}})"
 
 
-def _power_table(cells: Sequence[tuple[int, int, int]], m: int, tails: bool) -> tuple:
-    """(Q, runs, hits, end): m levels of a shared row whose children 0..K-1 have the cells (b, c, q), for descent to take
-    in one bisection. hits lists, in cell order, every string of m of them as (digits, b, c, q), its nested cell; with
-    tails, each shorter nonempty string is followed by an entry for the rest of its cell (its children past K - 1) that
-    answers the string's own cell. Entry i covers [runs[i]/Q, runs[i + 1]/Q); past end = runs[-1] lie children >= K."""
+def _power_table(entries: Sequence[tuple[int, int, int, int]], m: int, tails: bool) -> tuple:
+    """(Q, runs, hits, end): m levels of a shared row over the entries (k, b, c, q) of its children 0..K-1, for descent
+    to take in one bisection. hits lists, in cell order, every string of m children as (digits, b, c, q), its nested
+    cell; with tails, each shorter nonempty string is followed by an entry for the rest of its cell (children past
+    K - 1) that answers the string's own cell. Entry i covers [runs[i]/Q, runs[i + 1]/Q); past end = runs[-1] lie
+    children >= K."""
     hits = []
     def nest(digits: tuple[int, ...], b: int, c: int, q: int) -> None:
         if len(digits) == m:
             return hits.append((digits, b, c, q))
-        for k, (a, w, r) in enumerate(cells):
+        for k, a, w, r in entries:
             nest((*digits, k), b * r + c * a, c * w, q * r)
         if tails and digits:
             hits.append((digits, b, c, q))
@@ -224,17 +221,23 @@ def _power_table(cells: Sequence[tuple[int, int, int]], m: int, tails: bool) -> 
 
 
 class _ClosedForm:
-    """Countably many children, total mass one; child k's mass and prefix mass come from `cell(k)`."""
+    """Countably many children, total mass one. A closed form is its own entry table: `row[k]` is child k's entry
+    (k, b, c, q), as `locate` answers it, and its cell, mass and prefix mass come from it."""
 
     __slots__ = ()
     support = OMEGA
     total = ONE
 
+    def cell(self, k: int) -> tuple[int, int, int]:
+        """Child k's cell [b/q, (b + c)/q) as unreduced integers (b, c, q)."""
+        return self[k][1:]
+
     def mass(self, k: int) -> Fraction:
-        return Fraction(*self.cell(k)[1:])
+        _, _, c, q = self[k]
+        return Fraction(c, q)
 
     def prefix_mass(self, k: int) -> Fraction:
-        b, _, q = self.cell(k)
+        _, b, _, q = self[k]
         return Fraction(b, q)
 
 
@@ -283,8 +286,8 @@ class Geometric(_ClosedForm):
     """Closed form over countably many children: child k has mass (1-r)·r^k, for k within MAX_POWER_BITS.
 
     A family's shared row keeps a head table (`_build_head`) of its first max(1, HEAD_BITS // bits(rd))
-    children, where `locate` and `cell` answer as a finite row does from its grid; past it, and on a fresh
-    row, they compute.
+    children's entries, which `locate` and `row[k]` hand back as a finite row does from its grid; past it,
+    and on a fresh row, they compute.
     """
 
     __slots__ = ("ratio", "_rn", "_rd", "_inv_log", "_kmax", "_head")
@@ -302,16 +305,16 @@ class Geometric(_ClosedForm):
         self._head = _NO_HEAD
 
     def _build_head(self) -> None:
-        """Tabulate children 0..K-1 as (Q, runs, cells): Q = rd^K, runs[k] = Q·(1 - r^k) = Q - rn^k·rd^(K-k)
-        for k <= K, and cells[k] = `cell(k)`. Child k's cell is then [runs[k]/Q, runs[k + 1]/Q)."""
+        """Tabulate children 0..K-1 as (Q, runs, entries): Q = rd^K, runs[k] = Q·(1 - r^k) = Q - rn^k·rd^(K-k)
+        for k <= K, and entries[k] = `row[k]`. Child k's cell is then [runs[k]/Q, runs[k + 1]/Q)."""
         rn, rd = self._rn, self._rd
         q = rd ** max(1, HEAD_BITS // rd.bit_length())
-        runs, cells, pn, pd = [0], [], 1, 1  # pn/pd = r^k
+        runs, entries, pn, pd = [0], [], 1, 1  # pn/pd = r^k
         while pd < q:
-            cells.append(((pd - pn) * rd, (rd - rn) * pn, pd * rd))
+            entries.append((len(entries), (pd - pn) * rd, (rd - rn) * pn, pd * rd))
             pn, pd = pn * rn, pd * rd
             runs.append(q - pn * (q // pd))
-        self._head = q, runs, tuple(cells)
+        self._head = q, runs, tuple(entries)
 
     def _stride(self) -> int:
         """2 when the two-level `_power` table holds at least half the mass (r^K <= 1/2), else 1: one level per step."""
@@ -319,32 +322,30 @@ class Geometric(_ClosedForm):
         return 2 if k and 2 * self._rn**k <= self._rd**k else 1
 
     def _power(self, m: int) -> tuple:
-        """The two-level `_power_table` over children 0..K-1 of `_stride`, with a tail entry after each first child."""
-        return _power_table([self.cell(k) for k in range(min(16, HEAD_BITS // (2 * self._rd.bit_length())))], m, True)
+        """The two-level `_power_table` over children 0..K-1 of `_stride`, with a tail entry after each first child;
+        the entries are the head's, which a family builds when it adopts the row."""
+        return _power_table(self._head[2][: min(16, HEAD_BITS // (2 * self._rd.bit_length()))], m, True)
 
-    def cell(self, k: int) -> tuple[int, int, int]:
-        """Child k's cell [1 - r^k, 1 - r^(k+1)) as (b, c, q) over q = rd^(k+1), for r = rn/rd."""
-        cells = self._head[2]
-        if 0 <= k < len(cells):
-            return cells[k]
+    def __getitem__(self, k: int) -> tuple[int, int, int, int]:
+        """Child k's entry (k, b, c, q), its cell [1 - r^k, 1 - r^(k+1)) over q = rd^(k+1), for r = rn/rd."""
+        entries = self._head[2]
+        if 0 <= k < len(entries):
+            return entries[k]
         rn, rd = self._rn, self._rd
         pn, pd = rn ** _power_index(k, self._kmax), rd**k
-        return (pd - pn) * rd, (rd - rn) * pn, pd * rd
-
-    __getitem__ = cell  # a closed form is its own cell table: `row[k]` is `row.cell(k)`
+        return k, (pd - pn) * rd, (rd - rn) * pn, pd * rd
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:
-        """The child k whose cell holds u = un/ud in [0, 1], with `cell(k)`; None at u = 1.
+        """The entry `row[k]` of the child k whose cell holds u = un/ud in [0, 1]; None at u = 1.
 
         In the head, k is one bisection over integer boundaries: runs[k] <= floor(u·Q) < runs[k + 1]
         exactly when u lies in [runs[k]/Q, runs[k + 1]/Q). Past it, a certified float step finds k.
         """
         if un == ud:
             return None
-        q, runs, cells = self._head
-        if cells and (x := un * q // ud) < runs[-1]:  # an empty head skips the division
-            k = bisect_right(runs, x) - 1
-            return (k, *cells[k])
+        q, runs, entries = self._head
+        if entries and (x := un * q // ud) < runs[-1]:  # an empty head skips the division
+            return entries[bisect_right(runs, x) - 1]
         rn, rd = self._rn, self._rd
         k, pn, pd = _geometric_index(rn, rd, ud - un, ud, self._inv_log, self._kmax)
         return k, (pd - pn) * rd, (rd - rn) * pn, pd * rd
@@ -372,16 +373,14 @@ class PointMass(_ClosedForm):
             raise InvalidArgument("negative child index")
         self.index = index
 
-    def cell(self, k: int) -> tuple[int, int, int]:
-        """Child k's cell: [0, 1] for the index, a point at 0 or 1 for every other child."""
+    def __getitem__(self, k: int) -> tuple[int, int, int, int]:
+        """Child k's entry: the cell [0, 1] for the index, a point at 0 or 1 for every other child."""
         if k < 0:
             raise _not_a_child(k, OMEGA)
-        return int(k > self.index), int(k == self.index), 1
-
-    __getitem__ = cell
+        return k, int(k > self.index), int(k == self.index), 1
 
     def locate(self, un: int, ud: int) -> tuple[int, int, int, int] | None:
-        """The index, whose cell [0, 1] holds u = un/ud, with `cell(index)`; None at u = 1."""
+        """The index's entry, whose cell [0, 1] holds u = un/ud; None at u = 1."""
         return None if un == ud else (self.index, 0, 1, 1)
 
     def positive_support(self) -> tuple[int, ...]:

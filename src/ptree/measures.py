@@ -60,7 +60,7 @@ class EdgeFamily:
         self.name = name
         self.row = self._power = None
         self._stride = 0  # the levels one power step takes (`_power_row`); under 2, descent takes none
-        # the root's node state (row, cells, kids): cells[k] is child k's integer cell (b, c, q), kids.get(k, state)
+        # the root's node state (row, cells, kids): cells[k] is child k's entry (k, b, c, q), kids.get(k, state)
         # its state, and (None, None, None) a maximal node's state; a rule's root state reads no row until unpacked
         if isinstance(dists, (FiniteDist, Geometric, PointMass)):
             arity = tree.shared_arity if isinstance(tree, GeneratedTree) else None
@@ -188,7 +188,7 @@ class _Gated(tuple):
 
 
 def _row_cells(d: Dist, t: Path) -> Union[tuple, dict, Dist]:
-    """The cell table of the row d at node t: a finite row's cells, a closed form itself; a finite row that is not a
+    """The entry table of the row d at node t: a finite row's entries, a closed form itself; a finite row that is not a
     probability distribution raises NotADistribution. The one row check of tables, shared rows and rules' rows."""
     if d.__class__ is not FiniteDist:
         return d
@@ -297,7 +297,7 @@ def _walk(family: EdgeFamily, ends: Iterable[Path], start: Path = (), require=No
         lo, w, q, state = cells[-1]  # the cell of s[:j], which the previous end shares
         for i, k in enumerate(s[j:], j):
             _, table, kids = state
-            b, c, r = table[k]
+            _, b, c, r = table[k]
             lo, w, q = lo * r + w * b, w * c, q * r
             state = kids.get(k, state)
             if i < keep:

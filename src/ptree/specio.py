@@ -77,13 +77,13 @@ def _build_generator(name: str, depth_budget: int) -> EdgeFamily:
         return dirac(int(match.group(1)), depth_budget)
     match = _GEOMETRIC_RE.fullmatch(name)
     if match:
-        ratio = _parse_fraction(match.group(1), "")
-        try:  # a ratio outside (0, 1), or one too long to spell out in the family's name
-            if max(ratio.numerator.bit_length(), ratio.denominator.bit_length()) > SHOWN_BITS:
-                raise ValueError(f"a family name spells out at most {SHOWN_BITS} bits")
+        ratio, bad = _parse_fraction(match.group(1), ""), f"bad geometric ratio {match.group(1)!r}"
+        if max(ratio.numerator.bit_length(), ratio.denominator.bit_length()) > SHOWN_BITS:  # too long for its name
+            raise SpecValidationError("", f"{bad}: a family name spells out at most {SHOWN_BITS} bits")
+        try:
             return geometric_omega(depth_budget, ratio)
-        except ValueError as exc:
-            raise SpecValidationError("", f"bad geometric ratio {match.group(1)!r}: {exc}") from None
+        except InvalidArgument as exc:  # a ratio outside (0, 1)
+            raise SpecValidationError("", f"{bad}: {exc}") from None
     raise UnknownGenerator(f"unknown generator {name!r}; available: {', '.join(_GENERATORS)}")
 
 

@@ -91,7 +91,7 @@ from ptree import (
 from ptree import bernoulli, encoding, intervals
 from ptree.dists import HEAD_BITS, Geometric, PointMass, _geometric_index, _power_index, fraction_sum, show
 from ptree.encoding import EncodingReport
-from ptree.measures import _support_mismatch, _walk, positive_part
+from ptree.measures import _row_cells, _support_mismatch, _walk, positive_part
 from ptree.paths import OMEGA, compatible, is_prefix
 
 from corpus import random_family, random_tree, random_variable, rule_family, spelled
@@ -1022,6 +1022,71 @@ def test_a_geometric_head_leaves_a_point_past_the_power_limit_to_the_tail(r):
     assert answer(formula_locate, row, 1, 2) is OversizedValue
 
 
+@st.composite
+def entry_rows(draw):
+    """A row of each kind and the children to read: canonical and sparse finite rows (zero masses included), a
+    shared geometric row at children 0, K - 1, K and one tail child past its K-child head, a fresh geometric row
+    (an empty head) and a point mass."""
+    kind = draw(st.sampled_from(["canonical", "sparse", "shared geometric", "fresh geometric", "point mass"]))
+    if kind in ("canonical", "sparse"):
+        weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(any))
+        masses = [F(w, sum(weights)) for w in weights]
+        if kind == "canonical":
+            return FiniteDist(masses), list(range(len(masses)))
+        indices = list(accumulate(draw(st.lists(st.integers(1, 3), min_size=len(masses), max_size=len(masses)))))
+        return FiniteDist(dict(zip(indices, masses))), indices
+    if kind == "point mass":
+        row = PointMass(draw(st.integers(0, 5)))
+        return row, [0, row.index, row.index + 1, draw(st.integers(0, 20))]
+    r = draw(st.sampled_from([F(1, 2), F(2, 3), F(9, 10), F(99, 100)]))
+    row = geometric_omega(4, r).row if kind == "shared geometric" else Geometric(r)
+    n = len(row._head[2])  # K children in a shared row's head, none in a fresh one's
+    return row, sorted({0, max(n - 1, 0), n, n + draw(st.integers(1, 40))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(entry_rows(), st.lists(st.integers(0, 2**32 - 1), max_size=4), st.integers(1, 3))
+def test_every_row_answers_its_table_and_locate_with_one_entry(row_ks, points, scale):
+    # the walk's table[k] (a closed form's row[k]) is child k's entry (k, b, c, q) with its cell and mass, and
+    # locate(u) hands back the entry of the child whose cell holds u
+    row, ks = row_ks
+    table = _row_cells(row, ())
+    assert table is row or row.__class__ is FiniteDist
+    us = {F(0), F(1), *(F(n, 2**32) for n in points)}
+    for k in ks:
+        entry = table[k]
+        assert entry == (k, *row.cell(k)) and F(entry[2], entry[3]) == row.mass(k)
+        _, b, c, q = entry
+        us |= {F(b, q), F(2 * b + c, 2 * q)}  # the cell's lower end and midpoint
+    for u in sorted(us):
+        un, ud = u.numerator * scale, u.denominator * scale  # descent passes unreduced ratios
+        hit = row.locate(un, ud)
+        if u == 1 and row.support is OMEGA:
+            assert hit is None  # the limit endpoint of infinitely many cells
+            continue
+        k, b, c, q = hit
+        assert hit == table[k]
+        if u == 1:  # a finite row's last cell of positive width
+            assert 0 < c and b + c == q
+        else:
+            assert b * ud <= un * q < (b + c) * ud
+
+
+def test_a_row_stores_each_entry_once():
+    # the walk's table and locate hand back the very entries the row built, not copies
+    canonical = FiniteDist(["1/4", "0", "3/4"])
+    assert canonical._grid[2] is canonical._hits
+    sparse = FiniteDist({1: "1/3", 4: "0", 6: "2/3"})
+    assert [sparse._grid[2][k] for k in sparse.indices] == list(sparse._hits)
+    assert all(sparse._grid[2][k] is entry for k, entry in zip(sparse.indices, sparse._hits))
+    shared = geometric_omega(4, F(9, 10)).row
+    head = shared._head[2]
+    assert len(head) == 64 and all(shared[k] is head[k] for k in range(64))
+    for u in (F(0), F(1, 3), 1 - F(9, 10) ** 63, 1 - F(9, 10) ** 64 - F(1, 10**30)):
+        hit = shared.locate(u.numerator, u.denominator)
+        assert any(hit is entry for entry in head)
+
+
 def outcome(locate, family, y, depth):
     try:
         return locate(family, y, depth)
@@ -1233,7 +1298,7 @@ def path_reading_walk(family, ends, start=(), require=None):
         lo, w, q = cells[-1]
         for i in range(j, len(s)):
             table = shared if rows is None else rows[s[:i]]._grid[2]
-            b, c, r = table[s[i]] if table is not None else (closed or path_row(family, s[:i]).cell)(s[i])
+            b, c, r = table[s[i]][1:] if table is not None else (closed or path_row(family, s[:i]).cell)(s[i])
             lo, w, q = lo * r + w * b, w * c, q * r
             cells.append((lo, w, q))
         out[s] = lo, w, q

@@ -677,6 +677,15 @@ def test_a_spec_with_a_bad_geometric_ratio_names_it(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {spec}: node '': {reason}\n"
 
 
+def test_a_spec_with_a_ratio_too_long_for_its_name_names_it():
+    # a ratio in (0, 1) whose denominator has 1,025 bits is refused before the family is built
+    ratio = f"1/{2**1024 + 1}"
+    doc = json.dumps({"version": 1, "representation": "generator", "generator": f"geometric_omega({ratio})"})
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec(doc)
+    assert str(info.value) == f"node '': bad geometric ratio '{ratio}': a family name spells out at most 1024 bits"
+
+
 def test_a_depth_budget_round_trips_through_a_spec():
     fam = EdgeFamily.from_table({(): ["1/2", "1/2"]}, depth_budget=5)
     back = parse_spec(serialize_spec(fam))
